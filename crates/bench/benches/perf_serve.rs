@@ -20,9 +20,9 @@ use deepseq_core::encoding::initial_states;
 use deepseq_core::{CircuitGraph, DeepSeq, DeepSeqConfig};
 use deepseq_data::designs::ptc;
 use deepseq_data::random::{random_circuit, CircuitSpec};
-use deepseq_netlist::{lower_to_aig, structural_hash, SeqAig};
+use deepseq_netlist::{lower_to_aig, SeqAig};
 use deepseq_nn::{Kernel, Matrix, Pool};
-use deepseq_serve::{Engine, EngineOptions, InferenceModel, ServeRequest, ShardRouter, Workspace};
+use deepseq_serve::{Engine, EngineOptions, InferenceModel, ServeRequest, Workspace};
 use deepseq_sim::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,48 +219,10 @@ fn bench_cone_reuse(c: &mut Criterion) {
     }
 }
 
-/// The shard router's cache-hit path through 1 and 4 shards: the delta is
-/// pure routing overhead (structural hash → home, ring state, per-shard
-/// counters), pinned near 1.0× by the derived `shard_hit_ratio_s4_*`.
-fn bench_shard_hit(c: &mut Criterion) {
-    let f = fixtures().pop().expect("ptc fixture");
-    for shards in [1usize, 4] {
-        let engine = Engine::with_pool(
-            f.frozen.clone(),
-            EngineOptions {
-                workers: 1,
-                cache_capacity: 8,
-                cone_capacity: 0,
-            },
-            Arc::new(Pool::new(1)),
-        );
-        let router = ShardRouter::new(engine, shards);
-        let hash = structural_hash(&f.aig);
-        let make = |id| ServeRequest {
-            id,
-            aig: f.aig.clone(),
-            workload: Workload::uniform(f.aig.num_pis(), 0.5),
-            init_seed: 0,
-        };
-        // Warm the home shard's cache, then measure route + hit.
-        let home = router.home(hash);
-        router.engine(home).serve_batch(vec![make(0)]);
-        let mut id = 1u64;
-        c.bench_function(&format!("serve_shard_hit_s{shards}_{}", f.tag), |b| {
-            b.iter(|| {
-                id += 1;
-                let decision = router.route(hash).expect("no shard degraded");
-                let r = router.engine(decision.shard).serve_batch(vec![make(id)]);
-                assert!(r[0].result.as_ref().expect("serves").cache_hit);
-            })
-        });
-    }
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_tape_forward, bench_tapefree_forward, bench_tapefree_per_kernel, bench_cache_hit,
-        bench_cone_reuse, bench_shard_hit
+        bench_cone_reuse
 }
 criterion_main!(benches);

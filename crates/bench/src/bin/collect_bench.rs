@@ -19,10 +19,9 @@
 //! table read: tape → tape-free speedup per design, naive →
 //! blocked/packed/simd kernel speedup per GEMM shape and for the fused GRU
 //! gate, full-recompute → cone-memo speedup on near-duplicate circuits
-//! (`cone_speedup_*`), the 1-shard → N-shard routed-hit ratio
-//! (`shard_hit_ratio_s<N>_*`), and the
-//! 1-thread → N-thread speedups of the `perf_threads` and `perf_train`
-//! entries (`serve_mt_<what>_t<N>_<rest>` → `mt_speedup_<what>_t<N>_<rest>`,
+//! (`cone_speedup_*`), and the 1-thread → N-thread speedups of the
+//! `perf_threads` and `perf_train` entries
+//! (`serve_mt_<what>_t<N>_<rest>` → `mt_speedup_<what>_t<N>_<rest>`,
 //! `serve_train_<what>_t<N>_<rest>` → `train_speedup_<what>_t<N>_<rest>`).
 //!
 //! `--readme` replaces everything between the `<!-- bench-table:begin -->`
@@ -188,16 +187,6 @@ fn derive_speedups(means: &[(String, f64)]) -> Vec<(String, f64)> {
         if let Some(rest) = name.strip_prefix("serve_cone_hit_") {
             if let Some(full) = mean_of(&format!("serve_cone_full_{rest}")) {
                 out.push((format!("cone_speedup_{rest}"), full / mean));
-            }
-        }
-        // 1-shard → N-shard routed cache hit (routing overhead; ~1.0×).
-        if let Some(rest) = name.strip_prefix("serve_shard_hit_s") {
-            if let Some((shards, tail)) = rest.split_once('_') {
-                if shards != "1" {
-                    if let Some(s1) = mean_of(&format!("serve_shard_hit_s1_{tail}")) {
-                        out.push((format!("shard_hit_ratio_s{shards}_{tail}"), s1 / mean));
-                    }
-                }
             }
         }
         // 1-thread → N-thread, per perf_threads / perf_train entry.

@@ -327,11 +327,11 @@ impl DeepSeq {
     ///
     /// # Errors
     /// Returns [`ParamsError::BadMagic`] for non-checkpoint bytes,
-    /// [`ParamsError::UnsupportedVersion`] for future versions,
+    /// [`ParamsError::UnsupportedVersion`] for any version but 2,
     /// [`ParamsError::ChecksumMismatch`] when the v2 CRC-32 trailer
     /// disagrees with the body, [`ParamsError::Truncated`] /
-    /// [`ParamsError::Corrupt`] for damaged payloads. Legacy v1
-    /// checkpoints (no trailer) still load, with a warning.
+    /// [`ParamsError::Corrupt`] for damaged payloads. Trailer-less v1
+    /// checkpoints are [`ParamsError::UnsupportedVersion`].
     pub fn from_binary_checkpoint(bytes: &[u8]) -> Result<Self, ParamsError> {
         // Peek the header version, then verify and strip the v2 CRC
         // trailer before trusting any of the body.
@@ -340,15 +340,6 @@ impl DeepSeq {
             return Err(ParamsError::BadMagic);
         }
         let body = match header.u16()? {
-            // Version 2 (0x0002) never reads as 1 under any single bit
-            // flip, so corruption cannot masquerade a v2 blob as v1.
-            MODEL_VERSION_V1 => {
-                deepseq_nn::report_warning(
-                    "loading legacy v1 DSQM checkpoint (no CRC32 trailer): \
-                     integrity unverified; re-save to upgrade",
-                );
-                bytes
-            }
             MODEL_VERSION => verify_crc_trailer(bytes, MODEL_HEADER_LEN)?,
             found => return Err(ParamsError::UnsupportedVersion { found }),
         };
@@ -397,11 +388,9 @@ impl DeepSeq {
 pub const MODEL_MAGIC: [u8; 4] = *b"DSQM";
 
 /// Version written by [`DeepSeq::save_binary`]: v2 appends a CRC32
-/// integrity trailer over everything before it.
+/// integrity trailer over everything before it. It is the only version
+/// read; the trailer-less v1 is rejected as unsupported.
 pub const MODEL_VERSION: u16 = 2;
-
-/// The pre-trailer model format; still loadable, with a warning.
-const MODEL_VERSION_V1: u16 = 1;
 
 const MODEL_HEADER_LEN: usize = 4 + 2 + 4 + 4 + 1 + 1 + 8;
 
@@ -671,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_model_checkpoint_loads_with_warning() {
+    fn v1_model_checkpoint_is_rejected_as_unsupported() {
         let model = DeepSeq::new(small_config(
             Aggregator::DualAttention,
             PropagationScheme::Custom,
@@ -683,11 +672,10 @@ mod tests {
         v1.truncate(v1.len() - 4); // inner DSQP trailer
         v1[4] = 1; // DSQM version
         v1[MODEL_HEADER_LEN + 4] = 1; // DSQP version
-        let before = deepseq_nn::warning_count();
-        let restored = DeepSeq::from_binary_checkpoint(&v1).expect("legacy v1 blob loads");
-        assert!(deepseq_nn::warning_count() > before, "no legacy warning");
-        assert_eq!(restored.config(), model.config());
-        assert_eq!(restored.params.save_binary(), model.params.save_binary());
+        assert_eq!(
+            DeepSeq::from_binary_checkpoint(&v1).err(),
+            Some(ParamsError::UnsupportedVersion { found: 1 })
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * **text** (`deepseq-params v1`): name, shape and values as decimal
 //!   floats, one matrix row per line — human-readable and diff-friendly;
-//! * **binary** (`DSQP` magic, version 1): little-endian `f32` payloads
+//! * **binary** (`DSQP` magic, version 2): little-endian `f32` payloads
 //!   behind a length-prefixed name/shape header per parameter — compact and
 //!   fast to load, used by the serving subsystem (`deepseq-serve`). The
 //!   byte-level layout is specified for third-party loaders in
@@ -221,12 +221,9 @@ impl Params {
 pub const BINARY_MAGIC: [u8; 4] = *b"DSQP";
 
 /// Version written by [`Params::save_binary`]: v2 appends a CRC32
-/// integrity trailer over everything before it.
+/// integrity trailer over everything before it. It is the only version
+/// read; the trailer-less v1 is rejected as unsupported.
 pub const BINARY_VERSION: u16 = 2;
-
-/// The pre-trailer format; still loadable, with a warning, for
-/// checkpoints written before the CRC32 trailer existed.
-const BINARY_VERSION_V1: u16 = 1;
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) over `bytes` — the
 /// checksum carried in v2 `DSQP`/`DSQM` checkpoint trailers. Detects
@@ -370,13 +367,13 @@ enum MapBacking {
 
 /// A zero-copy, read-only view of a checkpoint file.
 ///
-/// On unix the file is mapped `PROT_READ`/`MAP_PRIVATE`, so N engine
-/// shards (or N processes) opening the same checkpoint share one set of
-/// physical pages instead of N heap copies, and opening is O(1) in the
-/// file size. Everywhere else — and whenever the mapping fails or the file
-/// is empty — it transparently falls back to a buffered read into an owned
-/// buffer; [`CheckpointMap::bytes`] behaves identically either way, so the
-/// CRC check and the decoder never know the difference.
+/// On unix the file is mapped `PROT_READ`/`MAP_PRIVATE`, so N processes
+/// opening the same checkpoint share one set of physical pages instead of
+/// N heap copies, and opening is O(1) in the file size. Everywhere else —
+/// and whenever the mapping fails or the file is empty — it transparently
+/// falls back to a buffered read into an owned buffer;
+/// [`CheckpointMap::bytes`] behaves identically either way, so the CRC
+/// check and the decoder never know the difference.
 ///
 /// # Mapping rules
 ///
@@ -550,8 +547,8 @@ impl Params {
     /// the v2 CRC-32 trailer disagrees with the body,
     /// [`ParamsError::Truncated`] when the payload ends early, and the usual
     /// [`ParamsError::UnknownParam`] / [`ParamsError::ShapeMismatch`] on
-    /// content mismatches. Legacy v1 checkpoints (no trailer) still load,
-    /// with a [`crate::report_warning`] nudge to re-save.
+    /// content mismatches. Trailer-less v1 checkpoints are
+    /// [`ParamsError::UnsupportedVersion`]; re-save them with a v2 writer.
     pub fn load_binary(&mut self, bytes: &[u8]) -> Result<(), ParamsError> {
         if crate::fault::should_inject(crate::fault::FaultPoint::CheckpointRead) {
             return Err(ParamsError::Corrupt {
@@ -565,15 +562,6 @@ impl Params {
             return Err(ParamsError::BadMagic);
         }
         let body = match header.u16()? {
-            // A single bit flip of version 2 (0x0002) can never read as 1,
-            // so corruption cannot masquerade a v2 blob as trailer-less v1.
-            BINARY_VERSION_V1 => {
-                crate::config::report_warning(
-                    "loading legacy v1 DSQP checkpoint (no CRC32 trailer): \
-                     integrity unverified; re-save to upgrade",
-                );
-                bytes
-            }
             BINARY_VERSION => verify_crc_trailer(bytes, 12)?,
             found => return Err(ParamsError::UnsupportedVersion { found }),
         };
@@ -1049,8 +1037,8 @@ mod tests {
     fn binary_rejects_every_single_bit_flip() {
         // Any one-bit corruption anywhere in the blob must yield a typed
         // error — never Ok (a silently-wrong load) and never a panic. CRC32
-        // detects all single-bit errors, and a flipped version field can
-        // never turn 2 into 1 (the trailer-less legacy version).
+        // detects all single-bit errors, and a flipped version field is an
+        // unsupported version.
         let mut p = sample_params(1);
         let bytes = p.save_binary();
         for i in 0..bytes.len() {
@@ -1064,20 +1052,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_checkpoint_loads_with_warning() {
+    fn v1_checkpoint_is_rejected_as_unsupported() {
         let p = sample_params(1);
         // A v1-era blob: same layout minus the trailer, version field 1.
         let mut v1 = p.save_binary();
         v1.truncate(v1.len() - 4);
         v1[4] = 1;
-        let before = crate::config::warning_count();
         let mut q = sample_params(2);
-        q.load_binary(&v1).expect("legacy v1 blob loads");
-        assert!(crate::config::warning_count() > before, "no legacy warning");
-        for (_, name, value) in p.iter() {
-            let qid = q.find(name).unwrap();
-            assert_eq!(value, q.get(qid), "{name}");
-        }
+        let untouched = q.save_binary();
+        assert_eq!(
+            q.load_binary(&v1),
+            Err(ParamsError::UnsupportedVersion { found: 1 })
+        );
+        assert_eq!(q.save_binary(), untouched, "a rejected load wrote values");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! a correspondingly reordered workload still hits, while assigning the same
 //! stimulus vector to differently-named PIs misses), and the initial-state
 //! seed completes the key. Repeated circuit+workload queries are O(1).
+//! Both caches also key every entry by the generation of the model that
+//! computed it, so results from replaced weights never hit.
 //!
 //! # Numbering semantics of cached results
 //!
@@ -50,7 +52,8 @@ use deepseq_netlist::{structural_hash, SeqAig};
 use deepseq_nn::Matrix;
 use deepseq_sim::Workload;
 
-/// Content address of one inference request.
+/// Content address of one inference request. It names the request only;
+/// the [`EmbeddingCache`] pairs it with the model generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Canonical structural hash of the circuit.
@@ -276,7 +279,12 @@ impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
     }
 }
 
-/// Bounded LRU of [`CachedInference`] results keyed by [`CacheKey`].
+/// Bounded LRU of [`CachedInference`] results keyed by model generation
+/// (see [`InferenceModel::generation`](crate::InferenceModel::generation))
+/// and [`CacheKey`]. The generation makes a reload sound without any
+/// ordering between it and in-flight requests: a request that began on the
+/// old model inserts under the old generation, which the new model's
+/// lookups never ask for.
 ///
 /// Recency is tracked with a monotonic tick per entry; a `BTreeMap` over
 /// the (unique) ticks gives O(log n) eviction of the least recently used
@@ -293,18 +301,19 @@ impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
 ///
 /// let mut cache = EmbeddingCache::new(2);
 /// let key = CacheKey { structural: 1, workload: 2, init_seed: 3 };
-/// assert!(cache.get(&key).is_none());
-/// cache.insert(key, Arc::new(CachedInference {
+/// assert!(cache.get(1, &key).is_none());
+/// cache.insert(1, key, Arc::new(CachedInference {
 ///     predictions: Predictions { tr: Matrix::zeros(1, 2), lg: Matrix::zeros(1, 1) },
 ///     embedding: Matrix::zeros(1, 4),
 ///     num_nodes: 1,
 /// }));
-/// assert!(cache.get(&key).is_some());
+/// assert!(cache.get(1, &key).is_some());
+/// assert!(cache.get(2, &key).is_none()); // another model generation
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct EmbeddingCache {
-    lru: Lru<CacheKey, Arc<CachedInference>>,
+    lru: Lru<(u64, CacheKey), Arc<CachedInference>>,
 }
 
 impl EmbeddingCache {
@@ -315,15 +324,16 @@ impl EmbeddingCache {
         }
     }
 
-    /// Looks a key up, refreshing its recency and counting hit/miss.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<CachedInference>> {
-        self.lru.get(key)
+    /// Looks up a request under one model generation, refreshing its
+    /// recency and counting hit/miss.
+    pub fn get(&mut self, model: u64, key: &CacheKey) -> Option<Arc<CachedInference>> {
+        self.lru.get(&(model, *key))
     }
 
-    /// Inserts (or refreshes) a result, evicting the least recently used
-    /// entry when full.
-    pub fn insert(&mut self, key: CacheKey, value: Arc<CachedInference>) {
-        self.lru.insert(key, value);
+    /// Inserts (or refreshes) the result `model` computed for a request,
+    /// evicting the least recently used entry when full.
+    pub fn insert(&mut self, model: u64, key: CacheKey, value: Arc<CachedInference>) {
+        self.lru.insert((model, key), value);
     }
 
     /// Current counters.
@@ -343,8 +353,8 @@ impl EmbeddingCache {
 
     /// Drops one entry if present (the `cache_evict` fault hook uses this
     /// to force a recompute path). Does not count as an eviction.
-    pub fn remove(&mut self, key: &CacheKey) -> Option<Arc<CachedInference>> {
-        self.lru.remove(key)
+    pub fn remove(&mut self, model: u64, key: &CacheKey) -> Option<Arc<CachedInference>> {
+        self.lru.remove(&(model, *key))
     }
 
     /// Drops all entries, keeping the counters.
@@ -367,8 +377,7 @@ impl EmbeddingCache {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConeKey {
     /// Generation of the [`InferenceModel`](crate::InferenceModel) the rows
-    /// were computed under (unique per loaded model, shared by shards
-    /// serving the same weights).
+    /// were computed under (unique per loaded model).
     pub model: u64,
     /// Order-sensitive structural fingerprint of the component.
     pub structure: u64,
@@ -471,13 +480,13 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = EmbeddingCache::new(2);
-        cache.insert(key(1), dummy(1));
-        cache.insert(key(2), dummy(2));
-        assert!(cache.get(&key(1)).is_some()); // refresh 1 ⇒ 2 is LRU
-        cache.insert(key(3), dummy(3));
-        assert!(cache.get(&key(2)).is_none());
-        assert!(cache.get(&key(1)).is_some());
-        assert!(cache.get(&key(3)).is_some());
+        cache.insert(1, key(1), dummy(1));
+        cache.insert(1, key(2), dummy(2));
+        assert!(cache.get(1, &key(1)).is_some()); // refresh 1 ⇒ 2 is LRU
+        cache.insert(1, key(3), dummy(3));
+        assert!(cache.get(1, &key(2)).is_none());
+        assert!(cache.get(1, &key(1)).is_some());
+        assert!(cache.get(1, &key(3)).is_some());
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
@@ -486,17 +495,17 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = EmbeddingCache::new(0);
-        cache.insert(key(1), dummy(1));
-        assert!(cache.get(&key(1)).is_none());
+        cache.insert(1, key(1), dummy(1));
+        assert!(cache.get(1, &key(1)).is_none());
         assert!(cache.is_empty());
     }
 
     #[test]
     fn stats_track_hits_and_misses() {
         let mut cache = EmbeddingCache::new(4);
-        assert!(cache.get(&key(1)).is_none());
-        cache.insert(key(1), dummy(1));
-        assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(1, &key(1)).is_none());
+        cache.insert(1, key(1), dummy(1));
+        assert!(cache.get(1, &key(1)).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
@@ -507,13 +516,13 @@ mod tests {
         // Re-inserting an existing key must refresh its recency, not grow
         // the tick index: the stalest *other* entry is evicted next.
         let mut cache = EmbeddingCache::new(2);
-        cache.insert(key(1), dummy(1));
-        cache.insert(key(2), dummy(2));
-        cache.insert(key(1), dummy(10)); // refresh 1 ⇒ 2 is LRU
-        cache.insert(key(3), dummy(3));
-        assert!(cache.get(&key(2)).is_none());
-        assert_eq!(cache.get(&key(1)).unwrap().num_nodes, 10);
-        assert!(cache.get(&key(3)).is_some());
+        cache.insert(1, key(1), dummy(1));
+        cache.insert(1, key(2), dummy(2));
+        cache.insert(1, key(1), dummy(10)); // refresh 1 ⇒ 2 is LRU
+        cache.insert(1, key(3), dummy(3));
+        assert!(cache.get(1, &key(2)).is_none());
+        assert_eq!(cache.get(1, &key(1)).unwrap().num_nodes, 10);
+        assert!(cache.get(1, &key(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
     }
@@ -521,21 +530,21 @@ mod tests {
     #[test]
     fn remove_and_clear_keep_the_tick_index_consistent() {
         let mut cache = EmbeddingCache::new(3);
-        cache.insert(key(1), dummy(1));
-        cache.insert(key(2), dummy(2));
-        assert!(cache.remove(&key(1)).is_some());
-        assert!(cache.remove(&key(1)).is_none());
+        cache.insert(1, key(1), dummy(1));
+        cache.insert(1, key(2), dummy(2));
+        assert!(cache.remove(1, &key(1)).is_some());
+        assert!(cache.remove(1, &key(1)).is_none());
         assert_eq!(cache.stats().evictions, 0); // remove is not an eviction
         cache.clear();
         assert!(cache.is_empty());
         // Reuse after clear: no stale tick entries can evict a live key.
-        cache.insert(key(4), dummy(4));
-        cache.insert(key(5), dummy(5));
-        cache.insert(key(6), dummy(6));
-        cache.insert(key(7), dummy(7));
+        cache.insert(1, key(4), dummy(4));
+        cache.insert(1, key(5), dummy(5));
+        cache.insert(1, key(6), dummy(6));
+        cache.insert(1, key(7), dummy(7));
         assert_eq!(cache.len(), 3);
-        assert!(cache.get(&key(4)).is_none()); // 4 was the LRU
-        assert!(cache.get(&key(7)).is_some());
+        assert!(cache.get(1, &key(4)).is_none()); // 4 was the LRU
+        assert!(cache.get(1, &key(7)).is_some());
     }
 
     #[test]
@@ -544,13 +553,13 @@ mod tests {
         // `capacity` entries with the newest keys resident.
         let mut cache = EmbeddingCache::new(64);
         for i in 0..10_000u64 {
-            cache.insert(key(i), dummy(1));
+            cache.insert(1, key(i), dummy(1));
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 64);
         assert_eq!(stats.evictions, 10_000 - 64);
-        assert!(cache.get(&key(9_999)).is_some());
-        assert!(cache.get(&key(0)).is_none());
+        assert!(cache.get(1, &key(9_999)).is_some());
+        assert!(cache.get(1, &key(0)).is_none());
     }
 
     #[test]

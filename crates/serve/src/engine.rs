@@ -137,7 +137,7 @@ pub struct EngineOptions {
     pub cache_capacity: usize,
     /// Cone-memo capacity in component entries (0 disables the
     /// cone-granularity reuse path; requests then always run whole
-    /// circuits). Shards forked from this engine share one memo.
+    /// circuits).
     pub cone_capacity: usize,
 }
 
@@ -193,18 +193,14 @@ impl Default for EngineOptions {
 pub struct Engine {
     /// Swappable on checkpoint reload; tasks snapshot the `Arc` at start,
     /// so in-flight requests finish on the model they began with.
-    model: Arc<Mutex<Arc<InferenceModel>>>,
+    model: Mutex<Arc<InferenceModel>>,
     cache: Arc<Mutex<EmbeddingCache>>,
-    /// Cone-granularity memo, shared by every shard forked from this
-    /// engine (keys carry the model generation, so sharing stays sound
-    /// across per-shard reloads).
     cones: Arc<Mutex<ConeMemo>>,
     pool: Arc<Pool>,
     workspaces: Arc<Mutex<Vec<Workspace>>>,
     served: Arc<AtomicU64>,
-    hook: Arc<Mutex<Option<ServedHook>>>,
+    hook: Mutex<Option<ServedHook>>,
     max_concurrent: usize,
-    options: EngineOptions,
 }
 
 /// Observer invoked after every processed request (both the [`Engine::submit`]
@@ -266,36 +262,14 @@ impl Engine {
     /// their own; everything else should share the global pool).
     pub fn with_pool(model: InferenceModel, options: EngineOptions, pool: Arc<Pool>) -> Engine {
         Engine {
-            model: Arc::new(Mutex::new(Arc::new(model))),
+            model: Mutex::new(Arc::new(model)),
             cache: Arc::new(Mutex::new(EmbeddingCache::new(options.cache_capacity))),
             cones: Arc::new(Mutex::new(ConeMemo::new(options.cone_capacity))),
             pool,
             workspaces: Arc::new(Mutex::new(Vec::new())),
             served: Arc::new(AtomicU64::new(0)),
-            hook: Arc::new(Mutex::new(None)),
+            hook: Mutex::new(None),
             max_concurrent: options.workers.max(1),
-            options,
-        }
-    }
-
-    /// Forks a shard off this engine: the new engine starts on the same
-    /// model snapshot and shares the worker pool and the cone memo, but
-    /// owns a fresh embedding cache, request counter and model slot — so
-    /// [`Engine::swap_model`] on one shard never disturbs another, while
-    /// near-duplicate traffic landing on different shards still reuses
-    /// component states through the shared memo. The served-request hook
-    /// installed at fork time is carried over.
-    pub fn fork_shard(&self) -> Engine {
-        Engine {
-            model: Arc::new(Mutex::new(lock_recover(&self.model).clone())),
-            cache: Arc::new(Mutex::new(EmbeddingCache::new(self.options.cache_capacity))),
-            cones: Arc::clone(&self.cones),
-            pool: Arc::clone(&self.pool),
-            workspaces: Arc::new(Mutex::new(Vec::new())),
-            served: Arc::new(AtomicU64::new(0)),
-            hook: Arc::new(Mutex::new(lock_recover(&self.hook).clone())),
-            max_concurrent: self.max_concurrent,
-            options: self.options,
         }
     }
 
@@ -419,7 +393,8 @@ impl Engine {
     /// misses are shed at the HTTP edge instead of recomputed.
     pub fn lookup_cached(&self, request: &ServeRequest) -> Option<ServeResponse> {
         let key = CacheKey::for_request(&request.aig, &request.workload, request.init_seed);
-        let data = lock_recover(&self.cache).get(&key)?;
+        let generation = self.model_generation();
+        let data = lock_recover(&self.cache).get(generation, &key)?;
         Some(ServeResponse {
             id: request.id,
             design: request.aig.name().to_string(),
@@ -432,21 +407,15 @@ impl Engine {
         })
     }
 
-    /// Atomically replaces the engine's model (a checkpoint reload). The
-    /// embedding cache is cleared — cached results were computed under the
-    /// old weights. In-flight requests finish on the model they started
-    /// with; new requests see the new one.
+    /// Atomically replaces the engine's model (a checkpoint reload).
+    /// In-flight requests finish on the model they started with; new
+    /// requests see the new one. Both caches key their entries by model
+    /// generation, so nothing computed on the old weights can hit again —
+    /// including results that in-flight requests insert after the swap.
+    /// The embedding cache is cleared to free the old entries at once; the
+    /// cone memo's age out under LRU pressure.
     pub fn swap_model(&self, model: InferenceModel) {
-        self.swap_model_arc(Arc::new(model));
-    }
-
-    /// [`Engine::swap_model`] without re-wrapping: shards serving one
-    /// reloaded checkpoint pass clones of a single `Arc`, so N shards share
-    /// one set of frozen weights in memory. The cone memo is *not* cleared:
-    /// its keys carry the model generation, so entries from the old model
-    /// can never hit and age out under LRU pressure.
-    pub fn swap_model_arc(&self, model: Arc<InferenceModel>) {
-        *lock_recover(&self.model) = model;
+        *lock_recover(&self.model) = Arc::new(model);
         lock_recover(&self.cache).clear();
     }
 
@@ -455,7 +424,7 @@ impl Engine {
         lock_recover(&self.cache).stats()
     }
 
-    /// Current cone-memo counters (shared across forked shards).
+    /// Current cone-memo counters.
     pub fn cone_stats(&self) -> CacheStats {
         lock_recover(&self.cones).stats()
     }
@@ -540,14 +509,15 @@ fn serve_one(
         });
     }
     let key = CacheKey::for_request(&request.aig, &request.workload, request.init_seed);
+    let generation = model.generation();
     if fault::should_inject(FaultPoint::CacheEvict) {
-        lock_recover(cache).remove(&key);
+        lock_recover(cache).remove(generation, &key);
     }
     if let Some(delay) = fault::slow_stage_delay("cache_lookup") {
         std::thread::sleep(delay);
     }
     let lookup = trace::span(trace::SpanKind::CacheLookup);
-    let cached = lock_recover(cache).get(&key);
+    let cached = lock_recover(cache).get(generation, &key);
     drop(lookup);
     if let Some(data) = cached {
         return Ok(ServedInference {
@@ -577,7 +547,7 @@ fn serve_one(
         embedding: out.embedding,
         num_nodes: graph.num_nodes,
     });
-    lock_recover(cache).insert(key, Arc::clone(&data));
+    lock_recover(cache).insert(generation, key, Arc::clone(&data));
     Ok(ServedInference {
         num_nodes: graph.num_nodes,
         cache_hit: false,

@@ -196,9 +196,8 @@ impl InferenceModel {
     ///
     /// Two `InferenceModel` values never share a generation unless one is a
     /// [`Clone`] of the other (clones carry identical weights, so sharing
-    /// is sound). The cone memo keys cached state rows by this tag, which
-    /// makes a memo shared across shards safe even when shards reload
-    /// models independently — stale entries can never hit.
+    /// is sound). Both caches key their entries by this tag, so after a
+    /// reload stale entries can never hit.
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -28,8 +28,8 @@
 //! * [`EmbeddingCache`] — a **content-addressed LRU**: results keyed by the
 //!   canonical structural hash of the circuit
 //!   ([`deepseq_netlist::structural_hash`], invariant under node
-//!   renumbering) plus the name-bound workload and the init seed, so
-//!   repeated circuit+workload queries are O(1);
+//!   renumbering) plus the name-bound workload, the init seed and the
+//!   model generation, so repeated circuit+workload queries are O(1);
 //! * [`Engine`] — batches independent requests across the **same shared
 //!   pool** the level parallelism runs on (one pool for the whole process,
 //!   not one thread set per engine), one workspace per concurrent task;
@@ -79,7 +79,6 @@ pub mod infer;
 pub mod json;
 pub mod metrics;
 pub mod server;
-pub mod shard;
 
 use std::error::Error;
 use std::fmt;
@@ -98,7 +97,6 @@ pub use http::{HttpLimits, HttpRequest, HttpResponse};
 pub use infer::{InferenceModel, InferenceOutput, Workspace};
 pub use metrics::Metrics;
 pub use server::{DrainReport, HttpServer, ServerOptions};
-pub use shard::{ShardRouter, ShardStat};
 
 /// Errors of the serving subsystem.
 #[derive(Debug, Clone, PartialEq)]

@@ -65,12 +65,9 @@ serve options:
     --hidden <D>         hidden dim for the fresh model (default 32)
     --iters <T>          propagation iterations for the fresh model (default 4)
     --workers <N>        max requests processed concurrently (default: pool size)
-    --cache <N>          embedding-cache capacity per shard (default 256)
-    --cones <N>          cone-memo capacity shared by all shards (default
-                         1024; 0 disables cone-granularity reuse)
-    --shards <N>         engine shards behind the structural-hash router
-                         (default 1); `/admin/reload?shard=K` and
-                         `/admin/degrade?shard=K` target one shard
+    --cache <N>          embedding-cache capacity (default 256)
+    --cones <N>          cone-memo capacity in fanin cones (default 1024;
+                         0 disables cone-granularity reuse)
     --max-inflight <N>   admission: concurrent embed requests (default: pool size)
     --max-queue <N>      admission: waiting embed requests before 429 (default 64)
     --deadline-ms <MS>   per-request deadline, 504 on expiry (default 30000)
@@ -292,7 +289,6 @@ struct ServeArgs {
     workers: Option<usize>,
     cache: usize,
     cones: usize,
-    shards: usize,
     max_inflight: usize,
     max_queue: usize,
     deadline_ms: u64,
@@ -310,7 +306,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         workers: None,
         cache: 256,
         cones: EngineOptions::default().cone_capacity,
-        shards: defaults.shards,
         max_inflight: defaults.max_inflight,
         max_queue: defaults.max_queue,
         deadline_ms: defaults.deadline.as_millis() as u64,
@@ -330,7 +325,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
             "--workers" => out.workers = Some(parse_num(value("--workers")?, "--workers")?),
             "--cache" => out.cache = parse_num(value("--cache")?, "--cache")?,
             "--cones" => out.cones = parse_num(value("--cones")?, "--cones")?,
-            "--shards" => out.shards = parse_num(value("--shards")?, "--shards")?.max(1),
             "--max-inflight" => {
                 out.max_inflight = parse_num(value("--max-inflight")?, "--max-inflight")?
             }
@@ -380,7 +374,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             deadline: Duration::from_millis(args.deadline_ms),
             checkpoint_path: args.checkpoint.clone(),
             saturation_trip: args.degrade_after,
-            shards: args.shards,
             ..ServerOptions::default()
         },
     )

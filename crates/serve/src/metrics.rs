@@ -23,7 +23,6 @@ use deepseq_nn::trace::{StageStats, STAGE_BUCKET_BOUNDS_NS};
 use deepseq_nn::PoolStats;
 
 use crate::cache::CacheStats;
-use crate::shard::ShardStat;
 
 pub use deepseq_nn::warning_count as config_warning_count;
 
@@ -131,17 +130,15 @@ impl Metrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the registry (plus the aggregated embedding-cache counters,
-    /// the shared cone-memo counters, the pool's scheduler counters, the
-    /// per-shard routing gauges, the per-stage span histograms, the
-    /// process-wide config-warning / caught-panic / injected-fault counts)
-    /// in Prometheus text format.
+    /// Renders the registry (plus the embedding-cache and cone-memo
+    /// counters, the pool's scheduler counters, the per-stage span
+    /// histograms, the process-wide config-warning / caught-panic /
+    /// injected-fault counts) in Prometheus text format.
     pub fn render(
         &self,
         cache: &CacheStats,
         cones: &CacheStats,
         pool: &PoolStats,
-        shards: &[ShardStat],
         draining: bool,
         degraded: bool,
     ) -> String {
@@ -335,8 +332,6 @@ impl Metrics {
             cones.hit_ratio(),
         );
 
-        render_shards(&mut out, shards);
-
         gauge(
             &mut out,
             "deepseq_pool_threads",
@@ -393,70 +388,6 @@ impl Metrics {
             .render(&mut out, "deepseq_engine_duration_seconds");
         render_stage_seconds(&mut out, &deepseq_nn::trace::stage_stats());
         out
-    }
-}
-
-/// Renders the per-shard routing gauges/counters as `deepseq_shard_*`
-/// families with a `shard` label — one row per shard so an operator can
-/// see exactly which shard is degraded, hot, or absorbing failovers.
-fn render_shards(out: &mut String, shards: &[ShardStat]) {
-    /// Metric name, type, help text, and the per-shard value extractor.
-    type ShardRow = (
-        &'static str,
-        &'static str,
-        &'static str,
-        fn(&ShardStat) -> u64,
-    );
-    let rows: [ShardRow; 7] = [
-        (
-            "deepseq_shard_degraded",
-            "gauge",
-            "1 while the shard is degraded (cache-only), else 0.",
-            |s| u64::from(s.degraded),
-        ),
-        (
-            "deepseq_shard_in_flight",
-            "gauge",
-            "Requests currently executing on the shard.",
-            |s| s.in_flight,
-        ),
-        (
-            "deepseq_shard_served_total",
-            "counter",
-            "Requests served by the shard since start.",
-            |s| s.served,
-        ),
-        (
-            "deepseq_shard_rerouted_total",
-            "counter",
-            "Requests the shard absorbed from degraded shards.",
-            |s| s.rerouted,
-        ),
-        (
-            "deepseq_shard_cache_hits_total",
-            "counter",
-            "Embedding-cache hits on the shard.",
-            |s| s.cache.hits,
-        ),
-        (
-            "deepseq_shard_cache_misses_total",
-            "counter",
-            "Embedding-cache misses on the shard.",
-            |s| s.cache.misses,
-        ),
-        (
-            "deepseq_shard_model_generation",
-            "gauge",
-            "Generation of the model the shard currently serves.",
-            |s| s.model_generation,
-        ),
-    ];
-    for (name, type_, help, value) in rows {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {type_}");
-        for stat in shards {
-            let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", stat.index, value(stat));
-        }
     }
 }
 
@@ -569,27 +500,7 @@ mod tests {
             parks: 5,
             wakeups: 3,
         };
-        let shards = vec![
-            ShardStat {
-                index: 0,
-                degraded: false,
-                in_flight: 1,
-                served: 12,
-                rerouted: 0,
-                cache,
-                model_generation: 1,
-            },
-            ShardStat {
-                index: 1,
-                degraded: true,
-                in_flight: 0,
-                served: 4,
-                rerouted: 2,
-                cache,
-                model_generation: 3,
-            },
-        ];
-        let text = m.render(&cache, &cones, &pool, &shards, true, false);
+        let text = m.render(&cache, &cones, &pool, true, false);
         for needle in [
             "deepseq_requests_total{endpoint=\"embed\"} 7",
             "deepseq_responses_total{class=\"2xx\"} 1",
@@ -607,13 +518,10 @@ mod tests {
             "deepseq_cone_entries 7",
             "deepseq_cone_capacity 1024",
             "deepseq_cone_hit_ratio 0.75",
-            "deepseq_shard_degraded{shard=\"0\"} 0",
-            "deepseq_shard_degraded{shard=\"1\"} 1",
-            "deepseq_shard_in_flight{shard=\"0\"} 1",
-            "deepseq_shard_served_total{shard=\"0\"} 12",
-            "deepseq_shard_rerouted_total{shard=\"1\"} 2",
-            "deepseq_shard_cache_hits_total{shard=\"1\"} 3",
-            "deepseq_shard_model_generation{shard=\"1\"} 3",
+            "deepseq_cache_hits_total 3",
+            "deepseq_cache_misses_total 1",
+            "deepseq_cache_entries 4",
+            "deepseq_cache_capacity 16",
             "deepseq_config_warnings_total",
             "deepseq_panics_caught_total",
             "deepseq_faults_injected_total{point=\"checkpoint_read\"}",

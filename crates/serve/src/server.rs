@@ -60,13 +60,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use deepseq_netlist::{lower_to_aig, parse_aiger, structural_hash, SeqAig};
+use deepseq_netlist::{lower_to_aig, parse_aiger, SeqAig};
 use deepseq_nn::fault::{self, FaultPoint};
 use deepseq_nn::trace;
 use deepseq_nn::CheckpointMap;
 use deepseq_sim::Workload;
 
-use crate::cache::CacheStats;
 use crate::engine::{Engine, EngineError, ServeRequest, ServeResponse};
 use crate::http::{
     read_request_with, write_response, HttpError, HttpLimits, HttpRequest, HttpResponse,
@@ -74,7 +73,6 @@ use crate::http::{
 use crate::infer::InferenceModel;
 use crate::json::response_to_json;
 use crate::metrics::Metrics;
-use crate::shard::ShardRouter;
 use crate::ServeError;
 
 /// Locks a mutex, recovering the guard if a panicking holder poisoned it.
@@ -116,10 +114,6 @@ pub struct ServerOptions {
     /// its own. `0` disables the automatic trip (the default); explicit
     /// `POST /admin/degrade` and failed reloads still degrade.
     pub saturation_trip: u64,
-    /// Engine shards behind the [`ShardRouter`] (clamped to at least 1).
-    /// Requests partition across them by structural hash; `/admin/reload`
-    /// and `/admin/degrade` accept `?shard=K` to target one shard.
-    pub shards: usize,
 }
 
 impl Default for ServerOptions {
@@ -134,7 +128,6 @@ impl Default for ServerOptions {
             drain_grace: Duration::from_secs(30),
             checkpoint_path: None,
             saturation_trip: 0,
-            shards: 1,
         }
     }
 }
@@ -256,10 +249,9 @@ impl Admission {
 /// State shared between the accept thread, every connection handler, and
 /// the [`HttpServer`] handle.
 struct ServerShared {
-    /// The engine shards and the structural-hash routing between them.
-    /// Degraded (cache-only) mode lives per shard inside the router; the
-    /// whole server is degraded exactly when every shard is.
-    router: ShardRouter,
+    engine: Engine,
+    /// Degraded (cache-only) mode: hits still answer, misses shed with 503.
+    degraded: AtomicBool,
     metrics: Arc<Metrics>,
     options: ServerOptions,
     max_inflight: usize,
@@ -276,12 +268,6 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    /// Shard 0 — the engine the server was built from. All shards share
-    /// its worker pool and cone memo.
-    fn primary(&self) -> &Engine {
-        self.router.engine(0)
-    }
-
     fn request_drain(&self) {
         self.draining.store(true, Ordering::Release);
         self.notify_drain_waiters();
@@ -291,20 +277,17 @@ impl ServerShared {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Sets every shard's degraded flag at once (the whole-server toggle of
-    /// `POST /admin/degrade` without `?shard=`).
+    /// Enters or leaves degraded mode; leaving also clears the saturation
+    /// streak.
     fn set_degraded(&self, on: bool) {
-        for index in 0..self.router.len() {
-            self.router.set_degraded(index, on);
-        }
+        self.degraded.store(on, Ordering::Relaxed);
         if !on {
             self.queue_full_streak.store(0, Ordering::Relaxed);
         }
     }
 
-    /// True when the whole server is cache-only: every shard degraded.
     fn is_degraded(&self) -> bool {
-        self.router.all_degraded()
+        self.degraded.load(Ordering::Relaxed)
     }
 
     /// Records one queue-full rejection; a long enough streak with no
@@ -362,8 +345,7 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds `options.addr` and starts accepting connections on a
-    /// dedicated thread. The engine becomes shard 0 of a [`ShardRouter`]
-    /// (`options.shards` total); its pool runs the connection handlers.
+    /// dedicated thread. The engine's pool runs the connection handlers.
     pub fn bind(engine: Engine, options: ServerOptions) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(&options.addr)?;
         listener.set_nonblocking(true)?;
@@ -377,16 +359,15 @@ impl HttpServer {
         {
             // Feed the engine-side latency histogram from the engine's own
             // instrumentation hook, so it covers every path into the
-            // engine, cache hits included. Installed before the shards are
-            // forked — forks copy the hook, so every shard reports here.
+            // engine, cache hits included.
             let histogram = Arc::clone(&metrics);
             engine.set_served_hook(Arc::new(move |_response, latency| {
                 histogram.engine_latency.observe(latency);
             }));
         }
-        let router = ShardRouter::new(engine, options.shards);
         let shared = Arc::new(ServerShared {
-            router,
+            engine,
+            degraded: AtomicBool::new(false),
             metrics,
             options,
             max_inflight,
@@ -419,14 +400,9 @@ impl HttpServer {
         Arc::clone(&self.shared.metrics)
     }
 
-    /// The primary engine behind the server (shard 0).
+    /// The engine behind the server.
     pub fn engine(&self) -> &Engine {
-        self.shared.primary()
-    }
-
-    /// The shard router behind the server.
-    pub fn router(&self) -> &ShardRouter {
-        &self.shared.router
+        &self.shared.engine
     }
 
     /// True once a drain has been requested.
@@ -499,7 +475,7 @@ impl HttpServer {
             }
         }
         DrainReport {
-            requests_served: self.shared.router.stats().iter().map(|s| s.served).sum(),
+            requests_served: self.shared.engine.requests_served(),
             connections_abandoned: self.shared.metrics.connections_open.load(Ordering::Relaxed),
         }
     }
@@ -527,8 +503,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 // A 1-thread pool has no workers and runs spawned jobs
                 // inline, which would wedge the accept loop behind one
                 // connection — give those connections their own thread.
-                if shared.primary().pool().threads() > 1 {
-                    shared.primary().pool().spawn(handler);
+                if shared.engine.pool().threads() > 1 {
+                    shared.engine.pool().spawn(handler);
                 } else {
                     let _ = std::thread::Builder::new()
                         .name("deepseq-http-conn".to_string())
@@ -697,26 +673,13 @@ fn route(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpResponse {
         }
         ("GET", "/metrics") => {
             metrics.requests_metrics.fetch_add(1, Ordering::Relaxed);
-            let stats = shared.router.stats();
-            // Aggregate the embedding-cache view across shards; the
-            // per-shard split is in the deepseq_shard_* families.
-            let mut cache = CacheStats::default();
-            for stat in &stats {
-                cache.hits += stat.cache.hits;
-                cache.misses += stat.cache.misses;
-                cache.evictions += stat.cache.evictions;
-                cache.entries += stat.cache.entries;
-                cache.capacity += stat.cache.capacity;
-            }
-            let cones = shared.primary().cone_stats();
-            let pool = shared.primary().pool().stats();
+            let engine = &shared.engine;
             HttpResponse::text(
                 200,
                 metrics.render(
-                    &cache,
-                    &cones,
-                    &pool,
-                    &stats,
+                    &engine.cache_stats(),
+                    &engine.cone_stats(),
+                    &engine.pool().stats(),
                     shared.is_draining(),
                     shared.is_degraded(),
                 ),
@@ -733,7 +696,7 @@ fn route(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpResponse {
         }
         ("POST", "/admin/reload") => {
             metrics.requests_other.fetch_add(1, Ordering::Relaxed);
-            admin_reload(shared, request)
+            admin_reload(shared)
         }
         (_, "/v1/embed")
         | (_, "/healthz")
@@ -789,15 +752,10 @@ fn debug_trace(request: &HttpRequest) -> HttpResponse {
 fn healthz(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpResponse {
     let draining = shared.is_draining();
     let degraded = shared.is_degraded();
-    let shards = shared.router.len();
-    let shards_degraded = (0..shards)
-        .filter(|&i| shared.router.is_degraded(i))
-        .count();
     let ready = !draining && !degraded;
     let body = format!(
         "{{\"status\":\"{}\",\"live\":true,\"ready\":{ready},\"draining\":{draining},\
-         \"degraded\":{degraded},\"shards\":{shards},\"shards_degraded\":{shards_degraded},\
-         \"uptime_ms\":{}}}",
+         \"degraded\":{degraded},\"uptime_ms\":{}}}",
         if ready { "ok" } else { "degraded" },
         shared.started.elapsed().as_millis()
     );
@@ -806,41 +764,9 @@ fn healthz(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpResponse {
     HttpResponse::json(status, body)
 }
 
-/// Parses the optional `?shard=K` target of the admin endpoints: `Ok(None)`
-/// without the parameter (whole server), `Ok(Some(k))` for a valid index,
-/// `Err(response)` — a ready-to-send `400` — otherwise.
-fn shard_param(
-    shared: &Arc<ServerShared>,
-    request: &HttpRequest,
-) -> Result<Option<usize>, HttpResponse> {
-    match request.query_param("shard") {
-        None => Ok(None),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(index) if index < shared.router.len() => Ok(Some(index)),
-            Ok(index) => Err(HttpResponse::error(
-                400,
-                &format!(
-                    "shard {index} out of range (server has {} shards)",
-                    shared.router.len()
-                ),
-            )),
-            Err(_) => Err(HttpResponse::error(
-                400,
-                &format!("malformed shard index {raw:?}"),
-            )),
-        },
-    }
-}
-
 /// `POST /admin/degrade`: enters (`?mode=on`, the default) or leaves
-/// (`?mode=off`) degraded mode — for the whole server, or for one shard
-/// with `?shard=K` (healthy shards keep computing; the router probes past
-/// the degraded one).
+/// (`?mode=off`) degraded mode.
 fn admin_degrade(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpResponse {
-    let shard = match shard_param(shared, request) {
-        Ok(shard) => shard,
-        Err(response) => return response,
-    };
     let on = match request.query_param("mode") {
         None | Some("on") => true,
         Some("off") => false,
@@ -848,36 +774,18 @@ fn admin_degrade(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpRespo
             return HttpResponse::error(400, &format!("unknown mode {other:?} (on | off)"))
         }
     };
+    shared.set_degraded(on);
     let status = if on { "degraded" } else { "ok" };
-    match shard {
-        None => {
-            shared.set_degraded(on);
-            HttpResponse::json(200, format!("{{\"status\":\"{status}\"}}"))
-        }
-        Some(index) => {
-            shared.router.set_degraded(index, on);
-            HttpResponse::json(
-                200,
-                format!("{{\"status\":\"{status}\",\"shard\":{index}}}"),
-            )
-        }
-    }
+    HttpResponse::json(200, format!("{{\"status\":\"{status}\"}}"))
 }
 
 /// `POST /admin/reload`: re-reads the checkpoint the server was started
-/// from and swaps it in — into every shard (one decode, one shared model
-/// `Arc`) by default, or into one shard with `?shard=K` (canary reloads:
-/// the other shards keep their weights and caches). A failed reload —
-/// missing file, corrupt bytes, checksum mismatch — leaves the old model
-/// serving but flips the targeted shard(s) into degraded mode: the
-/// operator asked for weights the server cannot vouch for, so only cache
-/// hits keep flowing there until a reload succeeds or degraded mode is
-/// cleared explicitly.
-fn admin_reload(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpResponse {
-    let shard = match shard_param(shared, request) {
-        Ok(shard) => shard,
-        Err(response) => return response,
-    };
+/// from and swaps it in. A failed reload — missing file, corrupt bytes,
+/// checksum mismatch — leaves the old model serving but flips the server
+/// into degraded mode: the operator asked for weights the server cannot
+/// vouch for, so only cache hits keep flowing until a reload succeeds or
+/// degraded mode is cleared explicitly.
+fn admin_reload(shared: &Arc<ServerShared>) -> HttpResponse {
     let Some(path) = shared.options.checkpoint_path.as_deref() else {
         return HttpResponse::error(
             409,
@@ -886,37 +794,12 @@ fn admin_reload(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpRespon
     };
     match reload_checkpoint(path) {
         Ok(model) => {
-            let model = Arc::new(model);
-            match shard {
-                None => {
-                    // One decode serves every shard: they share the Arc
-                    // (and its generation), not N copies of the weights.
-                    for index in 0..shared.router.len() {
-                        shared
-                            .router
-                            .engine(index)
-                            .swap_model_arc(Arc::clone(&model));
-                    }
-                    shared.set_degraded(false);
-                    HttpResponse::json(200, "{\"status\":\"reloaded\"}")
-                }
-                Some(index) => {
-                    shared.router.engine(index).swap_model_arc(model);
-                    shared.router.set_degraded(index, false);
-                    HttpResponse::json(
-                        200,
-                        format!("{{\"status\":\"reloaded\",\"shard\":{index}}}"),
-                    )
-                }
-            }
+            shared.engine.swap_model(model);
+            shared.set_degraded(false);
+            HttpResponse::json(200, "{\"status\":\"reloaded\"}")
         }
         Err(msg) => {
-            match shard {
-                None => shared.set_degraded(true),
-                Some(index) => {
-                    shared.router.set_degraded(index, true);
-                }
-            }
+            shared.set_degraded(true);
             HttpResponse::error(500, &format!("checkpoint reload failed ({msg}); degraded"))
         }
     }
@@ -925,8 +808,7 @@ fn admin_reload(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpRespon
 /// Loads a checkpoint for [`admin_reload`], sniffing binary (`DSQM`)
 /// versus text by the magic. The file is mapped ([`CheckpointMap`]), not
 /// copied into a heap buffer — decoding reads straight out of the page
-/// cache, and N-shard reloads never hold two transient copies of the
-/// weights.
+/// cache.
 fn reload_checkpoint(path: &str) -> Result<InferenceModel, String> {
     let map = CheckpointMap::open(path.as_ref()).map_err(|e| format!("reading {path}: {e}"))?;
     let bytes = map.bytes();
@@ -953,29 +835,17 @@ fn embed(shared: &Arc<ServerShared>, request: &HttpRequest, start: Instant) -> H
     };
     drop(parse_span);
     let summary = matches!(request.query_param("summary"), Some("1" | "true"));
-    // Partition by the circuit's canonical structural hash: the same
-    // circuit always computes on the same home shard (so its exact-cache
-    // entry is where its requests land), with ring-probe failover past
-    // degraded shards.
-    let hash = structural_hash(&serve_request.aig);
-    let Some(decision) = shared.router.route(hash) else {
-        // Every shard is degraded — the whole server is cache-only: hits
-        // still flow (the cached result is known good), misses shed
-        // immediately. No compute runs on a server that cannot vouch for
-        // its weights or is saturated. Earlier failovers may have cached
-        // the result away from home, so every shard's cache is probed in
-        // ring order from the home shard.
-        let (home, n) = (shared.router.home(hash), shared.router.len());
-        for probe in 0..n {
-            let engine = shared.router.engine((home + probe) % n);
-            if let Some(response) = engine.lookup_cached(&serve_request) {
-                return HttpResponse::json(200, response_to_json(&response, summary));
-            }
+    if shared.is_degraded() {
+        // Cache-only: hits still flow (the cached result is known good),
+        // misses shed immediately. No compute runs on a server that cannot
+        // vouch for its weights or is saturated.
+        if let Some(response) = shared.engine.lookup_cached(&serve_request) {
+            return HttpResponse::json(200, response_to_json(&response, summary));
         }
         metrics.rejected_degraded.fetch_add(1, Ordering::Relaxed);
         return HttpResponse::error(503, "server is degraded; cache miss shed")
             .with_header("retry-after", "5".to_string());
-    };
+    }
     // Requests may tighten the configured deadline, never extend it.
     let deadline_budget = match request.query_param("deadline_ms") {
         None => shared.options.deadline,
@@ -1015,12 +885,7 @@ fn embed(shared: &Arc<ServerShared>, request: &HttpRequest, start: Instant) -> H
             // serve_batch with one request runs it inline on this thread;
             // level fan-out inside the engine still spreads across the
             // pool's scoped queues.
-            let in_flight = shared.router.track(decision.shard);
-            let mut responses = shared
-                .router
-                .engine(decision.shard)
-                .serve_batch(vec![serve_request]);
-            drop(in_flight);
+            let mut responses = shared.engine.serve_batch(vec![serve_request]);
             shared.admission.release(metrics);
             shared.notify_drain_waiters();
             // serve_batch answers every request (typed errors included);
@@ -1150,9 +1015,9 @@ mod tests {
     }
 
     fn shared_with(options: ServerOptions) -> Arc<ServerShared> {
-        let shards = options.shards.max(1);
         Arc::new(ServerShared {
-            router: ShardRouter::new(test_engine(), shards),
+            engine: test_engine(),
+            degraded: AtomicBool::new(false),
             metrics: Arc::new(Metrics::default()),
             options,
             max_inflight: 2,
@@ -1229,14 +1094,8 @@ mod tests {
         let text = String::from_utf8(metrics.body).unwrap();
         assert!(text.contains("deepseq_cache_hit_ratio"), "{text}");
         assert!(text.contains("deepseq_cone_hits_total"), "{text}");
-        assert!(
-            text.contains("deepseq_shard_served_total{shard=\"0\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("deepseq_shard_degraded{shard=\"0\"} 0"),
-            "{text}"
-        );
+        assert!(text.contains("deepseq_cache_misses_total 1"), "{text}");
+        assert!(text.contains("deepseq_degraded 0"), "{text}");
         assert!(
             text.contains("deepseq_http_request_duration_seconds_bucket"),
             "{text}"
@@ -1403,132 +1262,6 @@ mod tests {
         let ok = route(&shared, &post("/admin/reload", &[], b""));
         assert_eq!(ok.status, 200);
         assert!(!shared.is_degraded());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn per_shard_degrade_reroutes_instead_of_shedding() {
-        let shared = shared_with(ServerOptions {
-            shards: 2,
-            ..ServerOptions::default()
-        });
-        let aig = parse_aiger(std::str::from_utf8(TOGGLE_AAG).unwrap()).unwrap();
-        let home = shared.router.home(structural_hash(&aig));
-        let other = 1 - home;
-
-        // Degrade only the toggle circuit's home shard.
-        let resp = route(
-            &shared,
-            &post("/admin/degrade", &[("shard", &home.to_string())], b""),
-        );
-        assert_eq!(resp.status, 200);
-        assert!(shared.router.is_degraded(home));
-        assert!(
-            !shared.is_degraded(),
-            "one healthy shard keeps the server up"
-        );
-
-        // Requests still compute — absorbed by the healthy shard.
-        let served = route(&shared, &post("/v1/embed", &[], TOGGLE_AAG));
-        assert_eq!(served.status, 200);
-        let stats = shared.router.stats();
-        assert_eq!(stats[other].served, 1);
-        assert_eq!(stats[other].rerouted, 1);
-        assert_eq!(stats[home].served, 0);
-
-        // healthz: still ready, but the shard detail shows the hole.
-        let health = route(&shared, &get("/healthz"));
-        assert_eq!(health.status, 200);
-        let body = String::from_utf8(health.body).unwrap();
-        assert!(body.contains("\"ready\":true"), "{body}");
-        assert!(body.contains("\"shards\":2"), "{body}");
-        assert!(body.contains("\"shards_degraded\":1"), "{body}");
-
-        // Degrade the absorber too: the server is now cache-only, but the
-        // hit cached on the absorber during failover still flows.
-        route(
-            &shared,
-            &post("/admin/degrade", &[("shard", &other.to_string())], b""),
-        );
-        assert!(shared.is_degraded());
-        let hit = route(&shared, &post("/v1/embed", &[], TOGGLE_AAG));
-        assert_eq!(hit.status, 200);
-        assert!(String::from_utf8(hit.body)
-            .unwrap()
-            .contains("\"cache_hit\":true"));
-        let miss = route(&shared, &post("/v1/embed", &[("seed", "9")], TOGGLE_AAG));
-        assert_eq!(miss.status, 503);
-        assert_eq!(shared.metrics.rejected_degraded.load(Ordering::Relaxed), 1);
-
-        // Per-shard recovery restores home routing.
-        let resp = route(
-            &shared,
-            &post(
-                "/admin/degrade",
-                &[("mode", "off"), ("shard", &home.to_string())],
-                b"",
-            ),
-        );
-        assert_eq!(resp.status, 200);
-        assert!(!shared.router.is_degraded(home));
-        let served = route(&shared, &post("/v1/embed", &[("seed", "9")], TOGGLE_AAG));
-        assert_eq!(served.status, 200);
-        assert_eq!(shared.router.stats()[home].served, 1);
-    }
-
-    #[test]
-    fn shard_params_are_validated() {
-        let shared = shared();
-        for (path, query) in [
-            ("/admin/degrade", ("shard", "5")),
-            ("/admin/degrade", ("shard", "many")),
-            ("/admin/reload", ("shard", "5")),
-        ] {
-            let response = route(&shared, &post(path, &[query], b""));
-            assert_eq!(response.status, 400, "{path} {query:?}");
-        }
-        assert!(!shared.is_degraded());
-    }
-
-    #[test]
-    fn per_shard_reload_swaps_one_model_and_full_reload_shares_one() {
-        let dir =
-            std::env::temp_dir().join(format!("deepseq-shard-reload-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("model.dsqm");
-        let model = DeepSeq::new(DeepSeqConfig {
-            hidden_dim: 8,
-            iterations: 2,
-            ..DeepSeqConfig::default()
-        });
-        std::fs::write(&path, model.save_binary()).expect("write checkpoint");
-
-        let shared = shared_with(ServerOptions {
-            checkpoint_path: Some(path.to_string_lossy().into_owned()),
-            shards: 2,
-            ..ServerOptions::default()
-        });
-        let before: Vec<u64> = shared
-            .router
-            .stats()
-            .iter()
-            .map(|s| s.model_generation)
-            .collect();
-        assert_eq!(before[0], before[1], "forked shards start on one model");
-
-        // Canary reload: only shard 1 moves to new weights.
-        let ok = route(&shared, &post("/admin/reload", &[("shard", "1")], b""));
-        assert_eq!(ok.status, 200, "{:?}", String::from_utf8(ok.body));
-        let after = shared.router.stats();
-        assert_eq!(after[0].model_generation, before[0]);
-        assert_ne!(after[1].model_generation, before[1]);
-
-        // Full reload: both shards share one freshly decoded model.
-        let ok = route(&shared, &post("/admin/reload", &[], b""));
-        assert_eq!(ok.status, 200);
-        let after = shared.router.stats();
-        assert_eq!(after[0].model_generation, after[1].model_generation);
-        assert_ne!(after[0].model_generation, before[0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -411,89 +411,98 @@ fn checkpoint_read_fault_degrades_reload_and_recovery_restores_service() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One shard degraded while slow-stage faults fire: every request still
-/// answers 200 via ring failover to the healthy shard, the readiness probe
-/// stays up, the rerouted counter records the detour, and recovery restores
-/// home-shard service on the same live server.
+/// Regression: a request that snapshots the model, is held in its forward
+/// pass while `/admin/reload` swaps in other weights, and finishes after
+/// the swap must not leave its old-model result in the exact cache — the
+/// same request afterwards answers exactly what the new model computes.
 #[test]
-fn one_shard_degraded_under_chaos_reroutes_without_shedding() {
-    let armed = Armed::new(&format!("slow_stage@forward:1.0:{}", chaos_seed()));
+fn reload_during_a_held_request_leaves_no_stale_cache_entry() {
+    use deepseq_netlist::parse_aiger;
+    use deepseq_serve::json::response_to_json;
+    use deepseq_serve::{Engine, EngineOptions, InferenceModel, ServeRequest};
+    use deepseq_sim::Workload;
+
+    let armed = Armed::no_fault();
+    let dir = std::env::temp_dir().join(format!("deepseq-reload-race-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("model.dsqm");
+    // Other weights than the seed-0 model the server boots with; the file
+    // is only read on reload, so it can be written up front.
+    let checkpoint = DeepSeq::new(DeepSeqConfig {
+        hidden_dim: 8,
+        iterations: 2,
+        seed: 7,
+        ..DeepSeqConfig::default()
+    })
+    .save_binary();
+    std::fs::write(&path, &checkpoint).expect("write checkpoint");
+    // Four pool threads: the reload's connection handler must not queue
+    // behind the held one.
     let server = HttpServer::bind(
         test_engine(4),
         ServerOptions {
-            max_queue: 256,
-            shards: 2,
+            checkpoint_path: Some(path.to_string_lossy().into_owned()),
             ..ServerOptions::default()
         },
     )
-    .expect("bind sharded chaos server");
+    .expect("bind");
     let addr = server.local_addr();
+    let circuit = counter_aiger(0);
+    let embed = "/v1/embed?id=5";
 
-    // Degrade the home shard of circuit 0 so at least a quarter of the
-    // load below has to fail over.
-    let home = server
-        .router()
-        .home(deepseq_netlist::structural_hash(&util::counter_aig(0)));
-    let degrade = exchange(addr, "POST", &format!("/admin/degrade?shard={home}"), b"");
-    assert_eq!(degrade.status, 200, "{}", degrade.body);
-
-    let (ok, internal, other) = fire_load(&server, 16, 48);
-    assert_eq!(
-        (ok, internal, other),
-        (48, 0, 0),
-        "one healthy shard must absorb the full load"
-    );
-    assert!(fault::injected_count(FaultPoint::SlowStage) > 0);
-
-    // Alive and ready: one degraded shard out of two is not an outage.
-    assert_eq!(exchange(addr, "GET", "/healthz?ready=1", b"").status, 200);
-    let health = exchange(addr, "GET", "/healthz", b"");
-    assert!(
-        health.body.contains("\"shards\":2") && health.body.contains("\"shards_degraded\":1"),
-        "{}",
-        health.body
-    );
-
-    // The detour shows up in the per-shard exposition.
-    let metrics = exchange(addr, "GET", "/metrics", b"");
-    util::assert_prometheus_contract(&metrics.body);
-    assert!(
-        metrics
-            .body
-            .lines()
-            .any(|line| line.starts_with(&format!("deepseq_shard_degraded{{shard=\"{home}\"}} 1"))),
-        "{}",
-        metrics.body
-    );
-    let rerouted: u64 = metrics
-        .body
-        .lines()
-        .filter_map(|line| line.strip_prefix("deepseq_shard_rerouted_total{shard="))
-        .filter_map(|rest| rest.split("} ").nth(1))
-        .filter_map(|value| value.trim().parse::<u64>().ok())
-        .sum();
-    assert!(
-        rerouted >= 12,
-        "expected ≥12 rerouted requests, saw {rerouted}"
-    );
-
-    // Recovery: clear the shard, disarm, full home-shard service returns.
-    let clear = exchange(
-        addr,
-        "POST",
-        &format!("/admin/degrade?mode=off&shard={home}"),
-        b"",
-    );
-    assert_eq!(clear.status, 200, "{}", clear.body);
+    // Hold one request in its forward pass. The injection counter ticks as
+    // the 25 ms hold starts, after the request snapshotted the old model.
+    armed.rearm(Some(&format!("slow_stage@forward:1.0:{}", chaos_seed())));
+    let holds_before = fault::injected_count(FaultPoint::SlowStage);
+    let held = {
+        let body = circuit.clone();
+        std::thread::spawn(move || exchange(addr, "POST", embed, body.as_bytes()))
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while fault::injected_count(FaultPoint::SlowStage) == holds_before {
+        assert!(Instant::now() < deadline, "request never reached forward");
+        std::thread::yield_now();
+    }
     armed.rearm(None);
-    let (ok, internal, other) = fire_load(&server, 8, 16);
-    assert_eq!((ok, internal, other), (16, 0, 0));
+    let reload = exchange(addr, "POST", "/admin/reload", b"");
+    assert_eq!(reload.status, 200, "{}", reload.body);
+    let old = held.join().expect("client thread");
+    assert_eq!(old.status, 200, "{}", old.body);
+
+    // The new model, in process, on the same request.
+    let aig = parse_aiger(&circuit).expect("valid AIGER");
+    let workload = Workload::uniform(aig.num_pis(), 0.5);
+    let reference = Engine::with_pool(
+        InferenceModel::from_binary_checkpoint(&checkpoint).expect("checkpoint decodes"),
+        EngineOptions {
+            workers: 1,
+            ..EngineOptions::default()
+        },
+        Arc::new(deepseq_nn::Pool::new(1)),
+    );
+    let expected = response_to_json(
+        &reference
+            .serve_batch(vec![ServeRequest {
+                id: 5,
+                aig,
+                workload,
+                init_seed: 0,
+            }])
+            .pop()
+            .expect("one response"),
+        false,
+    );
+    assert_ne!(old.body, expected, "the two checkpoints predict alike");
+    let again = exchange(addr, "POST", embed, circuit.as_bytes());
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert_eq!(
+        again.body, expected,
+        "the reloaded server answered from the old model"
+    );
 
     let report = server.shutdown();
-    assert_eq!(
-        report.connections_abandoned, 0,
-        "sharded chaos leaked connections"
-    );
+    assert_eq!(report.connections_abandoned, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
