@@ -19,7 +19,7 @@ use deepseq_nn::{Act, Kernel, Matrix, Pool};
 
 /// `(m, k, n)` product shapes from the serve path: the acceptance shape, a
 /// level-batch × GRU-gate shape (`input_dim = 2d + 4` node types at
-/// `d = 32`), and a wide-hidden shape where packing starts to pay.
+/// `d = 32`), and a wide-hidden shape.
 const SHAPES: [(usize, usize, usize); 3] = [(256, 256, 64), (512, 68, 32), (128, 128, 128)];
 
 fn filled(rows: usize, cols: usize, seed: f32) -> Matrix {

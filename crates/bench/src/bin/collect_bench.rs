@@ -17,7 +17,7 @@
 //! them verbatim under their benchmark ids, sorted for stable diffs. A
 //! `derived` section adds the ratios the acceptance criteria and the README
 //! table read: tape → tape-free speedup per design, naive →
-//! blocked/packed/simd kernel speedup per GEMM shape and for the fused GRU
+//! blocked/simd kernel speedup per GEMM shape and for the fused GRU
 //! gate, full-recompute → cone-memo speedup on near-duplicate circuits
 //! (`cone_speedup_*`), and the 1-thread → N-thread speedups of the
 //! `perf_threads` and `perf_train` entries
@@ -162,8 +162,8 @@ fn derive_speedups(means: &[(String, f64)]) -> Vec<(String, f64)> {
                 out.push((format!("tapefree_speedup_{tag}"), tape / mean));
             }
         }
-        // Naive → blocked/packed/simd GEMM, per shape.
-        for kernel in ["blocked", "packed", "simd"] {
+        // Naive → blocked/simd GEMM, per shape.
+        for kernel in ["blocked", "simd"] {
             if let Some(rest) = name.strip_prefix(&format!("serve_kernel_{kernel}_")) {
                 if let Some(naive) = mean_of(&format!("serve_kernel_naive_{rest}")) {
                     out.push((format!("kernel_speedup_{kernel}_{rest}"), naive / mean));

@@ -7,37 +7,28 @@
 //! one place, behind the [`Kernel`] dispatch enum:
 //!
 //! * [`Kernel::Naive`] — the reference `i-k-j` triple loop. Slowest, but the
-//!   arithmetic every other variant is required to reproduce. Default for
+//!   arithmetic every other variant is measured against. Default for
 //!   training so tape results stay bit-for-bit stable across releases.
 //! * [`Kernel::Blocked`] — the same accumulation order, restructured into
 //!   cache-sized `k`-panels and register-tiled output columns so the
 //!   autovectorizer emits wide mul-add loops and each output element stays
-//!   in a register across a whole panel.
-//! * [`Kernel::Packed`] — additionally packs the right-hand operand into
-//!   contiguous column panels and amortizes them over a 4-row micro-kernel;
-//!   wins once operands outgrow L1 (wide hidden dims, big level batches).
+//!   in a register across a whole panel. Default for serving.
 //! * [`Kernel::Simd`] — explicit **fast mode**: AVX2/FMA micro-kernels
-//!   over the packed panel layout (runtime feature detection; hosts
-//!   without AVX2 run a bitwise-identical portable fused fallback — see
-//!   the `simd` module's docs via [`simd_accelerated`]). Opt-in only, never a
+//!   over contiguous B panels (runtime feature detection; hosts without
+//!   AVX2 run a bitwise-identical portable fused fallback — see the
+//!   `simd` module's docs via [`simd_accelerated`]). Opt-in only, never a
 //!   default.
-//! * [`Kernel::Auto`] — not another arithmetic variant but a shape-aware
-//!   policy resolving to one of the above per product (see
-//!   [`Kernel::resolve`]), with per-shape autotuned tile sizes: candidate
-//!   (kernel, `k`-panel) configurations are timed interleaved on the
-//!   first products of a shape, then the winner is pinned. Default for
-//!   serving, so callers stop hardcoding variants.
 //!
 //! # The two-mode numerics contract
 //!
-//! **Bitwise mode** (`naive` | `blocked` | `packed` | `auto`): every
-//! variant accumulates each output element over `k` **in ascending
-//! order**, without fused multiply-add, so for finite inputs all of them
-//! produce bitwise-identical results (property-tested in
-//! `crates/nn/tests/properties.rs`). Picking among them is purely a
-//! performance decision, never a numerics decision. This mode is the
-//! default everywhere and the *only* mode the tape/training path will
-//! run: [`Kernel::global`] maps `simd` back to the reference kernel.
+//! **Bitwise mode** (`naive` | `blocked`): both variants accumulate each
+//! output element over `k` **in ascending order**, without fused
+//! multiply-add, so for finite inputs they produce bitwise-identical
+//! results (property-tested in `crates/nn/tests/properties.rs`). Picking
+//! between them is purely a performance decision, never a numerics
+//! decision. This mode is the default everywhere and the *only* mode the
+//! tape/training path will run: [`Kernel::global`] maps `simd` back to
+//! the reference kernel.
 //!
 //! **Fast mode** (`simd`): fused multiply-add accumulation, still
 //! ascending-`k` per element, so results are *self*-deterministic —
@@ -71,9 +62,9 @@
 //! # Selection
 //!
 //! The `DEEPSEQ_KERNEL` environment variable (`naive` | `blocked` |
-//! `packed` | `auto` | `simd`, read once per process; unrecognized values
-//! warn once to stderr and keep the default) overrides the serving
-//! default, and the training default for the bitwise names:
+//! `simd`, read once per process; unrecognized values warn once to
+//! stderr and keep the default) overrides the serving default, and the
+//! training default for the bitwise names:
 //!
 //! ```text
 //! DEEPSEQ_KERNEL=simd target/release/deepseq-serve predict design.aag
@@ -87,22 +78,15 @@
 //! let a = Matrix::from_fn(64, 48, |r, c| (r + c) as f32 * 0.01);
 //! let b = Matrix::from_fn(48, 32, |r, c| (r as f32 - c as f32) * 0.01);
 //!
-//! // The bitwise kernels agree bitwise on finite inputs, and so does
-//! // `Auto` — unless this process opted into fast mode, where `Auto`
-//! // routes to the fused simd kernel instead.
+//! // The bitwise kernels agree bitwise on finite inputs.
 //! let reference = Kernel::Naive.matmul(&a, &b);
 //! assert_eq!(Kernel::Blocked.matmul(&a, &b), reference);
-//! assert_eq!(Kernel::Packed.matmul(&a, &b), reference);
-//! if !Kernel::fast_mode() {
-//!     assert_eq!(Kernel::Auto.matmul(&a, &b), reference);
-//! }
 //!
 //! // `Matrix::matmul` dispatches through the process-wide *training*
 //! // default, which refuses fast mode — bitwise in every environment.
 //! assert_eq!(a.matmul(&b), reference);
 //! ```
 
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -110,7 +94,6 @@ use crate::matrix::Matrix;
 use crate::pool::{chunk_ranges_or_whole, Pool};
 
 mod simd;
-mod tune;
 
 /// True when the running CPU executes [`Kernel::Simd`]'s AVX2/FMA paths;
 /// false means simd products run the portable fused fallback, which is
@@ -121,24 +104,22 @@ pub fn simd_accelerated() -> bool {
 }
 
 /// Environment variable naming the kernel to use process-wide
-/// (`naive` | `blocked` | `packed` | `auto` | `simd`). Read once, on first
-/// dispatch; an unrecognized value warns once to stderr and keeps the
-/// default, and an empty value behaves like an unset variable.
+/// (`naive` | `blocked` | `simd`). Read once, on first dispatch; an
+/// unrecognized value warns once to stderr and keeps the default, and an
+/// empty value behaves like an unset variable.
 pub const KERNEL_ENV: &str = "DEEPSEQ_KERNEL";
 
-/// Output-column register tile width of the blocked/packed/simd kernels
-/// (one AVX2 `__m256` of f32s — the packed panel layout feeds the simd
-/// micro-kernels unchanged).
+/// Output-column register tile width of the blocked and simd kernels
+/// (one AVX2 `__m256` of f32s — the width of simd's packed B panels).
 const NR: usize = 8;
 
-/// Default rows of the right-hand operand kept hot per `k`-panel
-/// (`KC × n` f32s should sit comfortably in L1/L2 for serve-path widths).
-/// [`Kernel::Auto`] tunes the actual panel height per shape; pinned
-/// [`Kernel::Blocked`] uses the static per-shape choice of
-/// [`tune::kc_for`].
+/// Reference `k`-panel height of the blocked kernels: [`kc_for`] clamps
+/// the panel to `KC / 2 ..= 4 · KC` rows of the right-hand operand (or
+/// the whole contraction, when that is shorter).
 const KC: usize = 128;
 
-/// Row tile height of the packed micro-kernel.
+/// Row tile height of the portable simd panel kernels and of the blocked
+/// `a × bᵀ` kernel's `b` tile.
 const MR: usize = 4;
 
 /// Minimum multiply-adds (`m·k·n`) before a product fans out across the
@@ -148,25 +129,14 @@ pub const PAR_MIN_FLOPS: usize = 1 << 16;
 /// Minimum output rows per parallel chunk.
 const PAR_MIN_ROWS: usize = 8;
 
-thread_local! {
-    /// Reused panel-packing scratch of [`Kernel::Packed`]; grows to the
-    /// largest right-hand operand seen on this thread and is then reused,
-    /// mirroring the serve path's `Workspace` buffer discipline. Parallel
-    /// packed products pack once on the calling thread and share the panels
-    /// read-only with the workers.
-    static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with the thread-local pack buffer *moved out* of its `RefCell`
-/// for the duration. The buffer must not stay borrowed across a pool
-/// fan-out: while parked in [`Pool::run`] this thread may help-execute
-/// another task that itself runs a packed product, and a live borrow would
-/// panic (`BorrowMutError`). Taking the `Vec` out keeps the re-entrant
-/// product on its own (freshly grown) buffer; ours is restored afterwards.
-fn with_pack_scratch(f: impl FnOnce(&mut Vec<f32>)) {
-    let mut pack = PACK_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    f(&mut pack);
-    PACK_SCRATCH.with(|s| *s.borrow_mut() = pack);
+/// The blocked kernels' `k`-panel height for a product contracting over
+/// `k` into `n` output columns: size the `kc × n` panel of `b` to roughly
+/// 32 KiB of L1, clamped to sane tiles. A pure locality knob — the panels
+/// run in ascending order, so it never changes the bits.
+fn kc_for(k: usize, n: usize) -> usize {
+    ((32 * 1024 / 4) / n.max(1))
+        .clamp(KC / 2, KC * 4)
+        .min(k.max(1))
 }
 
 /// Element-wise activation applied by the fused kernels.
@@ -233,38 +203,28 @@ pub enum Kernel {
     Naive,
     /// Cache-blocked `k`-panels with register-tiled output columns.
     Blocked,
-    /// Blocked plus contiguous B-panel packing and a 4×8 micro-kernel.
-    Packed,
-    /// **Fast mode**: AVX2/FMA micro-kernels over the packed panel layout
+    /// **Fast mode**: AVX2/FMA micro-kernels over contiguous B panels
     /// (portable fused fallback off-x86). Self-deterministic but *not*
     /// bitwise-equal to the bitwise variants; see the
     /// [module docs](self) for the numerics contract. Opt-in only.
     Simd,
-    /// Shape-aware policy: resolves to one of the variants above per
-    /// product (see [`Kernel::resolve`]), with per-shape autotuned tile
-    /// sizes. Bitwise-neutral in bitwise mode; resolves to
-    /// [`Kernel::Simd`] when fast mode is enabled.
-    Auto,
 }
 
 impl Kernel {
-    /// The concrete **bitwise** arithmetic variants, for iteration in
-    /// tests and benchmarks. [`Kernel::Auto`] is excluded because it
-    /// resolves to one of these (no extra arithmetic); [`Kernel::Simd`]
-    /// is excluded because it is a different arithmetic under a different
-    /// (bounded, not bitwise) contract — suites iterate it explicitly.
-    pub const ALL: [Kernel; 3] = [Kernel::Naive, Kernel::Blocked, Kernel::Packed];
+    /// The **bitwise** variants, for iteration in tests and benchmarks.
+    /// [`Kernel::Simd`] is excluded because it is a different arithmetic
+    /// under a different (bounded, not bitwise) contract — suites iterate
+    /// it explicitly.
+    pub const ALL: [Kernel; 2] = [Kernel::Naive, Kernel::Blocked];
 
-    /// Parses a kernel name (`naive` | `blocked` | `packed` | `auto` |
-    /// `simd`, case-insensitive). These are exactly the values accepted
-    /// in `DEEPSEQ_KERNEL`.
+    /// Parses a kernel name (`naive` | `blocked` | `simd`,
+    /// case-insensitive). These are exactly the values accepted in
+    /// `DEEPSEQ_KERNEL`.
     pub fn parse(name: &str) -> Option<Kernel> {
         match name.trim().to_ascii_lowercase().as_str() {
             "naive" => Some(Kernel::Naive),
             "blocked" => Some(Kernel::Blocked),
-            "packed" => Some(Kernel::Packed),
             "simd" => Some(Kernel::Simd),
-            "auto" => Some(Kernel::Auto),
             _ => None,
         }
     }
@@ -283,8 +243,7 @@ impl Kernel {
                 if parsed.is_none() {
                     crate::config::report_warning(format!(
                         "{KERNEL_ENV}={value:?} is not a recognized kernel \
-                         (accepted: naive | blocked | packed | auto | simd); \
-                         using the default"
+                         (accepted: naive | blocked | simd); using the default"
                     ));
                 }
                 parsed
@@ -301,15 +260,10 @@ impl Kernel {
     }
 
     /// Does this kernel participate in the bitwise contract (results
-    /// bit-for-bit equal to [`Kernel::Naive`])? True for every bitwise
-    /// variant; false for [`Kernel::Simd`], and false for
-    /// [`Kernel::Auto`] in fast mode (where it resolves to simd).
+    /// bit-for-bit equal to [`Kernel::Naive`])? True for every variant
+    /// but [`Kernel::Simd`].
     pub fn is_bitwise(self) -> bool {
-        match self {
-            Kernel::Naive | Kernel::Blocked | Kernel::Packed => true,
-            Kernel::Auto => !Kernel::fast_mode(),
-            Kernel::Simd => false,
-        }
+        self != Kernel::Simd
     }
 
     /// The process-wide default kernel used by the [`Matrix`] product
@@ -328,118 +282,44 @@ impl Kernel {
 
     /// The serving default: `DEEPSEQ_KERNEL` if set (including `simd` —
     /// this is the entry point that honors fast mode), otherwise
-    /// [`Kernel::Auto`] — the tape-free inference path (`deepseq-serve`)
-    /// picks a kernel per product shape.
+    /// [`Kernel::Blocked`], the fastest bitwise kernel on the tape-free
+    /// inference path (`deepseq-serve`).
     pub fn for_serve() -> Kernel {
-        Kernel::from_env().unwrap_or(Kernel::Auto)
+        Kernel::from_env().unwrap_or(Kernel::Blocked)
     }
 
-    /// The lower-case name (`"naive"` | `"blocked"` | `"packed"` |
-    /// `"simd"` | `"auto"`).
+    /// The lower-case name (`"naive"` | `"blocked"` | `"simd"`).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Naive => "naive",
             Kernel::Blocked => "blocked",
-            Kernel::Packed => "packed",
             Kernel::Simd => "simd",
-            Kernel::Auto => "auto",
         }
     }
 
-    /// The [`crate::trace::pack_gemm`] tag for a concrete kernel, so GEMM
-    /// spans distinguish simd from scalar work in `/debug/trace`.
+    /// The [`crate::trace::pack_gemm`] tag of a kernel, so GEMM spans
+    /// distinguish simd from scalar work in `/debug/trace`.
     fn trace_tag(self) -> u8 {
         match self {
             Kernel::Naive => 1,
             Kernel::Blocked => 2,
-            Kernel::Packed => 3,
             Kernel::Simd => 4,
-            Kernel::Auto => 0,
         }
     }
 
-    /// Fast-mode dispatch cutoff: the fused path packs `b` (`k·n` panel
-    /// writes) before any arithmetic, so products with small right-hand
-    /// operands stay on the reference loops. Deliberately a function of
-    /// `k` and `n` only — higher layers (the serve forward pass)
-    /// partition *rows* of one logical product across scratch chunks,
-    /// and the kernel choice, and therefore the bits, must not change
-    /// with that partitioning (fast mode's self-determinism contract).
-    fn fused_pays_off(k: usize, n: usize) -> bool {
-        k.saturating_mul(n) >= 256
-    }
-
-    /// The concrete variant used for an `m×k · k×n` product.
-    ///
-    /// [`Kernel::Auto`] picks by shape: tiny products (under ~1 K
-    /// multiply-adds, where call overhead and tile setup dominate) stay
-    /// on the reference loops; otherwise the per-shape autotuner's pinned
-    /// winner is used once trials converge, with the static prior until
-    /// then (right-hand operands beyond L1 — `k·n` over ~32 K elements —
-    /// pay for B-panel packing, the rest takes the cache-blocked kernel).
-    /// In fast mode both [`Kernel::Auto`] and [`Kernel::Simd`] instead
-    /// split purely on `Kernel::fused_pays_off`: fused panels when the
-    /// right-hand operand is big enough, reference loops (trivially
-    /// within the fast-mode error bound) when it is not. In bitwise mode
-    /// every choice is bitwise-neutral, so this is purely a performance
-    /// policy; in fast mode the `m`-independence of the split is load-
-    /// bearing (see `Kernel::fused_pays_off`).
-    pub fn resolve(self, m: usize, k: usize, n: usize) -> Kernel {
+    /// The kernel that runs a product whose right-hand operand is
+    /// `k×n`: `self`, except that simd hands small right-hand operands to
+    /// the reference loops — the fused path packs `b` (`k·n` panel
+    /// writes) before any arithmetic, which those products never earn
+    /// back. Deliberately independent of the row count: higher layers
+    /// (the serve forward pass) partition *rows* of one logical product
+    /// across scratch chunks, and the kernel choice, and therefore the
+    /// bits, must not change with that partitioning (fast mode's
+    /// self-determinism contract).
+    fn dispatched(self, k: usize, n: usize) -> Kernel {
         match self {
-            Kernel::Auto => {
-                if Kernel::fast_mode() {
-                    return Kernel::Simd.resolve(m, k, n);
-                }
-                if m.saturating_mul(k).saturating_mul(n) < 1_024 {
-                    // So tiny that call overhead and tile setup dominate:
-                    // the reference loops (with their zero-skip) win.
-                    Kernel::Naive
-                } else if let Some(c) = tune::pinned(tune::Family::Gemm, m, k, n) {
-                    c.kernel
-                } else if k.saturating_mul(n) >= 32_768 {
-                    Kernel::Packed
-                } else {
-                    // Even for narrow outputs (n < NR) the blocked
-                    // kernel's register tail beats the reference loop's
-                    // per-element branch on dense operands.
-                    Kernel::Blocked
-                }
-            }
-            Kernel::Simd if !Kernel::fused_pays_off(k, n) => Kernel::Naive,
+            Kernel::Simd if k.saturating_mul(n) < 256 => Kernel::Naive,
             other => other,
-        }
-    }
-
-    /// The execution plan for one product: the concrete kernel, the
-    /// blocked kernel's `k`-panel height, and (during `Auto`'s tuning
-    /// window) an in-flight timing trial to report back via
-    /// [`Plan::finish`].
-    fn plan(self, family: tune::Family, m: usize, k: usize, n: usize) -> Plan {
-        let flops = m.saturating_mul(k).saturating_mul(n);
-        match self {
-            Kernel::Naive | Kernel::Packed => Plan::untimed(self, 0),
-            Kernel::Blocked => Plan::untimed(self, tune::kc_for(k, n)),
-            Kernel::Simd => {
-                if Kernel::fused_pays_off(k, n) {
-                    Plan::untimed(Kernel::Simd, 0)
-                } else {
-                    Plan::untimed(Kernel::Naive, 0)
-                }
-            }
-            Kernel::Auto => {
-                if Kernel::fast_mode() {
-                    Kernel::Simd.plan(family, m, k, n)
-                } else if flops < 1_024 {
-                    Plan::untimed(Kernel::Naive, 0)
-                } else {
-                    let (candidate, trial) = tune::pick(family, m, k, n);
-                    Plan {
-                        kernel: candidate.kernel,
-                        kc: candidate.kc,
-                        trial,
-                    }
-                }
-            }
         }
     }
 
@@ -520,71 +400,21 @@ impl Kernel {
         if ka == 0 || n == 0 {
             return out;
         }
-        let plan = self.plan(tune::Family::TGemm, ka, m, n);
+        let kernel = self.dispatched(m, n);
         let _span = crate::trace::span_with(
             crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(ka, m, n, plan.kernel.trace_tag()),
+            crate::trace::pack_gemm(ka, m, n, kernel.trace_tag()),
         );
         let ranges = par_ranges(pool, ka, m, n);
-        match plan.kernel {
-            Kernel::Naive => run_trow_tasks(
-                pool,
-                ranges,
-                a.data(),
-                b.data(),
-                out.data_mut(),
-                m,
-                ka,
-                n,
-                t_gemm_naive_rows,
-            ),
-            Kernel::Blocked => {
-                let kc = plan.kc;
-                run_trow_tasks(
-                    pool,
-                    ranges,
-                    a.data(),
-                    b.data(),
-                    out.data_mut(),
-                    m,
-                    ka,
-                    n,
-                    move |a, b, o, m, ka, n, i0, i1| {
-                        t_gemm_blocked_rows(a, b, o, m, ka, n, i0, i1, kc)
-                    },
-                );
-            }
-            Kernel::Packed => with_pack_scratch(|pack| {
-                pack_b(b.data(), m, n, pack);
-                run_trow_tasks(
-                    pool,
-                    ranges,
-                    a.data(),
-                    pack,
-                    out.data_mut(),
-                    m,
-                    ka,
-                    n,
-                    t_gemm_packed_rows,
-                );
+        let (a, b, o) = (a.data(), b.data(), out.data_mut());
+        match kernel {
+            Kernel::Naive => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_naive_rows),
+            Kernel::Blocked => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_blocked_rows),
+            Kernel::Simd => simd::with_pack_scratch(|pack| {
+                simd::pack_b(b, m, n, pack);
+                run_trow_tasks(pool, ranges, a, pack, o, m, ka, n, simd::t_gemm_fused_rows);
             }),
-            Kernel::Simd => with_pack_scratch(|pack| {
-                pack_b(b.data(), m, n, pack);
-                run_trow_tasks(
-                    pool,
-                    ranges,
-                    a.data(),
-                    pack,
-                    out.data_mut(),
-                    m,
-                    ka,
-                    n,
-                    simd::t_gemm_fused_rows,
-                );
-            }),
-            Kernel::Auto => unreachable!("plan returns a concrete kernel"),
         }
-        plan.finish();
         out
     }
 
@@ -610,66 +440,22 @@ impl Kernel {
         if m == 0 || nb == 0 {
             return out;
         }
-        let plan = self.plan(tune::Family::BtGemm, m, k, nb);
+        let kernel = self.dispatched(k, nb);
         let _span = crate::trace::span_with(
             crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(m, k, nb, plan.kernel.trace_tag()),
+            crate::trace::pack_gemm(m, k, nb, kernel.trace_tag()),
         );
         let ranges = par_ranges(pool, m, k, nb);
-        match plan.kernel {
-            Kernel::Naive => run_row_tasks(
-                pool,
-                ranges,
-                a.data(),
-                b.data(),
-                out.data_mut(),
-                k,
-                nb,
-                gemm_bt_naive_rows,
-            ),
-            Kernel::Blocked => run_row_tasks(
-                pool,
-                ranges,
-                a.data(),
-                b.data(),
-                out.data_mut(),
-                k,
-                nb,
-                gemm_bt_blocked_rows,
-            ),
-            Kernel::Packed => with_pack_scratch(|pack| {
-                // Packing bᵀ into k-major panels turns `a × bᵀ` into the
-                // plain packed GEMM micro-kernel.
-                pack_bt(b.data(), k, nb, pack);
-                run_row_tasks(
-                    pool,
-                    ranges,
-                    a.data(),
-                    pack,
-                    out.data_mut(),
-                    k,
-                    nb,
-                    gemm_packed_rows,
-                );
+        let (a, b, o) = (a.data(), b.data(), out.data_mut());
+        match kernel {
+            Kernel::Naive => run_row_tasks(pool, ranges, a, b, o, k, nb, gemm_bt_naive_rows),
+            Kernel::Blocked => run_row_tasks(pool, ranges, a, b, o, k, nb, gemm_bt_blocked_rows),
+            // Panelized bᵀ turns `a × bᵀ` into the plain fused micro-kernel.
+            Kernel::Simd => simd::with_pack_scratch(|pack| {
+                simd::pack_bt(b, k, nb, pack);
+                run_row_tasks(pool, ranges, a, pack, o, k, nb, simd::gemm_fused_rows);
             }),
-            Kernel::Simd => with_pack_scratch(|pack| {
-                // Same trick as packed: panelized bᵀ feeds the plain
-                // fused micro-kernel.
-                pack_bt(b.data(), k, nb, pack);
-                run_row_tasks(
-                    pool,
-                    ranges,
-                    a.data(),
-                    pack,
-                    out.data_mut(),
-                    k,
-                    nb,
-                    simd::gemm_fused_rows,
-                );
-            }),
-            Kernel::Auto => unreachable!("plan returns a concrete kernel"),
         }
-        plan.finish();
         out
     }
 
@@ -782,57 +568,19 @@ impl Kernel {
         if m == 0 || n == 0 {
             return;
         }
-        let plan = self.plan(tune::Family::Gemm, m, k, n);
+        let kernel = self.dispatched(k, n);
         let _span = crate::trace::span_with(
             crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(m, k, n, plan.kernel.trace_tag()),
+            crate::trace::pack_gemm(m, k, n, kernel.trace_tag()),
         );
         let ranges = par_ranges(pool, m, k, n);
-        match plan.kernel {
+        match kernel {
             Kernel::Naive => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_naive),
-            Kernel::Blocked => {
-                let kc = plan.kc;
-                run_row_tasks(pool, ranges, a, b, out, k, n, move |a, b, o, m, k, n| {
-                    gemm_blocked(a, b, o, m, k, n, kc)
-                });
-            }
-            Kernel::Packed => with_pack_scratch(|pack| {
-                pack_b(b, k, n, pack);
-                run_row_tasks(pool, ranges, a, pack, out, k, n, gemm_packed_rows);
-            }),
-            Kernel::Simd => with_pack_scratch(|pack| {
-                pack_b(b, k, n, pack);
+            Kernel::Blocked => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_blocked),
+            Kernel::Simd => simd::with_pack_scratch(|pack| {
+                simd::pack_b(b, k, n, pack);
                 run_row_tasks(pool, ranges, a, pack, out, k, n, simd::gemm_fused_rows);
             }),
-            Kernel::Auto => unreachable!("plan returns a concrete kernel"),
-        }
-        plan.finish();
-    }
-}
-
-/// A resolved execution plan for one product (see [`Kernel::plan`]).
-struct Plan {
-    /// The concrete kernel to run.
-    kernel: Kernel,
-    /// `k`-panel height for [`Kernel::Blocked`] (0 when unused).
-    kc: usize,
-    /// In-flight autotuning trial to report after the product, if any.
-    trial: Option<tune::Trial>,
-}
-
-impl Plan {
-    fn untimed(kernel: Kernel, kc: usize) -> Plan {
-        Plan {
-            kernel,
-            kc,
-            trial: None,
-        }
-    }
-
-    /// Report the trial timing (a no-op outside `Auto`'s tuning window).
-    fn finish(self) {
-        if let Some(trial) = self.trial {
-            tune::finish(trial);
         }
     }
 }
@@ -854,9 +602,7 @@ fn par_ranges(pool: &Pool, rows: usize, k: usize, n: usize) -> Vec<Range<usize>>
 /// Runs a row kernel over `ranges`, splitting `a` and `out` by rows and
 /// sharing `b` read-only. Single range → straight call on the caller.
 /// The kernel signature is `(a_rows, b_or_panels, out_rows, rows, k, n)`
-/// where `a_rows`/`out_rows` hold exactly `rows` rows; `f` may be a plain
-/// fn or a capture-light closure (the tuned blocked kernel carries its
-/// `kc`).
+/// where `a_rows`/`out_rows` hold exactly `rows` rows.
 #[allow(clippy::too_many_arguments)]
 fn run_row_tasks<F>(
     pool: &Pool,
@@ -938,16 +684,13 @@ fn gemm_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
-/// Cache-blocked GEMM: `k` is split into `kc`-row panels of `b` (processed
-/// in ascending order, preserving per-element accumulation order — the
-/// panel height is a pure locality knob, autotuned per shape by
-/// [`Kernel::Auto`]); within a panel each output row is walked in
-/// `NR`-wide register tiles so the accumulators never round-trip through
-/// memory per `k` step.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, kc: usize) {
+/// Cache-blocked GEMM: `k` is split into [`kc_for`]-row panels of `b`
+/// (processed in ascending order, preserving per-element accumulation
+/// order); within a panel each output row is walked in `NR`-wide register
+/// tiles so the accumulators never round-trip through memory per `k` step.
+fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let n_main = n - n % NR;
-    let kc = kc.max(1);
+    let kc = kc_for(k, n);
     let mut kk = 0;
     while kk < k {
         let kc = kc.min(k - kk);
@@ -1021,102 +764,6 @@ fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: us
     }
 }
 
-/// Packs row-major `b` (`rows × cols`) into `NR`-wide column panels laid
-/// out contraction-major (contiguous per contraction step). Panel tails are
-/// zero-padded; padded lanes are computed and discarded by the consumers.
-fn pack_b(b: &[f32], rows: usize, cols: usize, pack: &mut Vec<f32>) {
-    let panels = cols.div_ceil(NR);
-    pack.clear();
-    pack.resize(panels * rows * NR, 0.0);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let w = NR.min(cols - j0);
-        let dst = &mut pack[jp * rows * NR..(jp + 1) * rows * NR];
-        for p in 0..rows {
-            dst[p * NR..p * NR + w].copy_from_slice(&b[p * cols + j0..p * cols + j0 + w]);
-        }
-    }
-}
-
-/// Packs `bᵀ` of a row-major `b` (`nb × k`) into the same panel layout as
-/// [`pack_b`] produces for a `k × nb` matrix, so `a × bᵀ` can run the plain
-/// packed micro-kernel ([`gemm_packed_rows`]).
-fn pack_bt(b: &[f32], k: usize, nb: usize, pack: &mut Vec<f32>) {
-    let panels = nb.div_ceil(NR);
-    pack.clear();
-    pack.resize(panels * k * NR, 0.0);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let w = NR.min(nb - j0);
-        let dst = &mut pack[jp * k * NR..(jp + 1) * k * NR];
-        for t in 0..w {
-            let brow = &b[(j0 + t) * k..(j0 + t + 1) * k];
-            for (p, &bv) in brow.iter().enumerate() {
-                dst[p * NR + t] = bv;
-            }
-        }
-    }
-}
-
-/// Packed GEMM compute phase over pre-packed panels (see [`pack_b`]): an
-/// `MR×NR` register micro-kernel sweeps `MR` rows of `a` at a time,
-/// amortizing every packed panel load. Expects `a`/`out` to hold exactly
-/// `m` rows (the caller may pass a row chunk).
-fn gemm_packed_rows(a: &[f32], pack: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let panels = n.div_ceil(NR);
-    let m_main = m - m % MR;
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let w = NR.min(n - j0);
-        let panel = &pack[jp * k * NR..(jp + 1) * k * NR];
-        let mut i = 0;
-        while i < m_main {
-            // MR×NR register micro-kernel: pre-sliced `a` rows zipped with
-            // the packed panel keep the `k` loop bounds-check free, and each
-            // panel row load is amortized over MR output rows.
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                accr[..w].copy_from_slice(&out[(i + r) * n + j0..(i + r) * n + j0 + w]);
-            }
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let a2 = &a[(i + 2) * k..(i + 3) * k];
-            let a3 = &a[(i + 3) * k..(i + 4) * k];
-            let [mut c0, mut c1, mut c2, mut c3] = acc;
-            for ((((&av0, &av1), &av2), &av3), brow) in a0
-                .iter()
-                .zip(a1)
-                .zip(a2)
-                .zip(a3)
-                .zip(panel.chunks_exact(NR))
-            {
-                for t in 0..NR {
-                    c0[t] += av0 * brow[t];
-                    c1[t] += av1 * brow[t];
-                    c2[t] += av2 * brow[t];
-                    c3[t] += av3 * brow[t];
-                }
-            }
-            for (r, accr) in [c0, c1, c2, c3].iter().enumerate() {
-                out[(i + r) * n + j0..(i + r) * n + j0 + w].copy_from_slice(&accr[..w]);
-            }
-            i += MR;
-        }
-        while i < m {
-            let mut acc = [0.0f32; NR];
-            acc[..w].copy_from_slice(&out[i * n + j0..i * n + j0 + w]);
-            let arow = &a[i * k..(i + 1) * k];
-            for (&av, brow) in arow.iter().zip(panel.chunks_exact(NR)) {
-                for t in 0..NR {
-                    acc[t] += av * brow[t];
-                }
-            }
-            out[i * n + j0..i * n + j0 + w].copy_from_slice(&acc[..w]);
-            i += 1;
-        }
-    }
-}
-
 /// Reference `aᵀ × b` over output rows `i0..i1`: accumulates row `r` of `a`
 /// against row `r` of `b`, `r` ascending per output element — identical
 /// order at any partitioning.
@@ -1147,10 +794,9 @@ fn t_gemm_naive_rows(
     }
 }
 
-/// Blocked `aᵀ × b` over output rows `i0..i1`: `r` is split into `kc`-row
-/// panels (ascending, preserving accumulation order; the panel height is
-/// autotuned per shape by [`Kernel::Auto`]); each output row is walked in
-/// `NR` register tiles.
+/// Blocked `aᵀ × b` over output rows `i0..i1`: `r` is split into
+/// [`kc_for`]-row panels (ascending, preserving accumulation order); each
+/// output row is walked in `NR` register tiles.
 #[allow(clippy::too_many_arguments)]
 fn t_gemm_blocked_rows(
     a: &[f32],
@@ -1161,10 +807,9 @@ fn t_gemm_blocked_rows(
     n: usize,
     i0: usize,
     i1: usize,
-    kc: usize,
 ) {
     let n_main = n - n % NR;
-    let kc = kc.max(1);
+    let kc = kc_for(m, n);
     let mut rr = 0;
     while rr < m {
         let rc = kc.min(m - rr);
@@ -1193,67 +838,6 @@ fn t_gemm_blocked_rows(
             }
         }
         rr += rc;
-    }
-}
-
-/// Packed `aᵀ × b` over output rows `i0..i1`: `b` is packed once into
-/// contraction-major `NR` panels ([`pack_b`]); an `MR×NR` micro-kernel
-/// reads `a[r·ka + i..i+MR]` contiguously per contraction step. Per output
-/// element the contraction runs `r` ascending — bitwise equal to naive.
-#[allow(clippy::too_many_arguments)]
-fn t_gemm_packed_rows(
-    a: &[f32],
-    pack: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-) {
-    let panels = n.div_ceil(NR);
-    let rows = i1 - i0;
-    let i_main = i0 + (rows - rows % MR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let w = NR.min(n - j0);
-        let panel = &pack[jp * m * NR..(jp + 1) * m * NR];
-        let mut i = i0;
-        while i < i_main {
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let o = (i - i0 + r) * n + j0;
-                accr[..w].copy_from_slice(&out[o..o + w]);
-            }
-            let [mut c0, mut c1, mut c2, mut c3] = acc;
-            for (p, brow) in panel.chunks_exact(NR).enumerate() {
-                let acol: &[f32; MR] = a[p * ka + i..].first_chunk().expect("i + MR <= ka");
-                for t in 0..NR {
-                    c0[t] += acol[0] * brow[t];
-                    c1[t] += acol[1] * brow[t];
-                    c2[t] += acol[2] * brow[t];
-                    c3[t] += acol[3] * brow[t];
-                }
-            }
-            for (r, accr) in [c0, c1, c2, c3].iter().enumerate() {
-                let o = (i - i0 + r) * n + j0;
-                out[o..o + w].copy_from_slice(&accr[..w]);
-            }
-            i += MR;
-        }
-        while i < i1 {
-            let mut acc = [0.0f32; NR];
-            let o = (i - i0) * n + j0;
-            acc[..w].copy_from_slice(&out[o..o + w]);
-            for (p, brow) in panel.chunks_exact(NR).enumerate() {
-                let av = a[p * ka + i];
-                for t in 0..NR {
-                    acc[t] += av * brow[t];
-                }
-            }
-            out[o..o + w].copy_from_slice(&acc[..w]);
-            i += 1;
-        }
     }
 }
 
@@ -1315,18 +899,6 @@ mod tests {
         })
     }
 
-    /// The kernels under the bitwise contract *in this process*: the
-    /// concrete bitwise variants, plus `Auto` unless fast mode makes it
-    /// resolve to simd (the unit suite also runs under the CI
-    /// `DEEPSEQ_KERNEL=simd` leg).
-    fn bitwise_kernels() -> Vec<Kernel> {
-        Kernel::ALL
-            .into_iter()
-            .chain([Kernel::Auto])
-            .filter(|k| k.is_bitwise())
-            .collect()
-    }
-
     #[test]
     fn all_kernels_agree_bitwise() {
         for &(m, k, n) in &[
@@ -1341,7 +913,7 @@ mod tests {
             let a = filled(m, k, 0.7);
             let b = filled(k, n, -0.4);
             let reference = Kernel::Naive.matmul(&a, &b);
-            for kernel in bitwise_kernels() {
+            for kernel in Kernel::ALL {
                 let got = kernel.matmul(&a, &b);
                 assert_eq!(
                     got.data(),
@@ -1365,7 +937,7 @@ mod tests {
             let pool = Pool::new(threads);
             // Simd belongs here too: fast mode is self-deterministic, so
             // parallel must match serial bitwise for it as well.
-            for kernel in Kernel::ALL.into_iter().chain([Kernel::Auto, Kernel::Simd]) {
+            for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
                 assert_eq!(
                     kernel.matmul_on(&pool, &a, &b),
                     kernel.matmul_on(&serial, &a, &b),
@@ -1396,7 +968,7 @@ mod tests {
         let bt_a = filled(9, 14, 0.5);
         let bt_b = filled(7, 14, 0.2);
         let bt_reference = Kernel::Naive.matmul_t(&bt_a, &bt_b);
-        for kernel in bitwise_kernels() {
+        for kernel in Kernel::ALL {
             assert_eq!(kernel.t_matmul(&a, &b), reference, "{}", kernel.name());
             assert_eq!(
                 kernel.matmul_t(&bt_a, &bt_b),
@@ -1409,7 +981,7 @@ mod tests {
 
     #[test]
     fn empty_shapes_are_handled() {
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Auto, Kernel::Simd]) {
+        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
             let a = Matrix::zeros(0, 4);
             let b = Matrix::zeros(4, 3);
             assert_eq!(kernel.matmul(&a, &b).shape(), (0, 3));
@@ -1435,8 +1007,8 @@ mod tests {
         let u = filled(3, 4, 0.6);
         let bias = filled(1, 4, 0.1);
         // Fused vs unfused is a *same-kernel* identity, so it must hold
-        // for simd (and for Auto in fast mode) too.
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Auto, Kernel::Simd]) {
+        // for simd too.
+        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
             let mut out = Matrix::default();
             let mut tmp = Matrix::default();
             kernel.matmul_bias_act(
@@ -1458,11 +1030,13 @@ mod tests {
 
     #[test]
     fn parse_and_names_roundtrip() {
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Auto, Kernel::Simd]) {
+        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
             assert_eq!(Kernel::parse(kernel.name()), Some(kernel));
             assert_eq!(Kernel::parse(&kernel.name().to_uppercase()), Some(kernel));
         }
-        assert_eq!(Kernel::parse("simd9000"), None);
+        for retired in ["simd9000", "packed", "auto"] {
+            assert_eq!(Kernel::parse(retired), None, "{retired}");
+        }
     }
 
     #[test]
@@ -1471,8 +1045,6 @@ mod tests {
             assert!(kernel.is_bitwise(), "{}", kernel.name());
         }
         assert!(!Kernel::Simd.is_bitwise());
-        // Auto's classification follows the process mode.
-        assert_eq!(Kernel::Auto.is_bitwise(), !Kernel::fast_mode());
         // Trace tags are distinct per concrete kernel and fit pack_gemm's
         // four bits.
         let tags: Vec<u8> = Kernel::ALL
@@ -1488,23 +1060,23 @@ mod tests {
 
     #[test]
     fn concurrent_packed_products_survive_help_stealing() {
-        // While a packed product is parked in `Pool::run`, the same thread
-        // may help-execute another task that also runs a packed product.
-        // The pack scratch must not stay borrowed across the fan-out
+        // While a simd product is parked in `Pool::run`, the same thread
+        // may help-execute another task that also packs B panels. The
+        // pack scratch must not stay borrowed across the fan-out
         // (regression: `BorrowMutError` at the second borrow).
         use crate::pool::Pool;
         use std::sync::Arc;
         let serial = Pool::new(1);
         let a = filled(64, 128, 0.4);
         let b = filled(128, 256, -0.2);
-        let reference = Kernel::Packed.matmul_on(&serial, &a, &b);
+        let reference = Kernel::Simd.matmul_on(&serial, &a, &b);
         let pool = Arc::new(Pool::new(2));
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
             .map(|_| {
                 let pool = Arc::clone(&pool);
                 let (a, b, reference) = (&a, &b, &reference);
                 Box::new(move || {
-                    assert_eq!(&Kernel::Packed.matmul_on(&pool, a, b), reference);
+                    assert_eq!(&Kernel::Simd.matmul_on(&pool, a, b), reference);
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
@@ -1512,74 +1084,24 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_by_shape() {
-        // Tiny products stay on the reference loops in either mode.
-        assert_eq!(Kernel::Auto.resolve(4, 4, 4), Kernel::Naive);
-        if Kernel::fast_mode() {
-            // Fast mode splits on the right-hand operand alone — the
-            // choice must be independent of `m` so row partitioning at
-            // any layer cannot change the bits.
-            assert_eq!(Kernel::Auto.resolve(2, 16, 16), Kernel::Simd);
-            assert_eq!(Kernel::Auto.resolve(1, 512, 2), Kernel::Simd);
-            assert_eq!(Kernel::Auto.resolve(256, 68, 32), Kernel::Simd);
-            assert_eq!(Kernel::Auto.resolve(256, 512, 128), Kernel::Simd);
-            for (k, n) in [(1, 1), (16, 16), (512, 128)] {
-                assert_eq!(
-                    Kernel::Auto.resolve(1, k, n),
-                    Kernel::Auto.resolve(1000, k, n),
-                    "fast-mode dispatch must not depend on m ({k}x{n})"
-                );
-            }
-        } else {
-            assert_eq!(Kernel::Auto.resolve(2, 16, 16), Kernel::Naive);
-            // Bitwise mode, pre-tuning prior: mid-size products go
-            // blocked (even with narrow or single-row outputs);
-            // L1-busting B operands go packed. These shapes never run a
-            // product in this test binary, so no pinned winner overrides
-            // the static heuristic.
-            assert_eq!(Kernel::Auto.resolve(1, 512, 2), Kernel::Blocked);
-            assert_eq!(Kernel::Auto.resolve(1000, 100, 1), Kernel::Blocked);
-            assert_eq!(Kernel::Auto.resolve(256, 68, 32), Kernel::Blocked);
-            assert_eq!(Kernel::Auto.resolve(256, 512, 128), Kernel::Packed);
+    fn simd_cutoff_ignores_the_row_count() {
+        // Small right-hand operands stay on the reference loops whatever
+        // `m` is, so row partitioning at any layer cannot change the bits.
+        for m in [1, 4, 4096] {
+            let a = filled(m, 4, 0.3);
+            let b = filled(4, 4, -0.7);
+            assert_eq!(
+                Kernel::Simd.matmul(&a, &b),
+                Kernel::Naive.matmul(&a, &b),
+                "m={m}"
+            );
         }
-        // Concrete bitwise kernels resolve to themselves regardless of
-        // shape; simd hands small-right-hand products to the reference
-        // loops (m-independently).
+        assert_eq!(Kernel::Simd.dispatched(4, 4), Kernel::Naive);
+        assert_eq!(Kernel::Simd.dispatched(16, 16), Kernel::Simd);
         for kernel in Kernel::ALL {
-            assert_eq!(kernel.resolve(1, 1, 1), kernel);
-            assert_eq!(kernel.resolve(512, 512, 512), kernel);
+            assert_eq!(kernel.dispatched(1, 1), kernel);
+            assert_eq!(kernel.dispatched(512, 512), kernel);
         }
-        assert_eq!(Kernel::Simd.resolve(4, 4, 4), Kernel::Naive);
-        assert_eq!(Kernel::Simd.resolve(4096, 4, 4), Kernel::Naive);
-        assert_eq!(Kernel::Simd.resolve(1, 16, 16), Kernel::Simd);
-        assert_eq!(Kernel::Simd.resolve(512, 512, 512), Kernel::Simd);
-    }
-
-    #[test]
-    fn auto_pins_a_tuned_winner_after_trials() {
-        // Enough same-shape products to drain every candidate's trials;
-        // afterwards resolve must report a concrete pinned kernel (not
-        // the static prior by accident — the shape is chosen so any
-        // candidate is a legal answer, we only check convergence).
-        let a = filled(40, 200, 0.3);
-        let b = filled(200, 24, -0.6);
-        if Kernel::fast_mode() {
-            // Fast mode bypasses trials entirely: Auto delegates to the
-            // fused kernel, whose bits differ from naive but match Simd's.
-            assert_eq!(Kernel::Auto.resolve(40, 200, 24), Kernel::Simd);
-            assert_eq!(Kernel::Auto.matmul(&a, &b), Kernel::Simd.matmul(&a, &b));
-            return;
-        }
-        let reference = Kernel::Naive.matmul(&a, &b);
-        for _ in 0..32 {
-            assert_eq!(Kernel::Auto.matmul(&a, &b), reference);
-        }
-        let resolved = Kernel::Auto.resolve(40, 200, 24);
-        assert!(
-            matches!(resolved, Kernel::Blocked | Kernel::Packed),
-            "expected a pinned bitwise kernel, got {}",
-            resolved.name()
-        );
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! * **Portability of bits** — `_mm256_fmadd_ps` and scalar
 //!   [`f32::mul_add`] are both correctly-rounded IEEE-754 fused
 //!   multiply-adds, so the portable fallback below produces **the same
-//!   bits** as the AVX2 path. Hosts without AVX2 don't get a different
-//!   numerics mode, just a slower one, and narrow panel tails can drop to
-//!   the portable loops mid-product without affecting any full panel.
+//!   bits** as the AVX2 path (compared panel by panel in this module's
+//!   tests). Hosts without AVX2 don't get a different numerics mode, just
+//!   a slower one, and narrow panel tails can drop to the portable loops
+//!   mid-product without affecting any full panel.
 //!
 //! What fast mode does *not* promise is bitwise equality with the
 //! reference kernels: fusing changes rounding. The divergence is bounded
@@ -29,12 +30,74 @@
 //! plus a ULP-distance cap on well-conditioned elements); the full
 //! contract is documented in docs/ARCHITECTURE.md ("Numerics contract").
 //!
-//! The kernels consume the same `NR`-wide contraction-major B panels as
-//! [`Kernel::Packed`] (`pack_b`/`pack_bt`): `NR` = 8 f32 lanes is exactly
-//! one `__m256` vector, so a packed panel row is one aligned-enough
-//! (`loadu`) vector load per contraction step.
+//! The kernels consume `NR`-wide contraction-major B panels, built by
+//! [`pack_b`] / [`pack_bt`] into a reused thread-local buffer
+//! ([`with_pack_scratch`]): `NR` = 8 f32 lanes is exactly one `__m256`
+//! vector, so a packed panel row is one aligned-enough (`loadu`) vector
+//! load per contraction step.
+
+use std::cell::RefCell;
 
 use super::{MR, NR};
+
+thread_local! {
+    /// Reused panel-packing scratch; grows to the largest right-hand
+    /// operand seen on this thread and is then reused, mirroring the serve
+    /// path's `Workspace` buffer discipline. Parallel products pack once
+    /// on the calling thread and share the panels read-only with the
+    /// workers.
+    static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with the thread-local pack buffer *moved out* of its `RefCell`
+/// for the duration. The buffer must not stay borrowed across a pool
+/// fan-out: while parked in `Pool::run` this thread may help-execute
+/// another task that itself packs panels, and a live borrow would panic
+/// (`BorrowMutError`). Taking the `Vec` out keeps the re-entrant product
+/// on its own (freshly grown) buffer; ours is restored afterwards.
+pub(super) fn with_pack_scratch(f: impl FnOnce(&mut Vec<f32>)) {
+    let mut pack = PACK_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    f(&mut pack);
+    PACK_SCRATCH.with(|s| *s.borrow_mut() = pack);
+}
+
+/// Packs row-major `b` (`rows × cols`) into `NR`-wide column panels laid
+/// out contraction-major (contiguous per contraction step): panel `jp`
+/// is `pack[jp·rows·NR .. (jp+1)·rows·NR]`. Panel tails are zero-padded;
+/// padded lanes are computed and discarded by the consumers.
+pub(super) fn pack_b(b: &[f32], rows: usize, cols: usize, pack: &mut Vec<f32>) {
+    let panels = cols.div_ceil(NR);
+    pack.clear();
+    pack.resize(panels * rows * NR, 0.0);
+    for jp in 0..panels {
+        let j0 = jp * NR;
+        let w = NR.min(cols - j0);
+        let dst = &mut pack[jp * rows * NR..(jp + 1) * rows * NR];
+        for p in 0..rows {
+            dst[p * NR..p * NR + w].copy_from_slice(&b[p * cols + j0..p * cols + j0 + w]);
+        }
+    }
+}
+
+/// Packs `bᵀ` of a row-major `b` (`nb × k`) into the same panel layout as
+/// [`pack_b`] produces for a `k × nb` matrix, so `a × bᵀ` can run the
+/// plain fused micro-kernel ([`gemm_fused_rows`]).
+pub(super) fn pack_bt(b: &[f32], k: usize, nb: usize, pack: &mut Vec<f32>) {
+    let panels = nb.div_ceil(NR);
+    pack.clear();
+    pack.resize(panels * k * NR, 0.0);
+    for jp in 0..panels {
+        let j0 = jp * NR;
+        let w = NR.min(nb - j0);
+        let dst = &mut pack[jp * k * NR..(jp + 1) * k * NR];
+        for t in 0..w {
+            let brow = &b[(j0 + t) * k..(j0 + t + 1) * k];
+            for (p, &bv) in brow.iter().enumerate() {
+                dst[p * NR + t] = bv;
+            }
+        }
+    }
+}
 
 /// True when the running CPU executes the AVX2+FMA paths; false means
 /// every product runs the bitwise-identical portable fused loops. Checked
@@ -52,10 +115,9 @@ pub fn accelerated() -> bool {
     }
 }
 
-/// Fused-FMA GEMM compute phase over pre-packed panels (same layout and
-/// calling convention as `gemm_packed_rows`): computes `out += a × B`
-/// where the panels encode `B` (`k × n`). Expects `a`/`out` to hold
-/// exactly `m` rows (the caller may pass a row chunk).
+/// Fused-FMA GEMM compute phase over pre-packed panels ([`pack_b`]):
+/// computes `out += a × B` where the panels encode `B` (`k × n`). Expects
+/// `a`/`out` to hold exactly `m` rows (the caller may pass a row chunk).
 pub(super) fn gemm_fused_rows(
     a: &[f32],
     pack: &[f32],
@@ -71,8 +133,14 @@ pub(super) fn gemm_fused_rows(
         let panel = &pack[jp * k * NR..(jp + 1) * k * NR];
         #[cfg(target_arch = "x86_64")]
         if w == NR && accelerated() {
-            // Safety: avx2+fma verified; the slice bounds below cover
-            // every pointer the kernel dereferences.
+            // SAFETY: `gemm_panel`'s preconditions, each established here:
+            // - avx2 and fma: `accelerated()` just returned true;
+            // - `a.len() >= m*k` and `out.len() >= m*n`: `run_row_tasks`
+            //   slices `a` and `out` by the same row range and passes its
+            //   length as `m`, so both hold exactly `m` rows;
+            // - `panel.len() >= k*NR`: `panel` is panel `jp` of `pack_b` /
+            //   `pack_bt`, sliced above to exactly `k*NR` elements;
+            // - `j0 + NR <= n`: `w == NR` means the panel is full width.
             unsafe { avx2::gemm_panel(a, panel, out, m, k, n, j0) };
             continue;
         }
@@ -81,8 +149,8 @@ pub(super) fn gemm_fused_rows(
 }
 
 /// Fused-FMA `aᵀ × b` over output rows `i0..i1` (columns of `a`), against
-/// `pack_b(b)` panels — the fast-mode analog of `t_gemm_packed_rows`,
-/// with the identical signature.
+/// [`pack_b`] panels of `b` (`m × n`); `a` is the whole `m × ka` operand
+/// and `out` holds exactly rows `i0..i1`.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn t_gemm_fused_rows(
     a: &[f32],
@@ -101,7 +169,16 @@ pub(super) fn t_gemm_fused_rows(
         let panel = &pack[jp * m * NR..(jp + 1) * m * NR];
         #[cfg(target_arch = "x86_64")]
         if w == NR && accelerated() {
-            // Safety: avx2+fma verified; slice bounds cover every access.
+            // SAFETY: `t_gemm_panel`'s preconditions, each established here:
+            // - avx2 and fma: `accelerated()` just returned true;
+            // - `a.len() >= m*ka`: `run_trow_tasks` shares the whole
+            //   `m × ka` operand unsliced;
+            // - `out.len() >= (i1-i0)*n` and `i0 <= i1 <= ka`:
+            //   `run_trow_tasks` splits `out` by the same `i0..i1` range it
+            //   passes, and its ranges partition `0..ka`;
+            // - `panel.len() >= m*NR`: `panel` is panel `jp` of `pack_b`,
+            //   sliced above to exactly `m*NR` elements;
+            // - `j0 + NR <= n`: `w == NR` means the panel is full width.
             unsafe { avx2::t_gemm_panel(a, panel, out, m, ka, n, i0, i1, j0) };
             continue;
         }
@@ -325,7 +402,7 @@ mod avx2 {
     /// # Safety
     /// Caller must have verified `avx2` and `fma` CPU support, and:
     /// `a.len() >= m*ka`, `panel.len() >= m*NR`, `out.len() >=
-    /// (i1-i0)*n`, `i1 <= ka`, `j0 + NR <= n`.
+    /// (i1-i0)*n`, `i0 <= i1 <= ka`, `j0 + NR <= n`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn t_gemm_panel(
@@ -378,6 +455,70 @@ mod avx2 {
                 _mm256_storeu_ps(op.add(o), c0);
             }
             i += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn avx2_panels_are_bit_identical_to_portable_panels() {
+        if !accelerated() {
+            eprintln!("skipped: no avx2+fma here, the portable panels are the only path");
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        compare_full_panels();
+    }
+
+    /// Runs every AVX2 panel kernel and its portable twin on the same
+    /// full-width panels, over row counts that hit each 8-, 4- and 1-row
+    /// tail and contraction lengths including the empty one.
+    #[cfg(target_arch = "x86_64")]
+    fn compare_full_panels() {
+        let values = |len: usize, seed: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| (i as f32 * 0.73 + seed).sin() * 1.7)
+                .collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Two full panels, so the second runs at a nonzero column offset.
+        let n = 2 * NR;
+        let mut pack = Vec::new();
+        for m in [0, 1, 3, 4, 5, 7, 8, 9, 12, 17] {
+            for k in [0, 1, 5, 33] {
+                // `a × B`: `m` rows of `a` against `k × n` panels.
+                let a = values(m * k, 0.1);
+                pack_b(&values(k * n, 0.2), k, n, &mut pack);
+                for jp in 0..2 {
+                    let (j0, panel) = (jp * NR, &pack[jp * k * NR..(jp + 1) * k * NR]);
+                    let mut want = values(m * n, 0.3);
+                    let mut got = want.clone();
+                    gemm_panel_portable(&a, panel, &mut want, m, k, n, j0, NR);
+                    // SAFETY: avx2+fma checked by the caller; `a` is
+                    // `m*k`, `panel` is `k*NR`, `got` is `m*n`, and
+                    // `j0 + NR <= 2*NR = n`.
+                    unsafe { avx2::gemm_panel(&a, panel, &mut got, m, k, n, j0) };
+                    assert_eq!(bits(&got), bits(&want), "gemm m={m} k={k} j0={j0}");
+                }
+                // `aᵀ × B`: output rows `1..1+m` (columns of a `k × ka`
+                // operand) against the same `k × n` panels.
+                let (ka, i0, i1) = (m + 2, 1, 1 + m);
+                let a = values(k * ka, 0.4);
+                for jp in 0..2 {
+                    let (j0, panel) = (jp * NR, &pack[jp * k * NR..(jp + 1) * k * NR]);
+                    let mut want = values(m * n, 0.5);
+                    let mut got = want.clone();
+                    t_gemm_panel_portable(&a, panel, &mut want, ka, n, i0, i1, j0, NR);
+                    // SAFETY: avx2+fma checked by the caller; `a` is
+                    // `k*ka`, `panel` is `k*NR`, `got` is `(i1-i0)*n`,
+                    // `i0 <= i1 = m+1 <= ka`, and `j0 + NR <= n`.
+                    unsafe { avx2::t_gemm_panel(&a, panel, &mut got, k, ka, n, i0, i1, j0) };
+                    assert_eq!(bits(&got), bits(&want), "t_gemm rows={m} k={k} j0={j0}");
+                }
+            }
         }
     }
 }

@@ -349,12 +349,13 @@ pub fn span_with(kind: SpanKind, detail: u64) -> Span {
     }
 }
 
-/// Pack a GEMM shape into a span detail (`m`, `k`, `n` each capped at
-/// 2²⁰−1; serving shapes are far smaller). Bits 60–63 are left free for
-/// the kernel tag of [`pack_gemm`].
+/// Pack a GEMM shape into a span detail (`m`, `k`, `n` each saturated at
+/// 2²⁰−1, so a larger dimension reads as the cap rather than wrapping).
+/// Bits 60–63 are left free for the kernel tag of [`pack_gemm`].
 pub fn pack_dims(m: usize, k: usize, n: usize) -> u64 {
     const MASK: u64 = (1 << 20) - 1;
-    ((m as u64 & MASK) << 40) | ((k as u64 & MASK) << 20) | (n as u64 & MASK)
+    let cap = |d: usize| (d as u64).min(MASK);
+    (cap(m) << 40) | (cap(k) << 20) | cap(n)
 }
 
 /// Inverse of [`pack_dims`] (the kernel-tag bits of [`pack_gemm`] details
@@ -382,13 +383,12 @@ pub fn unpack_kernel_tag(detail: u64) -> u8 {
 }
 
 /// The kernel name a [`pack_gemm`] tag stands for; `None` for the
-/// untagged value 0 and anything out of range. Tags are assigned by
+/// untagged value 0 and any unassigned tag. Tags are assigned by
 /// `Kernel::trace_tag` in [`crate::kernels`].
 pub fn kernel_tag_name(tag: u8) -> Option<&'static str> {
     match tag {
         1 => Some("naive"),
         2 => Some("blocked"),
-        3 => Some("packed"),
         4 => Some("simd"),
         _ => None,
     }
@@ -722,6 +722,10 @@ mod tests {
             unpack_dims(pack_dims(1 << 19, 1234, (1 << 20) - 1)),
             (1 << 19, 1234, (1 << 20) - 1)
         );
+        assert_eq!(
+            unpack_dims(pack_dims((1 << 20) + 5, 0, 1 << 21)),
+            ((1 << 20) - 1, 0, (1 << 20) - 1)
+        );
     }
 
     #[test]
@@ -734,6 +738,7 @@ mod tests {
         // Plain pack_dims details are untagged.
         assert_eq!(unpack_kernel_tag(pack_dims(3, 4, 5)), 0);
         assert_eq!(kernel_tag_name(0), None);
+        assert_eq!(kernel_tag_name(3), None);
         assert_eq!(kernel_tag_name(4), Some("simd"));
         assert_eq!(kernel_tag_name(15), None);
     }

@@ -236,17 +236,11 @@ proptest! {
         // kernel's exact bit patterns — accumulation order is part of the
         // kernel contract, so a kernel switch may never change results.
         // Shapes sweep the degenerate cases (empty, 1×N, N×1) and
-        // blocked-aligned sizes. `is_bitwise` keeps `Auto` in the sweep in
-        // the default mode and drops it under `DEEPSEQ_KERNEL=simd`, where
-        // it resolves to the fused fast path (bounded-error contract,
-        // tested in kernel_numerics.rs instead).
+        // blocked-aligned sizes. The fused fast path is held to its
+        // bounded-error contract in kernel_numerics.rs instead.
         let (a, b) = gemm_operands(seed);
         let reference = Kernel::Naive.matmul(&a, &b);
-        for kernel in Kernel::ALL
-            .into_iter()
-            .chain([Kernel::Auto])
-            .filter(|k| k.is_bitwise())
-        {
+        for kernel in Kernel::ALL {
             let got = kernel.matmul(&a, &b);
             prop_assert_eq!(got.shape(), reference.shape());
             for (i, (x, y)) in got.data().iter().zip(reference.data()).enumerate() {
@@ -266,11 +260,7 @@ proptest! {
         let (a, t_b, bt_b) = transpose_operands(seed);
         let t_ref = Kernel::Naive.t_matmul(&a, &t_b);
         let bt_ref = Kernel::Naive.matmul_t(&a, &bt_b);
-        for kernel in Kernel::ALL
-            .into_iter()
-            .chain([Kernel::Auto])
-            .filter(|k| k.is_bitwise())
-        {
+        for kernel in Kernel::ALL {
             let got = kernel.t_matmul(&a, &t_b);
             prop_assert_eq!(got.shape(), t_ref.shape());
             for (x, y) in got.data().iter().zip(t_ref.data()) {
@@ -296,10 +286,7 @@ proptest! {
         let (a, b) = gemm_operands(seed);
         let (ta, t_b, bt_b) = transpose_operands(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
         let serial = Pool::new(1);
-        for kernel in Kernel::ALL
-            .into_iter()
-            .chain([Kernel::Auto, Kernel::Simd])
-        {
+        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
             let m_ref = kernel.matmul_on(&serial, &a, &b);
             let t_ref = kernel.t_matmul_on(&serial, &ta, &t_b);
             let bt_ref = kernel.matmul_t_on(&serial, &ta, &bt_b);

@@ -683,10 +683,10 @@ struct BatchScratch {
 /// per request-processing thread (the engine does); they are cheap when
 /// idle.
 ///
-/// The kernel defaults to [`Kernel::for_serve`] — `auto` (shape-resolved
-/// blocked/packed/naive), unless `DEEPSEQ_KERNEL` overrides it; every
-/// kernel is bitwise-equal on finite inputs, so this is a pure performance
-/// choice. The pool defaults to [`Pool::global`] (sized by
+/// The kernel defaults to [`Kernel::for_serve`] — `blocked`, unless
+/// `DEEPSEQ_KERNEL` overrides it; the bitwise kernels are bitwise-equal
+/// on finite inputs, so that choice is pure performance, while `simd`
+/// opts into fast-mode numerics. The pool defaults to [`Pool::global`] (sized by
 /// `DEEPSEQ_THREADS`); outputs are bitwise-identical at any thread count.
 /// Use [`Workspace::with_kernel`] / [`Workspace::with_pool`] to pin either
 /// explicitly (benchmarks and the thread-determinism property tests do).

@@ -14,10 +14,10 @@
 //!   checkpoint;
 //! * **blocked GEMM kernels** — every product of the forward pass
 //!   dispatches through the [`Kernel`](deepseq_nn::Kernel) carried by the
-//!   [`Workspace`] (serving default: `auto`, resolving blocked/packed/naive
-//!   per product shape; override with the `DEEPSEQ_KERNEL` environment
-//!   variable). All kernels are bitwise-equal on finite inputs, so the
-//!   choice is pure performance;
+//!   [`Workspace`] (serving default: `blocked`; override with the
+//!   `DEEPSEQ_KERNEL` environment variable). The bitwise kernels are
+//!   bitwise-equal on finite inputs, so choosing among them is pure
+//!   performance; `simd` opts into fast-mode numerics;
 //! * **level parallelism** — big levels and large products fan out across
 //!   the shared worker [`Pool`](deepseq_nn::Pool) (sized by
 //!   `DEEPSEQ_THREADS`), with outputs bitwise-identical at any thread
