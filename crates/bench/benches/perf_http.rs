@@ -75,7 +75,7 @@ fn boot() -> HttpServer {
         ..DeepSeqConfig::default()
     });
     let engine = Engine::with_pool(
-        InferenceModel::from_model(&model).expect("canonical params"),
+        InferenceModel::from_model(&model),
         EngineOptions {
             workers: 1,
             cache_capacity: 64,

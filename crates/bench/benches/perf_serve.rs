@@ -38,7 +38,7 @@ struct Fixture {
 
 fn fixture(tag: &'static str, aig: SeqAig, config: DeepSeqConfig) -> Fixture {
     let model = DeepSeq::new(config);
-    let frozen = InferenceModel::from_model(&model).expect("canonical params");
+    let frozen = InferenceModel::from_model(&model);
     let graph = CircuitGraph::build(&aig);
     let workload = Workload::uniform(aig.num_pis(), 0.5);
     let h0 = initial_states(&aig, &workload, config.hidden_dim, 0);
@@ -184,7 +184,7 @@ fn bench_cone_reuse(c: &mut Criterion) {
         ..DeepSeqConfig::default()
     };
     let model = DeepSeq::new(config);
-    let frozen = InferenceModel::from_model(&model).expect("canonical params");
+    let frozen = InferenceModel::from_model(&model);
     let base = blocky_aig(16, 24, 0);
     let edited = blocky_aig(16, 24, 1);
     let make = |aig: &SeqAig, id| ServeRequest {

@@ -68,7 +68,7 @@ fn fixtures() -> Vec<Fixture> {
     };
     let make = |tag: &'static str, aig: SeqAig| {
         let model = DeepSeq::new(config);
-        let frozen = InferenceModel::from_model(&model).expect("canonical params");
+        let frozen = InferenceModel::from_model(&model);
         let graph = CircuitGraph::build(&aig);
         let workload = Workload::uniform(aig.num_pis(), 0.5);
         let h0 = initial_states(&aig, &workload, config.hidden_dim, 0);

@@ -14,7 +14,7 @@
 //! gating the logic message against the previous state). This is recorded in
 //! DESIGN.md.
 
-use deepseq_nn::{AdditiveAttention, Linear, Params, Tape, VarId};
+use deepseq_nn::{Act, AdditiveAttention, Linear, Ops, Params};
 use rand::Rng;
 
 use crate::config::Aggregator;
@@ -80,7 +80,7 @@ impl AggregatorLayer {
         }
     }
 
-    /// Records the aggregation of one level batch.
+    /// The aggregation of one level batch.
     ///
     /// * `node_prev` — `k×d`, the previous states `h_v^{t-1}` of updated nodes;
     /// * `edge_prev` — `m×d`, `h_v^{t-1}` replicated per incoming edge;
@@ -89,37 +89,34 @@ impl AggregatorLayer {
     /// * `num_nodes` — `k`.
     ///
     /// Returns the aggregated message, `k×output_dim`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn aggregate(
+    pub fn aggregate<O: Ops>(
         &self,
-        tape: &mut Tape,
-        params: &Params,
-        node_prev: VarId,
-        edge_prev: VarId,
-        edge_msgs: VarId,
+        ops: &mut O,
+        node_prev: O::Value,
+        edge_prev: O::Value,
+        edge_msgs: O::Value,
         segments: &[usize],
         num_nodes: usize,
-    ) -> VarId {
+    ) -> O::Value {
         match self {
             AggregatorLayer::ConvSum { transform } => {
-                let transformed = transform.forward(tape, params, edge_msgs);
-                tape.segment_sum(transformed, segments.to_vec(), num_nodes)
+                let transformed = transform.forward(ops, edge_msgs, Act::Identity);
+                ops.segment_sum(transformed, segments, num_nodes)
             }
-            AggregatorLayer::Attention { attention } => attention_message(
-                tape, params, attention, edge_prev, edge_msgs, segments, num_nodes,
-            ),
+            AggregatorLayer::Attention { attention } => {
+                attention_message(ops, attention, edge_prev, edge_msgs, segments, num_nodes)
+            }
             AggregatorLayer::Dual { attention, gate } => {
                 // Eq. 5: logic message.
-                let m_lg = attention_message(
-                    tape, params, attention, edge_prev, edge_msgs, segments, num_nodes,
-                );
+                let m_lg =
+                    attention_message(ops, attention, edge_prev, edge_msgs, segments, num_nodes);
                 // Eq. 6: transition gate between previous state and m_LG
                 // (sigmoid — see module docs).
-                let score = gate.score(tape, params, node_prev, m_lg);
-                let alpha = tape.sigmoid(score);
-                let m_tr = tape.mul_col(m_lg, alpha);
+                let score = gate.score(ops, node_prev, m_lg);
+                let alpha = ops.sigmoid(score);
+                let m_tr = ops.mul_col(m_lg, alpha);
                 // Eq. 7: concatenation.
-                tape.concat_cols(m_tr, m_lg)
+                ops.concat_cols(m_tr, m_lg)
             }
         }
     }
@@ -127,25 +124,24 @@ impl AggregatorLayer {
 
 /// Shared Eq. 5 implementation: additive scores, segment softmax, weighted
 /// segment sum.
-fn attention_message(
-    tape: &mut Tape,
-    params: &Params,
+fn attention_message<O: Ops>(
+    ops: &mut O,
     attention: &AdditiveAttention,
-    edge_prev: VarId,
-    edge_msgs: VarId,
+    edge_prev: O::Value,
+    edge_msgs: O::Value,
     segments: &[usize],
     num_nodes: usize,
-) -> VarId {
-    let scores = attention.score(tape, params, edge_prev, edge_msgs);
-    let alpha = tape.segment_softmax(scores, segments.to_vec());
-    let weighted = tape.mul_col(edge_msgs, alpha);
-    tape.segment_sum(weighted, segments.to_vec(), num_nodes)
+) -> O::Value {
+    let scores = attention.score(ops, edge_prev, edge_msgs);
+    let alpha = ops.segment_softmax(scores, segments, num_nodes);
+    let weighted = ops.mul_col(edge_msgs, alpha);
+    ops.segment_sum(weighted, segments, num_nodes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepseq_nn::Matrix;
+    use deepseq_nn::{Matrix, Tape, TapeOps};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -164,9 +160,8 @@ mod tests {
         let edge_prev = tape.input(Matrix::full(3, 4, 0.1));
         let edge_msgs = tape.input(Matrix::full(3, 4, 0.5));
         let segs = vec![0, 0, 1];
-        let m = layer.aggregate(
-            &mut tape, &params, node_prev, edge_prev, edge_msgs, &segs, 2,
-        );
+        let mut ops = TapeOps::new(&mut tape, &params);
+        let m = layer.aggregate(&mut ops, node_prev, edge_prev, edge_msgs, &segs, 2);
         let v = tape.value(m);
         (v.rows(), v.cols())
     }
@@ -197,15 +192,8 @@ mod tests {
         let node_prev = tape.input(Matrix::full(1, 4, 0.3));
         let edge_prev = tape.input(Matrix::full(3, 4, 0.3));
         let edge_msgs = tape.input(Matrix::full(3, 4, 0.7));
-        let m = layer.aggregate(
-            &mut tape,
-            &params,
-            node_prev,
-            edge_prev,
-            edge_msgs,
-            &[0, 0, 0],
-            1,
-        );
+        let mut ops = TapeOps::new(&mut tape, &params);
+        let m = layer.aggregate(&mut ops, node_prev, edge_prev, edge_msgs, &[0, 0, 0], 1);
         for &v in tape.value(m).data() {
             assert!((v - 0.7).abs() < 1e-5);
         }
@@ -218,15 +206,8 @@ mod tests {
         let node_prev = tape.input(Matrix::full(1, 4, 0.2));
         let edge_prev = tape.input(Matrix::full(2, 4, 0.2));
         let edge_msgs = tape.input(Matrix::full(2, 4, 1.0));
-        let m = layer.aggregate(
-            &mut tape,
-            &params,
-            node_prev,
-            edge_prev,
-            edge_msgs,
-            &[0, 0],
-            1,
-        );
+        let mut ops = TapeOps::new(&mut tape, &params);
+        let m = layer.aggregate(&mut ops, node_prev, edge_prev, edge_msgs, &[0, 0], 1);
         let v = tape.value(m);
         // Columns 4..8 hold m_LG = 1.0; columns 0..4 hold gate·m_LG with a
         // sigmoid gate in (0, 1).

@@ -20,6 +20,10 @@
 //!   conv-sum or attention aggregation — expressed as configurations of the
 //!   same model.
 //!
+//! The forward pass is written once, generic over
+//! [`Ops`](deepseq_nn::Ops) (see [`model`]): [`DeepSeq::forward`] runs it
+//! on the autograd tape, `deepseq-serve` on its scratch-buffer backend.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -68,7 +72,7 @@ pub mod train;
 pub use aggregate::AggregatorLayer;
 pub use config::{Aggregator, DeepSeqConfig, PropagationScheme};
 pub use graph::{merge_graphs, CircuitGraph, LevelBatch};
-pub use model::{DeepSeq, ForwardVars, Predictions};
+pub use model::{DeepSeq, DirectionLayer, ForwardVars, Predictions, Step};
 pub use train::{
     evaluate, evaluate_on, merge_samples, train, train_batched, train_batched_on, train_on,
     train_test_split, EpochStats, EvalMetrics, TrainOptions, TrainSample,

@@ -2,11 +2,21 @@
 //! cycle-cut circuit graph, per-direction aggregation + GRU combine, and two
 //! independent MLP regressor heads for transition (`TR`) and logic (`LG`)
 //! probabilities.
+//!
+//! The forward pass is written once: [`DeepSeq::schedule`] lists the
+//! [`Step`]s of paper Fig. 2, and the level step ([`DirectionLayer::step`])
+//! and [`DeepSeq::readout`] are generic over [`Ops`]. A backend walks the
+//! schedule, runs each level step and commits its rows — on the autograd
+//! tape in [`DeepSeq::forward`], in reused scratch buffers (levels chunked
+//! across a pool) in the serving crate's `InferenceModel`.
+
+use std::ops::Range;
 
 use deepseq_netlist::aig::NUM_NODE_TYPES;
+use deepseq_nn::ops::mean_pool;
 use deepseq_nn::{
-    append_crc_trailer, verify_crc_trailer, BinReader, GruCell, Matrix, Mlp, Params, ParamsError,
-    Tape, VarId,
+    append_crc_trailer, verify_crc_trailer, BinReader, GruCell, Matrix, Mlp, Ops, Params,
+    ParamsError, Tape, TapeOps, VarId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,22 +34,37 @@ pub struct Predictions {
     pub lg: Matrix,
 }
 
-/// Variable handles returned by [`DeepSeq::forward`] for loss construction.
+/// Value handles of one forward pass: tape variables for loss construction
+/// (as returned by [`DeepSeq::forward`]), or any backend's values (as
+/// returned by [`DeepSeq::readout`]).
 #[derive(Debug, Clone, Copy)]
-pub struct ForwardVars {
+pub struct ForwardVars<V = VarId> {
     /// Final hidden states, `n×d`.
-    pub hidden: VarId,
+    pub hidden: V,
     /// `TR` head output after sigmoid, `n×2`.
-    pub tr: VarId,
+    pub tr: V,
     /// `LG` head output after sigmoid, `n×1`.
-    pub lg: VarId,
+    pub lg: V,
 }
 
 /// One propagation direction: aggregation + GRU combine.
 #[derive(Debug, Clone)]
-struct DirectionLayer {
-    agg: AggregatorLayer,
-    gru: GruCell,
+pub struct DirectionLayer {
+    /// Message aggregation (Eq. 5–7).
+    pub agg: AggregatorLayer,
+    /// The Combine function (Eq. 8).
+    pub gru: GruCell,
+}
+
+/// One step of the propagation schedule (paper Fig. 2).
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'m> {
+    /// Update the nodes of one level batch through a direction layer
+    /// ([`DirectionLayer::step`], then commit its rows to `batch.nodes`).
+    Level(&'m DirectionLayer, &'m LevelBatch),
+    /// FFs copy their D-input state: for each `(ff, d)` in order, node `ff`
+    /// takes node `d`'s current state (the clock edge, step 4).
+    CopyFfs(&'m [(u32, u32)]),
 }
 
 impl DirectionLayer {
@@ -56,6 +81,37 @@ impl DirectionLayer {
             agg,
             gru: GruCell::new(params, &format!("{name}.gru"), input_dim, hidden_dim, rng),
         }
+    }
+
+    /// The level step over nodes `range` of `batch`: gather the previous
+    /// states and messages → aggregate → GRU combine. Returns the new
+    /// `range.len()×d` states, row `i` for node `batch.nodes[range.start +
+    /// i]`; committing them is the caller's. The step reads only states of
+    /// other levels and the nodes' own previous states, so disjoint ranges
+    /// of one level give the same rows whether run together or apart.
+    pub fn step<O: Ops>(&self, ops: &mut O, batch: &LevelBatch, range: Range<usize>) -> O::Value {
+        let nodes = &batch.nodes[range.clone()];
+        // Edges are sorted by segment, so the range's edges are contiguous.
+        let first = batch
+            .edges
+            .partition_point(|&(_, seg)| (seg as usize) < range.start);
+        let last = batch
+            .edges
+            .partition_point(|&(_, seg)| (seg as usize) < range.end);
+        let edges = &batch.edges[first..last];
+        let segments: Vec<usize> = edges
+            .iter()
+            .map(|&(_, seg)| seg as usize - range.start)
+            .collect();
+        let node_prev = ops.gather_state(nodes.iter().map(|&v| v as usize));
+        let edge_prev = ops.gather_state(segments.iter().map(|&s| nodes[s] as usize));
+        let edge_msgs = ops.gather_state(edges.iter().map(|&(u, _)| u as usize));
+        let m = self
+            .agg
+            .aggregate(ops, node_prev, edge_prev, edge_msgs, &segments, nodes.len());
+        let x = ops.gather_features(nodes.iter().map(|&v| v as usize));
+        let input = ops.concat_cols(m, x);
+        self.gru.forward(ops, input, node_prev)
     }
 }
 
@@ -130,6 +186,41 @@ impl DeepSeq {
         &mut self.params
     }
 
+    /// The propagation schedule (paper Fig. 2) over `graph`: `T` times the
+    /// forward levels (step 2; FF states are read, not written), the
+    /// reverse levels (step 3) and, under [`PropagationScheme::Custom`],
+    /// the FF copy (step 4). Empty level batches are skipped.
+    pub fn schedule<'m>(&'m self, graph: &'m CircuitGraph) -> impl Iterator<Item = Step<'m>> + 'm {
+        let levels = |layer: &'m DirectionLayer, batches: &'m [LevelBatch]| {
+            batches
+                .iter()
+                .filter(|batch| !batch.is_empty())
+                .map(move |batch| Step::Level(layer, batch))
+        };
+        let copy_ffs = self
+            .config
+            .scheme
+            .updates_ffs()
+            .then_some(Step::CopyFfs(&graph.ff_pairs));
+        (0..self.config.effective_iterations()).flat_map(move |_| {
+            levels(&self.forward_layer, &graph.forward)
+                .chain(levels(&self.reverse_layer, &graph.reverse))
+                .chain(copy_ffs)
+        })
+    }
+
+    /// The readout over the final node states of a circuit with
+    /// `num_nodes` nodes: the hidden states plus both regressor heads
+    /// through a sigmoid. Each head row depends only on the same state row.
+    pub fn readout<O: Ops>(&self, ops: &mut O, num_nodes: usize) -> ForwardVars<O::Value> {
+        let hidden = ops.gather_state(0..num_nodes);
+        let tr_raw = self.tr_head.forward(ops, hidden);
+        let tr = ops.sigmoid(tr_raw);
+        let lg_raw = self.lg_head.forward(ops, hidden);
+        let lg = ops.sigmoid(lg_raw);
+        ForwardVars { hidden, tr, lg }
+    }
+
     /// Records the full forward computation on `tape` and returns handles to
     /// hidden states and both head outputs.
     ///
@@ -144,71 +235,17 @@ impl DeepSeq {
         );
         let h0 = tape.input(init_h.clone());
         let feats = tape.input(graph.features.clone());
-        // `cur[v]` points at the tape row currently holding h_v.
-        let mut cur: Vec<(VarId, usize)> = (0..graph.num_nodes).map(|i| (h0, i)).collect();
-
-        for _t in 0..self.config.effective_iterations() {
-            // Step 2 (Fig. 2): forward, levelized, FF states read not written.
-            for batch in &graph.forward {
-                self.run_batch(tape, &self.forward_layer, feats, batch, &mut cur);
-            }
-            // Step 3: reverse pass over successors.
-            for batch in &graph.reverse {
-                self.run_batch(tape, &self.reverse_layer, feats, batch, &mut cur);
-            }
-            // Step 4: FFs copy their D-input representation (clock edge).
-            if self.config.scheme.updates_ffs() {
-                for &(ff, d) in &graph.ff_pairs {
-                    cur[ff as usize] = cur[d as usize];
+        let mut ops = TapeOps::with_nodes(tape, &self.params, h0, feats);
+        for step in self.schedule(graph) {
+            match step {
+                Step::Level(layer, batch) => {
+                    let h = layer.step(&mut ops, batch, 0..batch.len());
+                    ops.commit(&batch.nodes, h);
                 }
+                Step::CopyFfs(pairs) => ops.copy_rows(pairs),
             }
         }
-
-        let hidden = tape.gather_rows(cur);
-        let tr_raw = self.tr_head.forward(tape, &self.params, hidden);
-        let tr = tape.sigmoid(tr_raw);
-        let lg_raw = self.lg_head.forward(tape, &self.params, hidden);
-        let lg = tape.sigmoid(lg_raw);
-        ForwardVars { hidden, tr, lg }
-    }
-
-    fn run_batch(
-        &self,
-        tape: &mut Tape,
-        layer: &DirectionLayer,
-        feats: VarId,
-        batch: &LevelBatch,
-        cur: &mut [(VarId, usize)],
-    ) {
-        if batch.nodes.is_empty() {
-            return;
-        }
-        let node_prev = tape.gather_rows(batch.nodes.iter().map(|&v| cur[v as usize]).collect());
-        let edge_prev = tape.gather_rows(
-            batch
-                .edges
-                .iter()
-                .map(|&(_, seg)| cur[batch.nodes[seg as usize] as usize])
-                .collect(),
-        );
-        let edge_msgs =
-            tape.gather_rows(batch.edges.iter().map(|&(u, _)| cur[u as usize]).collect());
-        let segments: Vec<usize> = batch.edges.iter().map(|&(_, s)| s as usize).collect();
-        let m = layer.agg.aggregate(
-            tape,
-            &self.params,
-            node_prev,
-            edge_prev,
-            edge_msgs,
-            &segments,
-            batch.nodes.len(),
-        );
-        let x = tape.gather_rows(batch.nodes.iter().map(|&v| (feats, v as usize)).collect());
-        let input = tape.concat_cols(m, x);
-        let h_new = layer.gru.forward(tape, &self.params, input, node_prev);
-        for (i, &v) in batch.nodes.iter().enumerate() {
-            cur[v as usize] = (h_new, i);
-        }
+        self.readout(&mut ops, graph.num_nodes)
     }
 
     /// Runs inference and returns concrete prediction matrices.
@@ -229,16 +266,7 @@ impl DeepSeq {
     pub fn embed_graph(&self, graph: &CircuitGraph, init_h: &Matrix) -> Matrix {
         let mut tape = Tape::new();
         let vars = self.forward(&mut tape, graph, init_h);
-        let hidden = tape.value(vars.hidden);
-        let (n, d) = hidden.shape();
-        let mut pooled = Matrix::zeros(1, d);
-        for r in 0..n {
-            for c in 0..d {
-                pooled.set(0, c, pooled.get(0, c) + hidden.get(r, c));
-            }
-        }
-        pooled.scale_assign(1.0 / n.max(1) as f32);
-        pooled
+        mean_pool(tape.value(vars.hidden))
     }
 
     /// Serializes configuration + weights to a self-contained string.
@@ -712,6 +740,19 @@ mod tests {
         assert_eq!(e_low.shape(), (1, 8));
         assert_ne!(e_low, e_high, "embedding must reflect the workload");
         assert!(e_low.data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn empty_circuit_reads_out_empty_predictions_and_zero_embedding() {
+        let aig = SeqAig::new("empty");
+        let c = small_config(Aggregator::DualAttention, PropagationScheme::Custom);
+        let model = DeepSeq::new(c);
+        let graph = CircuitGraph::build(&aig);
+        let h0 = crate::encoding::initial_states(&aig, &Workload::uniform(0, 0.5), 8, 0);
+        let p = model.predict(&graph, &h0);
+        assert_eq!(p.tr.shape(), (0, 2));
+        assert_eq!(p.lg.shape(), (0, 1));
+        assert_eq!(model.embed_graph(&graph, &h0), Matrix::zeros(1, 8));
     }
 
     #[test]

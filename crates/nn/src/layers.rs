@@ -1,15 +1,17 @@
-//! Neural layers assembled from tape ops: [`Linear`], [`Mlp`] (the paper's
-//! 3-layer regressor heads), [`GruCell`] (the Combine function, Eq. 8) and
+//! Neural layers: [`Linear`], [`Mlp`] (the paper's 3-layer regressor
+//! heads), [`GruCell`] (the Combine function, Eq. 8) and
 //! [`AdditiveAttention`] (the scoring of Eq. 5/6).
 //!
-//! Layers own [`ParamId`]s into a shared [`Params`] store and expose a
-//! `forward` that records ops on a [`Tape`].
+//! Layers own [`ParamId`]s into a shared [`Params`] store and are written
+//! once against the [`Ops`] trait: the same `forward` records on a tape
+//! ([`TapeOps`](crate::TapeOps)) for training and evaluates into scratch
+//! buffers for serving.
 
 use rand::Rng;
 
 use crate::kernels::Act;
+use crate::ops::Ops;
 use crate::params::{ParamId, Params};
-use crate::tape::{Tape, VarId};
 
 /// Fully connected layer `y = x·W + b`.
 #[derive(Debug, Clone)]
@@ -47,12 +49,9 @@ impl Linear {
         self.out_dim
     }
 
-    /// Records `x·W + b`.
-    pub fn forward(&self, tape: &mut Tape, params: &Params, x: VarId) -> VarId {
-        let w = tape.param(params, self.w);
-        let b = tape.param(params, self.b);
-        let h = tape.matmul(x, w);
-        tape.add_row(h, b)
+    /// `act(x·W + b)`.
+    pub fn forward<O: Ops>(&self, ops: &mut O, x: O::Value, act: Act) -> O::Value {
+        ops.linear(x, self.w, self.b, act)
     }
 }
 
@@ -87,14 +86,16 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Records the forward pass (ReLU between layers, none after the last).
-    pub fn forward(&self, tape: &mut Tape, params: &Params, x: VarId) -> VarId {
+    /// The forward pass (ReLU between layers, none after the last).
+    pub fn forward<O: Ops>(&self, ops: &mut O, x: O::Value) -> O::Value {
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(tape, params, h);
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-            }
+            let act = if i + 1 < self.layers.len() {
+                Act::Relu
+            } else {
+                Act::Identity
+            };
+            h = layer.forward(ops, h, act);
         }
         h
     }
@@ -172,35 +173,19 @@ impl GruCell {
         self.hidden_dim
     }
 
-    /// Records one GRU step: `input` is `n×input_dim`, `hidden` is
+    /// One GRU step: `input` is `n×input_dim`, `hidden` is
     /// `n×hidden_dim`; returns the new `n×hidden_dim` state.
     ///
-    /// Each gate is one fused tape node
-    /// ([`Tape::fused_gate`], `act(x·W + h·U + b)`), dispatched through the
-    /// process-wide GEMM [`Kernel`](crate::Kernel) — numerically identical
-    /// to the unfused op chain, but the tape stores one intermediate per
-    /// gate instead of five.
-    pub fn forward(&self, tape: &mut Tape, params: &Params, input: VarId, hidden: VarId) -> VarId {
-        let gate = |tape: &mut Tape, w, u, b, act| {
-            let wv = tape.param(params, w);
-            let uv = tape.param(params, u);
-            let bv = tape.param(params, b);
-            tape.fused_gate(input, wv, hidden, uv, Some(bv), act)
-        };
-        let z = gate(tape, self.wz, self.uz, self.bz, Act::Sigmoid);
-        let r = gate(tape, self.wr, self.ur, self.br, Act::Sigmoid);
-
-        let wnv = tape.param(params, self.wn);
-        let unv = tape.param(params, self.un);
-        let bnv = tape.param(params, self.bn);
-        let rh = tape.mul(r, hidden);
-        let n = tape.fused_gate(input, wnv, rh, unv, Some(bnv), Act::Tanh);
-
-        // h' = (1 - z) ⊙ n + z ⊙ h
-        let one_minus_z = tape.affine(z, -1.0, 1.0);
-        let a = tape.mul(one_minus_z, n);
-        let b = tape.mul(z, hidden);
-        tape.add(a, b)
+    /// Each gate is one fused op ([`Ops::fused_gate`],
+    /// `act(x·W + h·U + b)`) — numerically identical to the unfused op
+    /// chain, but the tape stores one intermediate per gate instead of
+    /// five.
+    pub fn forward<O: Ops>(&self, ops: &mut O, input: O::Value, hidden: O::Value) -> O::Value {
+        let z = ops.fused_gate(input, self.wz, hidden, self.uz, Some(self.bz), Act::Sigmoid);
+        let r = ops.fused_gate(input, self.wr, hidden, self.ur, Some(self.br), Act::Sigmoid);
+        let rh = ops.mul(r, hidden);
+        let n = ops.fused_gate(input, self.wn, rh, self.un, Some(self.bn), Act::Tanh);
+        ops.gru_blend(z, n, hidden)
     }
 }
 
@@ -223,12 +208,10 @@ impl AdditiveAttention {
 
     /// Scores queries (`n×d`) against keys (`m×d`) that were pre-aligned:
     /// returns `query·w1 + key·w2` where both operands are `k×d` matrices
-    /// with matching rows, yielding a `k×1` score column. Recorded as one
-    /// fused tape node ([`Tape::fused_gate`] without bias or activation).
-    pub fn score(&self, tape: &mut Tape, params: &Params, query: VarId, key: VarId) -> VarId {
-        let w1 = tape.param(params, self.w1);
-        let w2 = tape.param(params, self.w2);
-        tape.fused_gate(query, w1, key, w2, None, Act::Identity)
+    /// with matching rows, yielding a `k×1` score column: one fused op
+    /// ([`Ops::fused_gate`] without bias or activation).
+    pub fn score<O: Ops>(&self, ops: &mut O, query: O::Value, key: O::Value) -> O::Value {
+        ops.fused_gate(query, self.w1, key, self.w2, None, Act::Identity)
     }
 }
 
@@ -236,6 +219,8 @@ impl AdditiveAttention {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use crate::ops::TapeOps;
+    use crate::tape::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -248,7 +233,7 @@ mod tests {
         assert_eq!(lin.out_dim(), 5);
         let mut tape = Tape::new();
         let x = tape.input(Matrix::zeros(7, 3));
-        let y = lin.forward(&mut tape, &params, x);
+        let y = lin.forward(&mut TapeOps::new(&mut tape, &params), x, Act::Identity);
         assert_eq!(tape.value(y).shape(), (7, 5));
     }
 
@@ -266,7 +251,7 @@ mod tests {
         };
         let mut tape = Tape::new();
         let x = tape.input(Matrix::full(3, 2, 5.0));
-        let y = lin.forward(&mut tape, &params, x);
+        let y = lin.forward(&mut TapeOps::new(&mut tape, &params), x, Act::Identity);
         for r in 0..3 {
             assert_eq!(tape.value(y).get(r, 0), 1.0);
             assert_eq!(tape.value(y).get(r, 1), -1.0);
@@ -281,7 +266,7 @@ mod tests {
         assert_eq!(mlp.depth(), 3);
         let mut tape = Tape::new();
         let x = tape.input(Matrix::zeros(4, 8));
-        let y = mlp.forward(&mut tape, &params, x);
+        let y = mlp.forward(&mut TapeOps::new(&mut tape, &params), x);
         assert_eq!(tape.value(y).shape(), (4, 2));
     }
 
@@ -303,7 +288,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.input(Matrix::zeros(5, 6));
         let h = tape.input(Matrix::zeros(5, 4));
-        let h2 = gru.forward(&mut tape, &params, x, h);
+        let h2 = gru.forward(&mut TapeOps::new(&mut tape, &params), x, h);
         assert_eq!(tape.value(h2).shape(), (5, 4));
     }
 
@@ -315,8 +300,9 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.input(Matrix::zeros(2, 3));
         let mut h = tape.input(Matrix::zeros(2, 3));
+        let mut ops = TapeOps::new(&mut tape, &params);
         for _ in 0..20 {
-            h = gru.forward(&mut tape, &params, x, h);
+            h = gru.forward(&mut ops, x, h);
         }
         // Bounded by tanh range.
         for &v in tape.value(h).data() {
@@ -337,7 +323,7 @@ mod tests {
             let mut tape = Tape::new();
             let xv = tape.input(x.clone());
             let hv = tape.input(h0.clone());
-            let h1 = gru.forward(&mut tape, params, xv, hv);
+            let h1 = gru.forward(&mut TapeOps::new(&mut tape, params), xv, hv);
             let loss = tape.l1_loss(h1, &target);
             (tape.value(loss).get(0, 0), tape, loss)
         };
@@ -357,7 +343,7 @@ mod tests {
         let mut tape = Tape::new();
         let q = tape.input(Matrix::zeros(6, 4));
         let k = tape.input(Matrix::zeros(6, 4));
-        let s = att.score(&mut tape, &params, q, k);
+        let s = att.score(&mut TapeOps::new(&mut tape, &params), q, k);
         assert_eq!(tape.value(s).shape(), (6, 1));
     }
 }

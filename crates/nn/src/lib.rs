@@ -29,9 +29,13 @@
 //! * [`Tape`] — a define-by-run reverse-mode autograd tape with the segment
 //!   ops (gather / segment-softmax / segment-sum) that make levelized
 //!   "topological batching" over circuit graphs efficient;
+//! * [`ops`] — the [`Ops`] trait the model's forward pass is written
+//!   against, with [`TapeOps`], its autograd-tape backend (the serving
+//!   workspace in `deepseq-serve` is the other), and the value arithmetic
+//!   both backends share;
 //! * [`layers`] — [`Linear`], 3-layer [`Mlp`] regressor heads, [`GruCell`]
 //!   (the paper's Combine function, Eq. 8) and [`AdditiveAttention`]
-//!   (the scoring used by Eq. 5/6);
+//!   (the scoring used by Eq. 5/6), generic over [`Ops`];
 //! * [`Adam`] — the optimizer used throughout the paper (lr `1e-4`);
 //! * [`Params`] / [`GradStore`] — named parameter store with text and
 //!   binary checkpoint formats (no serialization dependencies); the
@@ -42,7 +46,7 @@
 //! # Example: one training step
 //!
 //! ```
-//! use deepseq_nn::{Adam, Matrix, Mlp, Params, Tape};
+//! use deepseq_nn::{Adam, Matrix, Mlp, Params, Tape, TapeOps};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -54,7 +58,7 @@
 //! let target = Matrix::full(3, 1, 0.25);
 //! let mut tape = Tape::new();
 //! let xv = tape.input(x);
-//! let pred = head.forward(&mut tape, &params, xv);
+//! let pred = head.forward(&mut TapeOps::new(&mut tape, &params), xv);
 //! let loss = tape.l1_loss(pred, &target);
 //! let grads = tape.backward(loss);
 //! opt.step(&mut params, &grads);
@@ -69,6 +73,7 @@ pub mod kernels;
 pub mod layers;
 pub mod matrix;
 pub mod numerics;
+pub mod ops;
 pub mod optim;
 pub mod params;
 pub mod pool;
@@ -80,6 +85,7 @@ pub use fault::{FaultPoint, FaultSpec};
 pub use kernels::{simd_accelerated, Act, Kernel};
 pub use layers::{AdditiveAttention, GruCell, Linear, Mlp};
 pub use matrix::Matrix;
+pub use ops::{Ops, TapeOps};
 pub use optim::Adam;
 pub use params::{
     append_crc_trailer, crc32, verify_crc_trailer, write_atomic, BinReader, CheckpointMap,

@@ -1,0 +1,357 @@
+//! The op set DeepSeq's forward pass is written against, the value
+//! arithmetic its backends share, and [`TapeOps`], the autograd backend.
+//!
+//! Model code (the level step, aggregation, the GRU combine, the heads) is
+//! written once, generically over [`Ops`]. [`TapeOps`] records each op on a
+//! [`Tape`] — training, `DeepSeq::predict`, GRANNITE; the serving
+//! workspace of `deepseq-serve` evaluates the same ops into reused scratch
+//! buffers. Where the tape records a single op, its arithmetic is one
+//! function here that both backends call, so they agree bit for bit under
+//! the bitwise kernels.
+//!
+//! # Example
+//!
+//! ```
+//! use deepseq_nn::{Matrix, Mlp, Params, Tape, TapeOps};
+//! use rand::SeedableRng;
+//!
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+//! let mut params = Params::new();
+//! let head = Mlp::new(&mut params, "head", &[4, 8, 1], &mut rng);
+//! let mut tape = Tape::new();
+//! let x = tape.input(Matrix::full(3, 4, 0.5));
+//! let y = head.forward(&mut TapeOps::new(&mut tape, &params), x);
+//! assert_eq!(tape.value(y).shape(), (3, 1));
+//! ```
+
+use crate::kernels::Act;
+use crate::matrix::Matrix;
+use crate::params::{ParamId, Params};
+use crate::tape::{Tape, VarId};
+
+/// The operations of one forward pass over a node state — the `n×d`
+/// matrix of node representations that levelized propagation updates.
+/// Each backend owns the state and commits new rows between level steps;
+/// ops return fresh values and never mutate their inputs. Weights are
+/// named by [`ParamId`] and resolved by the backend.
+pub trait Ops {
+    /// Handle to a value held by the backend.
+    type Value: Copy;
+
+    /// Rows `rows` of the current node state, stacked into `rows.len()×d`.
+    /// No rows give an empty `0×d` value.
+    fn gather_state(&mut self, rows: impl ExactSizeIterator<Item = usize>) -> Self::Value;
+
+    /// Rows `rows` of the node-feature matrix, stacked.
+    fn gather_features(&mut self, rows: impl ExactSizeIterator<Item = usize>) -> Self::Value;
+
+    /// `act(x·W + h·U [+ b])` — the GRU gate (Eq. 8) and, without bias and
+    /// activation, the additive-attention score (Eq. 5/6).
+    fn fused_gate(
+        &mut self,
+        x: Self::Value,
+        w: ParamId,
+        h: Self::Value,
+        u: ParamId,
+        b: Option<ParamId>,
+        act: Act,
+    ) -> Self::Value;
+
+    /// `act(x·W + b)` — one dense layer.
+    fn linear(&mut self, x: Self::Value, w: ParamId, b: ParamId, act: Act) -> Self::Value;
+
+    /// Softmax of an `m×1` score column within each segment
+    /// (`segments[i] < num_segments` owns row `i`).
+    fn segment_softmax(
+        &mut self,
+        scores: Self::Value,
+        segments: &[usize],
+        num_segments: usize,
+    ) -> Self::Value;
+
+    /// Sums the rows of `src` into `num_segments` rows by segment.
+    fn segment_sum(
+        &mut self,
+        src: Self::Value,
+        segments: &[usize],
+        num_segments: usize,
+    ) -> Self::Value;
+
+    /// Scales row `r` of `a` by `col[r]` (an `m×1` column).
+    fn mul_col(&mut self, a: Self::Value, col: Self::Value) -> Self::Value;
+
+    /// Element-wise product.
+    fn mul(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+
+    /// Column-wise concatenation `[a | b]`.
+    fn concat_cols(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+
+    /// Logistic sigmoid.
+    fn sigmoid(&mut self, a: Self::Value) -> Self::Value;
+
+    /// The GRU state update `(1 - z) ⊙ n + z ⊙ h`.
+    fn gru_blend(&mut self, z: Self::Value, n: Self::Value, h: Self::Value) -> Self::Value;
+}
+
+/// Writes the segment softmax of the `m×1` column `scores` into `out`
+/// (`m×1`): per segment, `exp(s - max)` over the segment's sum of them.
+///
+/// # Panics
+/// Panics if `scores` is not a column, lengths differ or a segment id is
+/// out of range.
+pub fn segment_softmax_into(
+    scores: &Matrix,
+    segments: &[usize],
+    num_segments: usize,
+    out: &mut Matrix,
+) {
+    assert_eq!(scores.cols(), 1, "segment_softmax needs an m×1 column");
+    assert_eq!(
+        segments.len(),
+        scores.rows(),
+        "segment_softmax length mismatch"
+    );
+    // Per-segment max for numerical stability.
+    let mut seg_max = vec![f32::NEG_INFINITY; num_segments];
+    for (i, &seg) in segments.iter().enumerate() {
+        seg_max[seg] = seg_max[seg].max(scores.get(i, 0));
+    }
+    let mut seg_total = vec![0.0f32; num_segments];
+    out.reset(segments.len(), 1);
+    for (i, &seg) in segments.iter().enumerate() {
+        let e = (scores.get(i, 0) - seg_max[seg]).exp();
+        out.set(i, 0, e);
+        seg_total[seg] += e;
+    }
+    for (i, &seg) in segments.iter().enumerate() {
+        out.set(i, 0, out.get(i, 0) / seg_total[seg]);
+    }
+}
+
+/// Writes the segment sum of the rows of `src` into `out`
+/// (`num_segments×c`), accumulating in row order.
+///
+/// # Panics
+/// Panics if `segments.len()` differs from the row count or a segment id is
+/// out of range.
+pub fn segment_sum_into(src: &Matrix, segments: &[usize], num_segments: usize, out: &mut Matrix) {
+    assert_eq!(segments.len(), src.rows(), "segment_sum length mismatch");
+    out.reset(num_segments, src.cols());
+    for (i, &seg) in segments.iter().enumerate() {
+        assert!(seg < num_segments, "segment id out of range");
+        for (o, &v) in out.row_mut(seg).iter_mut().zip(src.row(i)) {
+            *o += v;
+        }
+    }
+}
+
+/// Writes `a` with row `r` scaled by `col[r]` into `out`.
+///
+/// # Panics
+/// Panics if `col` is not an `m×1` column over `a`'s rows.
+pub fn mul_col_into(a: &Matrix, col: &Matrix, out: &mut Matrix) {
+    assert_eq!(col.cols(), 1, "mul_col needs an m×1 column");
+    assert_eq!(a.rows(), col.rows(), "mul_col row mismatch");
+    out.reset(a.rows(), a.cols());
+    for r in 0..a.rows() {
+        let s = col.get(r, 0);
+        for (o, &v) in out.row_mut(r).iter_mut().zip(a.row(r)) {
+            *o = v * s;
+        }
+    }
+}
+
+/// Writes `[a | b]` into `out`.
+///
+/// # Panics
+/// Panics if the row counts differ.
+pub fn concat_cols_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(a.rows(), b.rows(), "concat_cols row mismatch");
+    let ca = a.cols();
+    out.reset(a.rows(), ca + b.cols());
+    for r in 0..a.rows() {
+        let row = out.row_mut(r);
+        row[..ca].copy_from_slice(a.row(r));
+        row[ca..].copy_from_slice(b.row(r));
+    }
+}
+
+/// Mean of the rows of `hidden`, as a `1×d` matrix — the graph-level
+/// readout. Rows are summed in ascending order; no rows give zeros.
+pub fn mean_pool(hidden: &Matrix) -> Matrix {
+    let (n, d) = hidden.shape();
+    let mut pooled = Matrix::zeros(1, d);
+    for r in 0..n {
+        for (p, &v) in pooled.row_mut(0).iter_mut().zip(hidden.row(r)) {
+            *p += v;
+        }
+    }
+    pooled.scale_assign(1.0 / n.max(1) as f32);
+    pooled
+}
+
+/// The [`Ops`] backend that records on an autograd [`Tape`]; weights are
+/// parameter leaves of `params`, so [`Tape::backward`] reaches them.
+///
+/// With [`TapeOps::with_nodes`], the node state is a row map (node → tape
+/// value and row) that [`TapeOps::commit`] and [`TapeOps::copy_rows`]
+/// update without recording anything.
+#[derive(Debug)]
+pub struct TapeOps<'t> {
+    tape: &'t mut Tape,
+    params: &'t Params,
+    cur: Vec<(VarId, usize)>,
+    /// State width (for empty gathers) and node features.
+    nodes: Option<(usize, VarId)>,
+}
+
+impl<'t> TapeOps<'t> {
+    /// A backend over `tape` for layer ops only (no node state).
+    pub fn new(tape: &'t mut Tape, params: &'t Params) -> Self {
+        TapeOps {
+            tape,
+            params,
+            cur: Vec::new(),
+            nodes: None,
+        }
+    }
+
+    /// A backend whose node state starts as the rows of `state` (`n×d`)
+    /// and whose node features are the rows of `features`.
+    pub fn with_nodes(
+        tape: &'t mut Tape,
+        params: &'t Params,
+        state: VarId,
+        features: VarId,
+    ) -> Self {
+        let (n, d) = tape.value(state).shape();
+        TapeOps {
+            tape,
+            params,
+            cur: (0..n).map(|i| (state, i)).collect(),
+            nodes: Some((d, features)),
+        }
+    }
+
+    /// Level commit: node `nodes[i]` now lives in row `i` of `h`.
+    pub fn commit(&mut self, nodes: &[u32], h: VarId) {
+        for (i, &v) in nodes.iter().enumerate() {
+            self.cur[v as usize] = (h, i);
+        }
+    }
+
+    /// FF copy: for each `(dst, src)` in order, node `dst` takes node
+    /// `src`'s current row (later pairs see earlier copies).
+    pub fn copy_rows(&mut self, pairs: &[(u32, u32)]) {
+        for &(dst, src) in pairs {
+            self.cur[dst as usize] = self.cur[src as usize];
+        }
+    }
+
+    fn nodes(&self) -> (usize, VarId) {
+        self.nodes.expect("node-state ops need TapeOps::with_nodes")
+    }
+}
+
+impl Ops for TapeOps<'_> {
+    type Value = VarId;
+
+    fn gather_state(&mut self, rows: impl ExactSizeIterator<Item = usize>) -> VarId {
+        if rows.len() == 0 {
+            let width = self.nodes().0;
+            return self.tape.input(Matrix::zeros(0, width));
+        }
+        let sources = rows.map(|r| self.cur[r]).collect();
+        self.tape.gather_rows(sources)
+    }
+
+    fn gather_features(&mut self, rows: impl ExactSizeIterator<Item = usize>) -> VarId {
+        let features = self.nodes().1;
+        self.tape.gather_rows(rows.map(|r| (features, r)).collect())
+    }
+
+    fn fused_gate(
+        &mut self,
+        x: VarId,
+        w: ParamId,
+        h: VarId,
+        u: ParamId,
+        b: Option<ParamId>,
+        act: Act,
+    ) -> VarId {
+        let w = self.tape.param(self.params, w);
+        let u = self.tape.param(self.params, u);
+        let b = b.map(|b| self.tape.param(self.params, b));
+        self.tape.fused_gate(x, w, h, u, b, act)
+    }
+
+    fn linear(&mut self, x: VarId, w: ParamId, b: ParamId, act: Act) -> VarId {
+        let w = self.tape.param(self.params, w);
+        let b = self.tape.param(self.params, b);
+        let xw = self.tape.matmul(x, w);
+        let y = self.tape.add_row(xw, b);
+        match act {
+            Act::Identity => y,
+            Act::Sigmoid => self.tape.sigmoid(y),
+            Act::Tanh => self.tape.tanh(y),
+            Act::Relu => self.tape.relu(y),
+        }
+    }
+
+    fn segment_softmax(&mut self, scores: VarId, segments: &[usize], _: usize) -> VarId {
+        self.tape.segment_softmax(scores, segments.to_vec())
+    }
+
+    fn segment_sum(&mut self, src: VarId, segments: &[usize], num_segments: usize) -> VarId {
+        self.tape.segment_sum(src, segments.to_vec(), num_segments)
+    }
+
+    fn mul_col(&mut self, a: VarId, col: VarId) -> VarId {
+        self.tape.mul_col(a, col)
+    }
+
+    fn mul(&mut self, a: VarId, b: VarId) -> VarId {
+        self.tape.mul(a, b)
+    }
+
+    fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
+        self.tape.concat_cols(a, b)
+    }
+
+    fn sigmoid(&mut self, a: VarId) -> VarId {
+        self.tape.sigmoid(a)
+    }
+
+    fn gru_blend(&mut self, z: VarId, n: VarId, h: VarId) -> VarId {
+        let one_minus_z = self.tape.affine(z, -1.0, 1.0);
+        let a = self.tape.mul(one_minus_z, n);
+        let b = self.tape.mul(z, h);
+        self.tape.add(a, b)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn node_state_remaps_without_recording() {
+        let params = Params::new();
+        let mut tape = Tape::new();
+        let state = tape.input(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
+        let features = tape.input(Matrix::zeros(3, 1));
+        let h = tape.input(Matrix::from_rows(&[&[9.0]]));
+        let recorded = tape.len();
+        let mut ops = TapeOps::with_nodes(&mut tape, &params, state, features);
+        ops.commit(&[1], h);
+        // Chained copies see earlier ones: 0 ← 1 (now 9), then 2 ← 0.
+        ops.copy_rows(&[(0, 1), (2, 0)]);
+        let all = ops.gather_state(0..3);
+        let none = ops.gather_state(0..0);
+        assert_eq!(tape.len(), recorded + 2);
+        assert_eq!(tape.value(all).data(), &[9.0, 9.0, 9.0]);
+        assert_eq!(tape.value(none).shape(), (0, 1));
+        assert_eq!(mean_pool(tape.value(none)), Matrix::zeros(1, 1));
+        assert_eq!(mean_pool(tape.value(state)), Matrix::full(1, 1, 2.0));
+    }
+}

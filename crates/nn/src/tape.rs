@@ -28,6 +28,7 @@
 
 use crate::kernels::{Act, Kernel};
 use crate::matrix::Matrix;
+use crate::ops;
 use crate::params::{GradStore, ParamId, Params};
 
 /// Identifier of a value on a [`Tape`].
@@ -195,16 +196,8 @@ impl Tape {
 
     /// Column-wise concatenation `[a | b]` (same row count).
     pub fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
-        let av = self.value(a);
-        let bv = self.value(b);
-        assert_eq!(av.rows(), bv.rows(), "concat_cols row mismatch");
-        let (n, ca) = av.shape();
-        let cb = bv.cols();
-        let mut value = Matrix::zeros(n, ca + cb);
-        for r in 0..n {
-            value.row_mut(r)[..ca].copy_from_slice(av.row(r));
-            value.row_mut(r)[ca..].copy_from_slice(bv.row(r));
-        }
+        let mut value = Matrix::default();
+        ops::concat_cols_into(self.value(a), self.value(b), &mut value);
         self.push(Op::ConcatCols(a, b), value, None)
     }
 
@@ -233,16 +226,8 @@ impl Tape {
     /// # Panics
     /// Panics if `segments.len() != m` or a segment id is out of range.
     pub fn segment_sum(&mut self, src: VarId, segments: Vec<usize>, num_segments: usize) -> VarId {
-        let sv = self.value(src);
-        assert_eq!(segments.len(), sv.rows(), "segment_sum length mismatch");
-        let mut value = Matrix::zeros(num_segments, sv.cols());
-        for (i, &seg) in segments.iter().enumerate() {
-            assert!(seg < num_segments, "segment id out of range");
-            let row = sv.row(i).to_vec();
-            for (o, v) in value.row_mut(seg).iter_mut().zip(row) {
-                *o += v;
-            }
-        }
+        let mut value = Matrix::default();
+        ops::segment_sum_into(self.value(src), &segments, num_segments, &mut value);
         self.push(Op::SegmentSum { src, segments }, value, None)
     }
 
@@ -252,27 +237,9 @@ impl Tape {
     /// # Panics
     /// Panics if `src` is not a column vector or lengths mismatch.
     pub fn segment_softmax(&mut self, src: VarId, segments: Vec<usize>) -> VarId {
-        let sv = self.value(src);
-        assert_eq!(sv.cols(), 1, "segment_softmax needs an m×1 column");
-        assert_eq!(segments.len(), sv.rows(), "segment_softmax length mismatch");
-        let m = sv.rows();
         let num_segments = segments.iter().copied().max().map_or(0, |s| s + 1);
-        // Per-segment max for numerical stability.
-        let mut seg_max = vec![f32::NEG_INFINITY; num_segments];
-        for i in 0..m {
-            seg_max[segments[i]] = seg_max[segments[i]].max(sv.get(i, 0));
-        }
-        let mut seg_total = vec![0.0f32; num_segments];
-        let mut exps = vec![0.0f32; m];
-        for i in 0..m {
-            let e = (sv.get(i, 0) - seg_max[segments[i]]).exp();
-            exps[i] = e;
-            seg_total[segments[i]] += e;
-        }
-        let mut value = Matrix::zeros(m, 1);
-        for i in 0..m {
-            value.set(i, 0, exps[i] / seg_total[segments[i]]);
-        }
+        let mut value = Matrix::default();
+        ops::segment_softmax_into(self.value(src), &segments, num_segments, &mut value);
         self.push(Op::SegmentSoftmax { src, segments }, value, None)
     }
 
@@ -282,11 +249,8 @@ impl Tape {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn mul_col(&mut self, a: VarId, col: VarId) -> VarId {
-        let av = self.value(a);
-        let cv = self.value(col);
-        assert_eq!(cv.cols(), 1, "mul_col needs an m×1 column");
-        assert_eq!(av.rows(), cv.rows(), "mul_col row mismatch");
-        let value = Matrix::from_fn(av.rows(), av.cols(), |r, c| av.get(r, c) * cv.get(r, 0));
+        let mut value = Matrix::default();
+        ops::mul_col_into(self.value(a), self.value(col), &mut value);
         self.push(Op::MulCol(a, col), value, None)
     }
 

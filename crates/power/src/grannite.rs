@@ -11,8 +11,9 @@
 use deepseq_core::aggregate::AggregatorLayer;
 use deepseq_core::config::Aggregator;
 use deepseq_core::graph::CircuitGraph;
+use deepseq_core::DirectionLayer;
 use deepseq_netlist::aig::{SeqAig, NUM_NODE_TYPES};
-use deepseq_nn::{Adam, GruCell, Linear, Matrix, Mlp, Params, Tape, VarId};
+use deepseq_nn::{Act, Adam, GruCell, Linear, Matrix, Mlp, Ops, Params, Tape, TapeOps, VarId};
 use deepseq_sim::NodeProbabilities;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -120,8 +121,7 @@ pub struct Grannite {
     config: GranniteConfig,
     params: Params,
     embed: Linear,
-    agg: AggregatorLayer,
-    gru: GruCell,
+    layer: DirectionLayer,
     head: Mlp,
 }
 
@@ -139,8 +139,7 @@ impl Grannite {
             config,
             params,
             embed,
-            agg,
-            gru,
+            layer: DirectionLayer { agg, gru },
             head,
         }
     }
@@ -153,44 +152,17 @@ impl Grannite {
     /// Records the single forward pass; returns the `n×2` toggle prediction.
     pub fn forward(&self, tape: &mut Tape, graph: &CircuitGraph, features: &Matrix) -> VarId {
         let feats = tape.input(features.clone());
-        let h0_raw = self.embed.forward(tape, &self.params, feats);
-        let h0 = tape.tanh(h0_raw);
-        let mut cur: Vec<(VarId, usize)> = (0..graph.num_nodes).map(|i| (h0, i)).collect();
-        for batch in &graph.forward {
-            if batch.nodes.is_empty() {
-                continue;
-            }
-            let node_prev =
-                tape.gather_rows(batch.nodes.iter().map(|&v| cur[v as usize]).collect());
-            let edge_prev = tape.gather_rows(
-                batch
-                    .edges
-                    .iter()
-                    .map(|&(_, seg)| cur[batch.nodes[seg as usize] as usize])
-                    .collect(),
-            );
-            let edge_msgs =
-                tape.gather_rows(batch.edges.iter().map(|&(u, _)| cur[u as usize]).collect());
-            let segments: Vec<usize> = batch.edges.iter().map(|&(_, s)| s as usize).collect();
-            let m = self.agg.aggregate(
-                tape,
-                &self.params,
-                node_prev,
-                edge_prev,
-                edge_msgs,
-                &segments,
-                batch.nodes.len(),
-            );
-            let x = tape.gather_rows(batch.nodes.iter().map(|&v| (feats, v as usize)).collect());
-            let input = tape.concat_cols(m, x);
-            let h_new = self.gru.forward(tape, &self.params, input, node_prev);
-            for (i, &v) in batch.nodes.iter().enumerate() {
-                cur[v as usize] = (h_new, i);
-            }
+        let h0 = self
+            .embed
+            .forward(&mut TapeOps::new(tape, &self.params), feats, Act::Tanh);
+        let mut ops = TapeOps::with_nodes(tape, &self.params, h0, feats);
+        for batch in graph.forward.iter().filter(|batch| !batch.is_empty()) {
+            let h = self.layer.step(&mut ops, batch, 0..batch.len());
+            ops.commit(&batch.nodes, h);
         }
-        let hidden = tape.gather_rows(cur);
-        let raw = self.head.forward(tape, &self.params, hidden);
-        tape.sigmoid(raw)
+        let hidden = ops.gather_state(0..graph.num_nodes);
+        let raw = self.head.forward(&mut ops, hidden);
+        ops.sigmoid(raw)
     }
 
     /// Full toggle-rate table: combinational gates from the model, PIs and

@@ -169,7 +169,7 @@ impl Default for EngineOptions {
 ///
 /// let model = DeepSeq::new(DeepSeqConfig { hidden_dim: 8, iterations: 2,
 ///                                          ..DeepSeqConfig::default() });
-/// let engine = Engine::new(InferenceModel::from_model(&model).unwrap(),
+/// let engine = Engine::new(InferenceModel::from_model(&model),
 ///                          EngineOptions { workers: 2, cache_capacity: 16,
 ///                                          ..EngineOptions::default() });
 ///
@@ -663,7 +663,7 @@ mod tests {
             ..DeepSeqConfig::default()
         });
         Engine::with_pool(
-            InferenceModel::from_model(&model).unwrap(),
+            InferenceModel::from_model(&model),
             EngineOptions {
                 workers,
                 cache_capacity: 8,
@@ -832,7 +832,7 @@ mod tests {
             iterations: 2,
             ..DeepSeqConfig::default()
         });
-        engine.swap_model(InferenceModel::from_model(&model).unwrap());
+        engine.swap_model(InferenceModel::from_model(&model));
         // The old entry is gone (old weights), and serving still works.
         assert!(engine.lookup_cached(&make(2)).is_none());
         let responses = engine.serve_batch(vec![make(3)]);

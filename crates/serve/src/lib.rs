@@ -6,10 +6,11 @@
 //! the same weights, often on the same or near-identical circuits. This
 //! crate is the serving chassis for that traffic:
 //!
-//! * [`InferenceModel`] — a **tape-free forward pass**: the levelized
-//!   propagation of `deepseq-core` replayed on plain matrix ops with
-//!   preallocated [`Workspace`] scratch buffers. No autograd tape is grown,
-//!   and predictions are bitwise-equal to
+//! * [`InferenceModel`] — a **tape-free forward pass**: the frozen model's
+//!   own propagation schedule, level step and readout (written once in
+//!   `deepseq-core` against [`Ops`](deepseq_nn::Ops)) run on a serving
+//!   backend that evaluates into reused [`Workspace`] scratch buffers. No
+//!   autograd tape is grown, and predictions are bitwise-equal to
 //!   [`DeepSeq::predict`](deepseq_core::DeepSeq::predict) on the same
 //!   checkpoint;
 //! * **blocked GEMM kernels** — every product of the forward pass
@@ -24,7 +25,8 @@
 //!   count;
 //! * **binary checkpoints** — loads the `DSQM`/`DSQP` little-endian format
 //!   added to `deepseq-nn`/`deepseq-core` alongside the text format
-//!   ([`InferenceModel::from_binary_checkpoint`]);
+//!   ([`InferenceModel::from_binary_checkpoint`]; [`load_checkpoint`]
+//!   maps a file of either format);
 //! * [`EmbeddingCache`] — a **content-addressed LRU**: results keyed by the
 //!   canonical structural hash of the circuit
 //!   ([`deepseq_netlist::structural_hash`], invariant under node
@@ -52,7 +54,7 @@
 //! // Freeze a (here: untrained) model and start an engine.
 //! let model = DeepSeq::new(DeepSeqConfig { hidden_dim: 8, iterations: 2,
 //!                                          ..DeepSeqConfig::default() });
-//! let engine = Engine::new(InferenceModel::from_model(&model).unwrap(),
+//! let engine = Engine::new(InferenceModel::from_model(&model),
 //!                          EngineOptions { workers: 2, cache_capacity: 32,
 //!                                          ..EngineOptions::default() });
 //!
@@ -94,7 +96,7 @@ pub use engine::{
     ServeResponse, ServedInference,
 };
 pub use http::{HttpLimits, HttpRequest, HttpResponse};
-pub use infer::{InferenceModel, InferenceOutput, Workspace};
+pub use infer::{load_checkpoint, CheckpointFormat, InferenceModel, InferenceOutput, Workspace};
 pub use metrics::Metrics;
 pub use server::{DrainReport, HttpServer, ServerOptions};
 
@@ -104,8 +106,8 @@ pub use server::{DrainReport, HttpServer, ServerOptions};
 pub enum ServeError {
     /// A checkpoint failed to parse or decode.
     Checkpoint(ParamsError),
-    /// The parameter store lacks a canonical DeepSeq parameter.
-    MissingParam(String),
+    /// A file could not be read (the I/O error's message).
+    Io(String),
     /// The request's circuit is structurally invalid.
     Netlist(NetlistError),
     /// The request's workload covers fewer PIs than the circuit has.
@@ -133,9 +135,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
-            ServeError::MissingParam(name) => {
-                write!(f, "parameter store is missing `{name}`")
-            }
+            ServeError::Io(detail) => write!(f, "I/O error: {detail}"),
             ServeError::Netlist(e) => write!(f, "invalid circuit: {e}"),
             ServeError::WorkloadTooShort { pis, stimuli } => {
                 write!(f, "workload covers {stimuli} PIs but the circuit has {pis}")

@@ -23,7 +23,8 @@ use deepseq_core::{DeepSeq, DeepSeqConfig};
 use deepseq_netlist::{lower_to_aig, parse_aiger, SeqAig};
 use deepseq_serve::json::response_to_json;
 use deepseq_serve::{
-    Engine, EngineOptions, HttpServer, InferenceModel, ServeRequest, ServerOptions,
+    CheckpointFormat, Engine, EngineOptions, HttpServer, InferenceModel, ServeRequest,
+    ServerOptions,
 };
 use deepseq_sim::Workload;
 
@@ -224,8 +225,7 @@ fn predict(args: &[String]) -> Result<(), String> {
                 iterations: args.iters,
                 ..DeepSeqConfig::default()
             };
-            InferenceModel::from_model(&DeepSeq::new(config))
-                .map_err(|e| format!("freezing fresh model: {e}"))?
+            InferenceModel::from(DeepSeq::new(config))
         }
     };
 
@@ -353,8 +353,7 @@ fn serve(args: &[String]) -> Result<(), String> {
                 iterations: args.iters,
                 ..DeepSeqConfig::default()
             };
-            InferenceModel::from_model(&DeepSeq::new(config))
-                .map_err(|e| format!("freezing fresh model: {e}"))?
+            InferenceModel::from(DeepSeq::new(config))
         }
     };
     let engine = Engine::new(
@@ -394,20 +393,9 @@ fn serve(args: &[String]) -> Result<(), String> {
 }
 
 fn load_checkpoint(path: &str) -> Result<InferenceModel, String> {
-    // Zero-copy: the checkpoint is mapped, not read into a heap buffer —
-    // decoding streams straight out of the page cache.
-    let map = deepseq_nn::CheckpointMap::open(path.as_ref())
-        .map_err(|e| format!("reading {path}: {e}"))?;
-    let bytes = map.bytes();
-    if bytes.starts_with(&deepseq_core::model::MODEL_MAGIC) {
-        InferenceModel::from_binary_checkpoint(bytes)
-            .map_err(|e| format!("loading binary checkpoint {path}: {e}"))
-    } else {
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| format!("{path} is neither binary nor text"))?;
-        InferenceModel::from_text_checkpoint(text)
-            .map_err(|e| format!("loading text checkpoint {path}: {e}"))
-    }
+    let (model, _) = deepseq_serve::load_checkpoint(path.as_ref())
+        .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
+    Ok(model.into())
 }
 
 fn load_circuit(path: &str) -> Result<SeqAig, String> {
@@ -482,23 +470,16 @@ fn convert(args: &[String]) -> Result<(), String> {
     let [input, output] = args else {
         return Err(format!("convert needs <INPUT> <OUTPUT>\n\n{USAGE}"));
     };
-    let bytes = fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
+    let (model, format) = deepseq_serve::load_checkpoint(input.as_ref())
+        .map_err(|e| format!("loading checkpoint {input}: {e}"))?;
+    let (bytes, direction) = match format {
+        CheckpointFormat::Binary => (model.save_to_string().into_bytes(), "binary → text"),
+        CheckpointFormat::Text => (model.save_binary(), "text → binary"),
+    };
     // write_atomic (temp file + fsync + rename) so a crash mid-convert
     // never leaves a truncated checkpoint at the output path.
-    if bytes.starts_with(&deepseq_core::model::MODEL_MAGIC) {
-        let model = DeepSeq::from_binary_checkpoint(&bytes)
-            .map_err(|e| format!("loading binary checkpoint {input}: {e}"))?;
-        deepseq_nn::write_atomic(output.as_ref(), model.save_to_string().as_bytes())
-            .map_err(|e| format!("writing {output}: {e}"))?;
-        eprintln!("converted binary → text: {input} → {output}");
-    } else {
-        let text =
-            String::from_utf8(bytes).map_err(|_| format!("{input} is neither binary nor text"))?;
-        let model = DeepSeq::from_checkpoint(&text)
-            .map_err(|e| format!("loading text checkpoint {input}: {e}"))?;
-        deepseq_nn::write_atomic(output.as_ref(), &model.save_binary())
-            .map_err(|e| format!("writing {output}: {e}"))?;
-        eprintln!("converted text → binary: {input} → {output}");
-    }
+    deepseq_nn::write_atomic(output.as_ref(), &bytes)
+        .map_err(|e| format!("writing {output}: {e}"))?;
+    eprintln!("converted {direction}: {input} → {output}");
     Ok(())
 }

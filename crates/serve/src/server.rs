@@ -63,14 +63,12 @@ use std::time::{Duration, Instant};
 use deepseq_netlist::{lower_to_aig, parse_aiger, SeqAig};
 use deepseq_nn::fault::{self, FaultPoint};
 use deepseq_nn::trace;
-use deepseq_nn::CheckpointMap;
 use deepseq_sim::Workload;
 
 use crate::engine::{Engine, EngineError, ServeRequest, ServeResponse};
 use crate::http::{
     read_request_with, write_response, HttpError, HttpLimits, HttpRequest, HttpResponse,
 };
-use crate::infer::InferenceModel;
 use crate::json::response_to_json;
 use crate::metrics::Metrics;
 use crate::ServeError;
@@ -792,9 +790,9 @@ fn admin_reload(shared: &Arc<ServerShared>) -> HttpResponse {
             "no checkpoint to reload (server started without --checkpoint)",
         );
     };
-    match reload_checkpoint(path) {
-        Ok(model) => {
-            shared.engine.swap_model(model);
+    match crate::infer::load_checkpoint(path.as_ref()) {
+        Ok((model, _)) => {
+            shared.engine.swap_model(model.into());
             shared.set_degraded(false);
             HttpResponse::json(200, "{\"status\":\"reloaded\"}")
         }
@@ -802,22 +800,6 @@ fn admin_reload(shared: &Arc<ServerShared>) -> HttpResponse {
             shared.set_degraded(true);
             HttpResponse::error(500, &format!("checkpoint reload failed ({msg}); degraded"))
         }
-    }
-}
-
-/// Loads a checkpoint for [`admin_reload`], sniffing binary (`DSQM`)
-/// versus text by the magic. The file is mapped ([`CheckpointMap`]), not
-/// copied into a heap buffer — decoding reads straight out of the page
-/// cache.
-fn reload_checkpoint(path: &str) -> Result<InferenceModel, String> {
-    let map = CheckpointMap::open(path.as_ref()).map_err(|e| format!("reading {path}: {e}"))?;
-    let bytes = map.bytes();
-    if bytes.starts_with(&deepseq_core::model::MODEL_MAGIC) {
-        InferenceModel::from_binary_checkpoint(bytes).map_err(|e| e.to_string())
-    } else {
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| format!("{path} is neither binary nor text"))?;
-        InferenceModel::from_text_checkpoint(text).map_err(|e| e.to_string())
     }
 }
 
@@ -977,7 +959,7 @@ mod tests {
             ..DeepSeqConfig::default()
         });
         Engine::with_pool(
-            InferenceModel::from_model(&model).expect("canonical params"),
+            InferenceModel::from_model(&model),
             EngineOptions {
                 workers: 2,
                 cache_capacity: 8,

@@ -1,8 +1,8 @@
 //! The acceptance gate of the serving subsystem: the tape-free forward pass
 //! must produce predictions **bitwise equal** to `DeepSeq::forward` on the
 //! same checkpoint — across every aggregator, every propagation scheme,
-//! random circuits and the synthetic design suite. Under the opt-in fast
-//! mode (`DEEPSEQ_KERNEL=simd`) the same suite runs with the
+//! random circuits, the empty circuit and the synthetic design suite. Under
+//! the opt-in fast mode (`DEEPSEQ_KERNEL=simd`) the same suite runs with the
 //! bounded-relative-error half of the two-mode numerics contract instead
 //! (see `util::matrices_match`).
 
@@ -12,7 +12,7 @@ use deepseq_core::encoding::initial_states;
 use deepseq_core::{Aggregator, CircuitGraph, DeepSeq, DeepSeqConfig, PropagationScheme};
 use deepseq_data::designs;
 use deepseq_data::random::{random_circuit, CircuitSpec};
-use deepseq_netlist::{lower_to_aig, SeqAig};
+use deepseq_netlist::{lower_to_aig, parse_aiger, SeqAig};
 use deepseq_serve::{InferenceModel, Workspace};
 use deepseq_sim::Workload;
 use rand::rngs::StdRng;
@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 fn assert_equivalent(aig: &SeqAig, config: DeepSeqConfig, ws: &mut Workspace) {
     let model = DeepSeq::new(config);
-    let frozen = InferenceModel::from_model(&model).unwrap();
+    let frozen = InferenceModel::from_model(&model);
     let graph = CircuitGraph::build(aig);
     let workload = Workload::uniform(aig.num_pis(), 0.4);
     let h0 = initial_states(aig, &workload, config.hidden_dim, 7);
@@ -39,9 +39,11 @@ fn assert_equivalent(aig: &SeqAig, config: DeepSeqConfig, ws: &mut Workspace) {
 fn equivalent_on_random_circuits_across_all_configs() {
     let mut rng = StdRng::seed_from_u64(11);
     let spec = CircuitSpec::default();
-    let circuits: Vec<SeqAig> = (0..3)
+    let mut circuits: Vec<SeqAig> = (0..3)
         .map(|i| random_circuit(&format!("r{i}"), &spec, &mut rng))
         .collect();
+    // A valid 0-node circuit: empty predictions and a zero embedding.
+    circuits.push(parse_aiger("aag 0 0 0 0 0\n").expect("empty circuit parses"));
     let mut ws = Workspace::new();
     for agg in [
         Aggregator::ConvSum,
@@ -122,7 +124,7 @@ fn workspace_reuse_is_deterministic() {
         iterations: 2,
         ..DeepSeqConfig::default()
     };
-    let frozen = InferenceModel::from_model(&DeepSeq::new(config)).unwrap();
+    let frozen = InferenceModel::from_model(&DeepSeq::new(config));
     let ga = CircuitGraph::build(&a);
     let gb = CircuitGraph::build(&b);
     let ha = initial_states(&a, &Workload::uniform(a.num_pis(), 0.5), 8, 1);

@@ -220,7 +220,7 @@ proptest! {
         // which bits, never their dependence on thread count).
         let config = DeepSeqConfig { hidden_dim: 16, iterations: 2, ..DeepSeqConfig::default() };
         let model = DeepSeq::new(config);
-        let frozen = InferenceModel::from_model(&model).unwrap();
+        let frozen = InferenceModel::from_model(&model);
         let graph = CircuitGraph::build(&aig);
         let h0 = initial_states(&aig, &Workload::uniform(aig.num_pis(), 0.5), 16, seed);
         for kernel in [Kernel::Blocked, Kernel::Simd] {
@@ -251,7 +251,7 @@ proptest! {
     fn engine_matches_direct_forward(aigs in proptest::collection::vec(arb_seq_aig(), 1..4), workers in 1usize..4) {
         let config = DeepSeqConfig { hidden_dim: 6, iterations: 2, ..DeepSeqConfig::default() };
         let model = DeepSeq::new(config);
-        let frozen = InferenceModel::from_model(&model).unwrap();
+        let frozen = InferenceModel::from_model(&model);
         let engine = Engine::new(frozen, EngineOptions { workers, cache_capacity: 8,
                                                          ..EngineOptions::default() });
 
@@ -318,12 +318,12 @@ proptest! {
         for threads in [1usize, 4] {
             let pool = Arc::new(Pool::new(threads));
             let memoed = Engine::with_pool(
-                InferenceModel::from_model(&model).unwrap(),
+                InferenceModel::from_model(&model),
                 EngineOptions { workers: 2, cache_capacity: 0, cone_capacity: 64 },
                 Arc::clone(&pool),
             );
             let plain = Engine::with_pool(
-                InferenceModel::from_model(&model).unwrap(),
+                InferenceModel::from_model(&model),
                 EngineOptions { workers: 2, cache_capacity: 0, cone_capacity: 0 },
                 pool,
             );

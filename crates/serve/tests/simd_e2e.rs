@@ -64,7 +64,7 @@ fn forward_stays_within_documented_bound_of_tape_path() {
     enable_fast_mode();
     let config = small_config();
     let model = DeepSeq::new(config);
-    let frozen = InferenceModel::from_model(&model).unwrap();
+    let frozen = InferenceModel::from_model(&model);
     let mut ws = Workspace::new(); // serving default → fused kernels
     for index in 0..4 {
         let aig = util::counter_aig(index);
@@ -92,14 +92,14 @@ fn engine_matches_in_process_forward_bitwise() {
     let model = DeepSeq::new(config);
     // Two frozen models from the same deterministic build: identical bits.
     let engine = Engine::new(
-        InferenceModel::from_model(&model).unwrap(),
+        InferenceModel::from_model(&model),
         EngineOptions {
             workers: 3,
             cache_capacity: 8,
             ..EngineOptions::default()
         },
     );
-    let frozen = InferenceModel::from_model(&model).unwrap();
+    let frozen = InferenceModel::from_model(&model);
     let requests: Vec<ServeRequest> = (0..3)
         .map(|i| {
             let aig = util::counter_aig(i);

@@ -232,7 +232,7 @@ pub fn test_engine(threads: usize) -> Engine {
         ..DeepSeqConfig::default()
     });
     Engine::with_pool(
-        InferenceModel::from_model(&model).expect("canonical params"),
+        InferenceModel::from_model(&model),
         EngineOptions {
             workers: threads,
             cache_capacity: 64,

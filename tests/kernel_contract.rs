@@ -2,14 +2,20 @@
 //! kernel `blocked` reproduces the reference `naive` kernel bit for bit on
 //! the product shapes one `eco` edit runs (d = 32), on 1- and 2-thread
 //! pools; a tape-free forward pass on it is bit-equal to the tape's
-//! `DeepSeq::predict`; and serving defaults to it.
+//! `DeepSeq::predict` for every configuration on 1-, 2- and 4-thread pools,
+//! including levels wide enough to be split into chunks; and serving
+//! defaults to it.
+
+use std::sync::Arc;
 
 use deepseq::core::encoding::initial_states;
-use deepseq::core::{CircuitGraph, DeepSeq, DeepSeqConfig};
-use deepseq::netlist::SeqAig;
+use deepseq::core::{Aggregator, CircuitGraph, DeepSeq, DeepSeqConfig, PropagationScheme};
 use deepseq::nn::{Act, Kernel, Matrix, Pool};
 use deepseq::serve::{InferenceModel, Workspace};
 use deepseq::sim::Workload;
+
+mod common;
+use common::{and_not_pairs, two_ff_circuit};
 
 fn filled(rows: usize, cols: usize, seed: f32) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -95,33 +101,55 @@ fn blocked_matches_naive_bitwise_on_eco_shapes() {
 
 #[test]
 fn blocked_serving_forward_matches_tape_predict_bitwise() {
-    // Two flip-flops behind one input: a small sequential circuit.
-    let mut aig = SeqAig::new("pair");
-    let en = aig.add_pi("en");
-    let q0 = aig.add_ff("q0", false);
-    let q1 = aig.add_ff("q1", false);
-    let g0 = aig.add_and(en, q0);
-    let d0 = aig.add_not(g0);
-    let nq1 = aig.add_not(q1);
-    let d1 = aig.add_and(q0, nq1);
-    aig.connect_ff(q0, d0).expect("connect q0");
-    aig.connect_ff(q1, d1).expect("connect q1");
-    aig.set_output(q1, "y");
-
-    let config = DeepSeqConfig {
-        hidden_dim: 16,
-        iterations: 2,
-        ..DeepSeqConfig::default()
-    };
-    let model = DeepSeq::new(config);
-    let frozen = InferenceModel::from_model(&model).expect("freeze model");
-    let graph = CircuitGraph::build(&aig);
-    let h0 = initial_states(&aig, &Workload::uniform(aig.num_pis(), 0.4), 16, 3);
-    let tape = model.predict(&graph, &h0);
-    let mut ws = Workspace::with_kernel(Kernel::Blocked);
-    let free = frozen.run(&graph, &h0, &mut ws).predictions;
-    assert_bits_eq(&free.tr, &tape.tr, "tr predictions");
-    assert_bits_eq(&free.lg, &tape.lg, "lg predictions");
+    let circuits = [two_ff_circuit(), and_not_pairs("wide", 40, 8, 4)];
+    // Serving splits levels of at least 32 nodes into chunks on
+    // multi-thread pools; the second circuit must have one.
+    let widest = CircuitGraph::build(&circuits[1])
+        .forward
+        .iter()
+        .map(|level| level.len())
+        .max();
+    assert!(widest >= Some(32), "widest level {widest:?}");
+    let pools: Vec<Arc<Pool>> = [1, 2, 4].map(|t| Arc::new(Pool::new(t))).into();
+    for aggregator in [
+        Aggregator::ConvSum,
+        Aggregator::Attention,
+        Aggregator::DualAttention,
+    ] {
+        for scheme in [
+            PropagationScheme::DagConv,
+            PropagationScheme::DagRec,
+            PropagationScheme::Custom,
+        ] {
+            let config = DeepSeqConfig {
+                hidden_dim: 16,
+                iterations: 2,
+                aggregator,
+                scheme,
+                ..DeepSeqConfig::default()
+            };
+            let model = DeepSeq::new(config);
+            let frozen = InferenceModel::from_model(&model);
+            for aig in &circuits {
+                let graph = CircuitGraph::build(aig);
+                let h0 = initial_states(aig, &Workload::uniform(aig.num_pis(), 0.4), 16, 3);
+                let tape = model.predict(&graph, &h0);
+                let embedding = model.embed_graph(&graph, &h0);
+                for pool in &pools {
+                    let mut ws = Workspace::with_pool(Kernel::Blocked, Arc::clone(pool));
+                    let free = frozen.run(&graph, &h0, &mut ws);
+                    let ctx = format!(
+                        "{} with {aggregator:?}/{scheme:?} on {} thread(s)",
+                        aig.name(),
+                        pool.threads()
+                    );
+                    assert_bits_eq(&free.predictions.tr, &tape.tr, &format!("tr, {ctx}"));
+                    assert_bits_eq(&free.predictions.lg, &tape.lg, &format!("lg, {ctx}"));
+                    assert_bits_eq(&free.embedding, &embedding, &format!("embedding, {ctx}"));
+                }
+            }
+        }
+    }
 }
 
 #[test]
