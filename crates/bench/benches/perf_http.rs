@@ -78,7 +78,6 @@ fn boot() -> HttpServer {
         InferenceModel::from_model(&model),
         EngineOptions {
             workers: 1,
-            cache_capacity: 64,
             ..EngineOptions::default()
         },
         Arc::new(Pool::new(1)),
@@ -96,7 +95,8 @@ fn bench_http(c: &mut Criterion) {
         b.iter(|| assert_eq!(exchange(addr, "GET", "/healthz", b""), 200))
     });
 
-    // Cache-hit round-trip: admission + hash + LRU + JSON over the wire.
+    // Cache-hit round-trip: admission + cone-memo lookup + JSON over the
+    // wire.
     assert_eq!(
         exchange(addr, "POST", "/v1/embed?seed=0", circuit.as_bytes()),
         200,

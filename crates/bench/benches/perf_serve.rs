@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the serving subsystem: the autograd-tape forward
-//! pass vs. the tape-free [`InferenceModel`] vs. the content-addressed
-//! cache-hit path, on the synthetic design suite and a training-scale
+//! pass vs. the tape-free [`InferenceModel`] vs. the cone memo's
+//! whole-hit path, on the synthetic design suite and a training-scale
 //! random circuit. These back the PR-2 acceptance criterion (tape-free
 //! measurably faster than tape; cache hit faster still) and feed the
 //! `BENCH_serve.json` perf-trajectory artifact collected in CI.
@@ -107,8 +107,7 @@ fn bench_cache_hit(c: &mut Criterion) {
             f.frozen.clone(),
             EngineOptions {
                 workers: 1,
-                cache_capacity: 8,
-                cone_capacity: 0,
+                ..EngineOptions::default()
             },
             Arc::new(Pool::new(1)),
         );
@@ -118,8 +117,8 @@ fn bench_cache_hit(c: &mut Criterion) {
             workload: Workload::uniform(f.aig.num_pis(), 0.5),
             init_seed: 0,
         };
-        // Warm the cache, then measure the full hit path (structural hash +
-        // key lookup + channel round-trip).
+        // Warm the cone memo, then measure the whole-hit path (initial
+        // states, partition, component keys, memo lookups and assembly).
         let warm = engine.serve_batch(vec![make(0)]);
         assert!(!warm[0].result.as_ref().expect("serves").cache_hit);
         let mut id = 1u64;
@@ -171,12 +170,18 @@ fn blocky_aig(blocks: usize, gates: usize, variant: u64) -> SeqAig {
 }
 
 /// Near-duplicate serving: a 16-component circuit warms the cone memo,
-/// then a one-component edit of it is served with the memo
-/// (`serve_cone_hit_*`: unchanged components splice their memoized
-/// final-state rows) and without (`serve_cone_full_*`: full recompute).
-/// The derived `cone_speedup_blocks16` ratio is the acceptance number for
-/// cone-granularity caching; the exact-match cache is disabled in both so
-/// the comparison isolates the cone path.
+/// then one-component edits of it are served with the memo
+/// (`serve_cone_hit_*`: unchanged components splice their memoized rows,
+/// only the edited one is propagated and read out) and without
+/// (`serve_cone_full_*`: full recompute). The edits cycle through
+/// [`CONE_EDITS`] variants while the memo keeps room for only
+/// [`CONE_EDITS`]` / 2` of them, so an edit is evicted before it recurs
+/// and no request becomes a whole hit. The derived
+/// `cone_speedup_blocks16` ratio is the acceptance number for
+/// cone-granularity caching.
+/// One-component edits cycled by the cone benches.
+const CONE_EDITS: usize = 64;
+
 fn bench_cone_reuse(c: &mut Criterion) {
     let config = DeepSeqConfig {
         hidden_dim: 32,
@@ -186,7 +191,9 @@ fn bench_cone_reuse(c: &mut Criterion) {
     let model = DeepSeq::new(config);
     let frozen = InferenceModel::from_model(&model);
     let base = blocky_aig(16, 24, 0);
-    let edited = blocky_aig(16, 24, 1);
+    let edits: Vec<SeqAig> = (1..=CONE_EDITS as u64)
+        .map(|v| blocky_aig(16, 24, v))
+        .collect();
     let make = |aig: &SeqAig, id| ServeRequest {
         id,
         aig: aig.clone(),
@@ -194,15 +201,15 @@ fn bench_cone_reuse(c: &mut Criterion) {
         init_seed: 0,
     };
     for (name, cones) in [
-        ("serve_cone_hit_blocks16", 4096),
+        ("serve_cone_hit_blocks16", 16 + CONE_EDITS / 2),
         ("serve_cone_full_blocks16", 0),
     ] {
         let engine = Engine::with_pool(
             frozen.clone(),
             EngineOptions {
                 workers: 1,
-                cache_capacity: 0,
                 cone_capacity: cones,
+                ..EngineOptions::default()
             },
             Arc::new(Pool::new(1)),
         );
@@ -211,9 +218,11 @@ fn bench_cone_reuse(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 id += 1;
-                let r = engine.serve_batch(vec![make(&edited, id)]);
+                let edited = &edits[id as usize % CONE_EDITS];
+                let r = engine.serve_batch(vec![make(edited, id)]);
                 let served = r[0].result.as_ref().expect("serves");
-                assert_eq!(served.cones_reused > 0, cones > 0);
+                assert!(!served.cache_hit);
+                assert_eq!(served.cones_reused, if cones > 0 { 15 } else { 0 });
             })
         });
     }

@@ -116,8 +116,8 @@ fn bench_mt_batch(c: &mut Criterion) {
                 f.frozen.clone(),
                 EngineOptions {
                     workers: threads,
-                    cache_capacity: 0,
                     cone_capacity: 0,
+                    ..EngineOptions::default()
                 },
                 Arc::new(Pool::new(threads)),
             );

@@ -158,10 +158,13 @@ pub fn parse_aiger(text: &str) -> Result<SeqAig, NetlistError> {
         rhs1: u32,
         line: usize,
     }
-    let mut input_vars = Vec::with_capacity(i);
-    let mut latches = Vec::with_capacity(l);
-    let mut outputs = Vec::with_capacity(o);
-    let mut ands = Vec::with_capacity(a);
+    // Nothing is reserved from the header counts: they are untrusted, and
+    // a 32-byte header can claim billions of lines. Each vector grows with
+    // the lines actually read.
+    let mut input_vars = Vec::new();
+    let mut latches = Vec::new();
+    let mut outputs = Vec::new();
+    let mut ands = Vec::new();
     let mut next = |expect: &str| -> Result<(usize, &str), NetlistError> {
         lines
             .next()
@@ -470,6 +473,25 @@ mod tests {
         assert!(parse_aiger("").is_err());
         assert!(parse_aiger("aig 1 1 0 0 0\n2\n").is_err());
         assert!(parse_aiger("aag 1 1\n").is_err());
+    }
+
+    #[test]
+    fn huge_header_counts_fail_without_reserving_memory() {
+        // Each count at u32::MAX on a one-line input: a typed parse error
+        // at the first missing line, not an abort on a 100 GB allocation.
+        let max = u32::MAX;
+        for header in [
+            format!("aag {max} {max} 0 0 0"),
+            format!("aag {max} 0 {max} 0 0"),
+            format!("aag {max} 0 0 {max} 0"),
+            format!("aag {max} 0 0 0 {max}"),
+        ] {
+            let err = parse_aiger(&format!("{header}\n")).unwrap_err();
+            assert!(
+                matches!(err, NetlistError::Parse { .. }),
+                "{header}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! in the order nodes were created (any valid topological reordering of the
 //! combinational part, FFs and PIs anywhere) hash identically, while
 //! structurally different circuits hash differently with overwhelming
-//! probability. The serving subsystem (`deepseq-serve`) uses it as the
-//! content address of its embedding cache, so repeated queries against the
-//! same circuit — no matter how it was rebuilt or renumbered — are cache
-//! hits.
+//! probability. It names a circuit up to renumbering; it is not a serving
+//! cache key, because the forward pass reads node numbering (initial
+//! states are seeded by node index).
 //!
 //! # Algorithm
 //!

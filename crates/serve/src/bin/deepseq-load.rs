@@ -46,7 +46,7 @@ OPTIONS:
     --requests <N>     total embed requests to fire (default 64)
     --concurrency <C>  client threads firing them (default 16)
     --distinct <D>     distinct circuits to cycle through (default 8;
-                       repeats exercise the server-side embedding cache)
+                       repeats exercise the server-side cone memo)
     --no-keepalive     open a fresh connection per request instead of one
                        persistent connection per thread
     --retries <N>      retry transport failures and 429/500/503/504 up to N

@@ -1,9 +1,9 @@
 //! Cone-granularity partitioning for the [`ConeMemo`](crate::ConeMemo).
 //!
-//! The reusable unit below whole-circuit granularity is the **weakly
-//! connected component** of the circuit graph (combinational fanins plus FF
-//! D-edges): propagation moves state only along those edges, so a
-//! component's final state rows are a pure function of
+//! The reusable unit is the **weakly connected component** of the circuit
+//! graph (combinational fanins plus FF D-edges): propagation moves state
+//! only along those edges, and both readout heads are per-row, so a
+//! component's final state rows and head rows are a pure function of
 //!
 //! 1. the frozen weights + config (pinned by the model generation),
 //! 2. the component's structure *with its relative node order* (levels,
@@ -15,11 +15,13 @@
 //! Nothing else in the circuit can influence them: within a level, node
 //! updates are row-independent and chunk-invariant (property-tested), a
 //! node's level is intrinsic to its component, the reverse schedule only
-//! skips empty levels (which preserves per-component level order), and FF
-//! copy-back stays inside a component. That is why [`extract`] can merge
-//! *all* missed components into one sub-circuit and propagate them
-//! together: each component's rows come out bitwise-identical to a
-//! whole-circuit run, and the memo stores them per component.
+//! skips empty levels (which preserves per-component level order), FF
+//! copy-back stays inside a component, and a head's row does not depend on
+//! how many rows are read out with it (the GEMM kernel is chosen by the
+//! weight shape, never by the row count). That is why [`extract`] can merge
+//! *all* missed components into one sub-circuit and propagate and read
+//! them out together: each component's rows come out bitwise-identical to
+//! a whole-circuit run, and the memo stores them per component.
 //!
 //! Extraction keeps members in **ascending original-id order**, which
 //! preserves every order-sensitive property the fingerprint hashes: fanin
@@ -91,12 +93,14 @@ pub fn component_fingerprint(aig: &SeqAig, members: &[u32]) -> u64 {
 }
 
 /// Content hash of a component's initial-state rows (bit-exact over the
-/// `f32` payload, row length mixed in so hidden dimensions never collide).
+/// `f32` payload, two values per hashed word, row length mixed in so
+/// hidden dimensions never collide).
 pub fn component_h0_hash(h0: &Matrix, members: &[u32]) -> u64 {
     let mut acc = mix(h0.cols() as u64);
     for &m in members {
-        for &v in h0.row(m as usize) {
-            acc = combine(acc, v.to_bits() as u64);
+        for pair in h0.row(m as usize).chunks(2) {
+            let high = pair.get(1).map_or(0, |v| (v.to_bits() as u64) << 32);
+            acc = combine(acc, pair[0].to_bits() as u64 | high);
         }
     }
     acc

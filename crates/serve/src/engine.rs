@@ -1,7 +1,7 @@
 //! Request engine on the shared worker pool.
 //!
-//! An [`Engine`] owns a frozen [`InferenceModel`], a shared
-//! [`EmbeddingCache`], and a handle to a worker [`Pool`] — by default the
+//! An [`Engine`] owns a frozen [`InferenceModel`], the [`ConeMemo`] (its
+//! only cache), and a handle to a worker [`Pool`] — by default the
 //! process-wide [`Pool::global`], so *one* pool serves every engine,
 //! request batch **and** the level-parallel forward passes inside each
 //! request, instead of each subsystem spawning its own threads.
@@ -11,6 +11,13 @@
 //! circuits or one big one. Workspaces are checked out of a shared pile,
 //! one per concurrently processing task, so steady traffic runs without
 //! per-request allocation.
+//!
+//! Each request is partitioned into its weakly connected components and
+//! looked up in the memo component by component. When every component
+//! hits, the answer is assembled from memoized rows without running the
+//! model; otherwise only the missed components are propagated and read
+//! out (the whole circuit, when nothing hit). Answers never depend on what
+//! was served before.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -20,17 +27,16 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use deepseq_core::encoding::initial_states;
-use deepseq_core::CircuitGraph;
+use deepseq_core::{CircuitGraph, Predictions};
 use deepseq_netlist::SeqAig;
 use deepseq_nn::fault::{self, FaultPoint};
+use deepseq_nn::ops::mean_pool;
 use deepseq_nn::trace;
-use deepseq_nn::Pool;
+use deepseq_nn::{Matrix, Pool};
 use deepseq_sim::Workload;
 
-use crate::cache::{
-    CacheKey, CacheStats, CachedInference, ConeKey, ConeMemo, ConeStates, EmbeddingCache,
-};
-use crate::cone;
+use crate::cache::{CacheStats, CachedInference, ConeEntry, ConeKey, ConeMemo};
+use crate::cone::{self, Cone};
 use crate::infer::{InferenceModel, InferenceOutput, Workspace};
 use crate::ServeError;
 
@@ -102,15 +108,14 @@ pub struct ServeRequest {
 pub struct ServedInference {
     /// Node count of the served circuit.
     pub num_nodes: usize,
-    /// True if the result came from the embedding cache.
+    /// True if the whole answer came from the cone memo: every component
+    /// hit, and the model did not run.
     pub cache_hit: bool,
-    /// Number of fanin-cone components whose propagated states came from
-    /// the cone memo (0 on exact cache hits and fully cold requests).
+    /// Number of fanin-cone components whose rows came from the cone memo
+    /// (all of them on a cache hit, 0 on a fully cold request).
     pub cones_reused: usize,
-    /// Shared predictions + embedding. On a cache hit these are the outputs
-    /// of the request that populated the entry, computed under *that*
-    /// request's node numbering — see the
-    /// [`cache` module docs](crate::cache) on numbering semantics.
+    /// Shared predictions + embedding, bitwise what an uncached engine
+    /// computes for the request.
     pub data: Arc<CachedInference>,
 }
 
@@ -133,11 +138,12 @@ pub struct EngineOptions {
     /// least 1. Lower values leave more pool threads to the level
     /// parallelism *inside* each request.
     pub workers: usize,
-    /// Embedding-cache capacity in entries (0 disables caching).
+    /// Not read. It sized the whole-circuit cache that the cone memo
+    /// replaced, and stays only so that existing struct literals naming it
+    /// keep compiling; `cone_capacity` is the one cache size.
     pub cache_capacity: usize,
-    /// Cone-memo capacity in component entries (0 disables the
-    /// cone-granularity reuse path; requests then always run whole
-    /// circuits).
+    /// Cone-memo capacity in component entries (0 disables reuse; requests
+    /// then always run whole circuits).
     pub cone_capacity: usize,
 }
 
@@ -152,7 +158,7 @@ impl Default for EngineOptions {
             .min(8);
         EngineOptions {
             workers,
-            cache_capacity: 256,
+            cache_capacity: 0,
             cone_capacity: 1024,
         }
     }
@@ -170,8 +176,7 @@ impl Default for EngineOptions {
 /// let model = DeepSeq::new(DeepSeqConfig { hidden_dim: 8, iterations: 2,
 ///                                          ..DeepSeqConfig::default() });
 /// let engine = Engine::new(InferenceModel::from_model(&model),
-///                          EngineOptions { workers: 2, cache_capacity: 16,
-///                                          ..EngineOptions::default() });
+///                          EngineOptions { workers: 2, ..EngineOptions::default() });
 ///
 /// let mut aig = SeqAig::new("toggle");
 /// let q = aig.add_ff("q", false);
@@ -180,7 +185,7 @@ impl Default for EngineOptions {
 ///
 /// let make = |id| ServeRequest { id, aig: aig.clone(),
 ///                                workload: Workload::uniform(0, 0.5), init_seed: 0 };
-/// // Warm the cache, then identical requests hit it (warming must finish
+/// // Warm the memo, then identical requests hit it (warming must finish
 /// // first — two identical requests *in one batch* may race to distinct
 /// // pool tasks and both miss).
 /// let cold = engine.serve_batch(vec![make(0)]);
@@ -194,62 +199,20 @@ pub struct Engine {
     /// Swappable on checkpoint reload; tasks snapshot the `Arc` at start,
     /// so in-flight requests finish on the model they began with.
     model: Mutex<Arc<InferenceModel>>,
-    cache: Arc<Mutex<EmbeddingCache>>,
-    cones: Arc<Mutex<ConeMemo>>,
+    cones: Mutex<ConeMemo>,
     pool: Arc<Pool>,
-    workspaces: Arc<Mutex<Vec<Workspace>>>,
-    served: Arc<AtomicU64>,
+    workspaces: Mutex<Vec<Workspace>>,
+    served: AtomicU64,
     hook: Mutex<Option<ServedHook>>,
     max_concurrent: usize,
 }
 
-/// Observer invoked after every processed request (both the [`Engine::submit`]
-/// and [`Engine::serve_batch`] paths) with the response and the engine-side
-/// processing time — validation, cache lookup, and forward pass; queueing
-/// ahead of processing is excluded. The HTTP serving edge installs one to
-/// feed its `/metrics` latency histograms.
+/// Observer invoked after every request [`Engine::serve_batch`] processes,
+/// with the response and the engine-side processing time — validation,
+/// memo lookup, and forward pass; queueing ahead of processing is
+/// excluded. The HTTP serving edge installs one to feed its `/metrics`
+/// latency histograms.
 pub type ServedHook = Arc<dyn Fn(&ServeResponse, Duration) + Send + Sync>;
-
-/// A response in flight from [`Engine::submit`].
-///
-/// [`PendingResponse::wait`] always yields a [`ServeResponse`]: if the
-/// compute task dies without replying, the response carries a typed
-/// [`EngineError::ReplyDropped`] instead of panicking the caller.
-#[derive(Debug)]
-pub struct PendingResponse {
-    id: u64,
-    design: String,
-    receiver: mpsc::Receiver<ServeResponse>,
-}
-
-impl PendingResponse {
-    /// Blocks until the response arrives (or the task provably never
-    /// will — a dropped sender yields a typed `ReplyDropped` error).
-    pub fn wait(self) -> ServeResponse {
-        match self.receiver.recv() {
-            Ok(response) => response,
-            Err(mpsc::RecvError) => ServeResponse {
-                id: self.id,
-                design: self.design,
-                result: Err(ServeError::Engine(EngineError::ReplyDropped)),
-            },
-        }
-    }
-
-    /// Non-blocking probe; `None` until the response is ready. After the
-    /// sender is dropped without a reply, returns the typed error response.
-    pub fn try_wait(&mut self) -> Option<ServeResponse> {
-        match self.receiver.try_recv() {
-            Ok(response) => Some(response),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(ServeResponse {
-                id: self.id,
-                design: std::mem::take(&mut self.design),
-                result: Err(ServeError::Engine(EngineError::ReplyDropped)),
-            }),
-        }
-    }
-}
 
 impl Engine {
     /// An engine around a frozen model, on the process-wide
@@ -263,56 +226,18 @@ impl Engine {
     pub fn with_pool(model: InferenceModel, options: EngineOptions, pool: Arc<Pool>) -> Engine {
         Engine {
             model: Mutex::new(Arc::new(model)),
-            cache: Arc::new(Mutex::new(EmbeddingCache::new(options.cache_capacity))),
-            cones: Arc::new(Mutex::new(ConeMemo::new(options.cone_capacity))),
+            cones: Mutex::new(ConeMemo::new(options.cone_capacity)),
             pool,
-            workspaces: Arc::new(Mutex::new(Vec::new())),
-            served: Arc::new(AtomicU64::new(0)),
+            workspaces: Mutex::new(Vec::new()),
+            served: AtomicU64::new(0),
             hook: Mutex::new(None),
             max_concurrent: options.workers.max(1),
         }
     }
 
-    /// Installs (or replaces) the served-request observer. Pass the hook
-    /// wrapped in an `Arc` so the engine can share it with in-flight
-    /// request tasks.
+    /// Installs (or replaces) the served-request observer.
     pub fn set_served_hook(&self, hook: ServedHook) {
         *lock_recover(&self.hook) = Some(hook);
-    }
-
-    /// Enqueues one request onto the shared pool; await the response via
-    /// [`PendingResponse::wait`]. On a 1-thread pool the request is
-    /// processed inline before this returns. A task that dies without
-    /// sending (the reply sender is dropped) surfaces as a typed
-    /// [`EngineError::ReplyDropped`] response, never a panic or a hang.
-    pub fn submit(&self, request: ServeRequest) -> PendingResponse {
-        let (reply, receiver) = mpsc::channel();
-        let id = request.id;
-        let design = request.aig.name().to_string();
-        let model = lock_recover(&self.model).clone();
-        let cache = Arc::clone(&self.cache);
-        let cones = Arc::clone(&self.cones);
-        let workspaces = Arc::clone(&self.workspaces);
-        let served = Arc::clone(&self.served);
-        let pool = Arc::clone(&self.pool);
-        let hook = lock_recover(&self.hook).clone();
-        self.pool.spawn(move || {
-            let mut ws = checkout(&workspaces, &pool);
-            let response = process(&model, &cache, &cones, request, &mut ws, &hook);
-            served.fetch_add(1, Ordering::Relaxed);
-            if fault::should_inject(FaultPoint::EngineReplyDrop) {
-                drop(reply); // the caller sees a typed ReplyDropped
-            } else {
-                // A dropped reply *receiver* means the caller lost interest.
-                let _ = reply.send(response);
-            }
-            lock_recover(&workspaces).push(ws);
-        });
-        PendingResponse {
-            id,
-            design,
-            receiver,
-        }
     }
 
     /// Serves a batch of independent requests across the worker pool and
@@ -320,7 +245,7 @@ impl Engine {
     /// concurrently, each checking out one workspace and pulling requests
     /// off a shared queue — uneven batches (one huge circuit among many
     /// small ones) stay load-balanced instead of being pinned to a
-    /// contiguous split.
+    /// contiguous split. A batch of one runs inline on the caller's thread.
     pub fn serve_batch(&self, requests: Vec<ServeRequest>) -> Vec<ServeResponse> {
         let total = requests.len();
         if total == 0 {
@@ -343,19 +268,14 @@ impl Engine {
                 let queue = &queue;
                 let reply = reply.clone();
                 let model = &model;
-                let cache = &self.cache;
-                let cones = &self.cones;
-                let served = &self.served;
-                let workspaces = &self.workspaces;
-                let pool = &self.pool;
                 let hook = &hook;
                 Box::new(move || {
-                    let mut ws = checkout(workspaces, pool);
+                    let mut ws = self.checkout();
                     loop {
                         let next = lock_recover(queue).pop_front();
                         let Some((index, request)) = next else { break };
-                        let response = process(model, cache, cones, request, &mut ws, hook);
-                        served.fetch_add(1, Ordering::Relaxed);
+                        let response = process(model, &self.cones, request, &mut ws, hook);
+                        self.served.fetch_add(1, Ordering::Relaxed);
                         if fault::should_inject(FaultPoint::EngineReplyDrop) {
                             continue; // the slot fills with ReplyDropped
                         }
@@ -364,7 +284,7 @@ impl Engine {
                         // the missing slot is filled with a typed error.
                         let _ = reply.send((index, response));
                     }
-                    lock_recover(workspaces).push(ws);
+                    lock_recover(&self.workspaces).push(ws);
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
@@ -388,43 +308,40 @@ impl Engine {
             .collect()
     }
 
-    /// Probes the embedding cache for `request` without computing anything
-    /// — the degraded-mode serving path: hits are answered from here,
-    /// misses are shed at the HTTP edge instead of recomputed.
+    /// Answers `request` from the cone memo alone, without computing
+    /// anything — the degraded-mode serving path: a request that
+    /// validates and whose components all hit is answered from here,
+    /// anything else (`None`) is shed at the HTTP edge instead of computed.
     pub fn lookup_cached(&self, request: &ServeRequest) -> Option<ServeResponse> {
-        let key = CacheKey::for_request(&request.aig, &request.workload, request.init_seed);
-        let generation = self.model_generation();
-        let data = lock_recover(&self.cache).get(generation, &key)?;
+        validate(request).ok()?;
+        let model = lock_recover(&self.model).clone();
+        let h0 = initial_h0(&model, request);
+        let data = lookup(&model, &self.cones, &request.aig, &h0).whole_hit()?;
         Some(ServeResponse {
             id: request.id,
             design: request.aig.name().to_string(),
-            result: Ok(ServedInference {
-                num_nodes: data.num_nodes,
-                cache_hit: true,
-                cones_reused: 0,
-                data,
-            }),
+            result: Ok(data),
         })
     }
 
     /// Atomically replaces the engine's model (a checkpoint reload).
     /// In-flight requests finish on the model they started with; new
-    /// requests see the new one. Both caches key their entries by model
-    /// generation, so nothing computed on the old weights can hit again —
-    /// including results that in-flight requests insert after the swap.
-    /// The embedding cache is cleared to free the old entries at once; the
-    /// cone memo's age out under LRU pressure.
+    /// requests see the new one. Memo keys carry the model generation, so
+    /// nothing computed on the old weights can hit again — including rows
+    /// that in-flight requests insert after the swap. The memo is cleared
+    /// to free the old entries at once.
     pub fn swap_model(&self, model: InferenceModel) {
         *lock_recover(&self.model) = Arc::new(model);
-        lock_recover(&self.cache).clear();
+        lock_recover(&self.cones).clear();
     }
 
-    /// Current embedding-cache counters.
+    /// Per-request memo counters: a hit is a request answered wholly from
+    /// the memo (see [`ConeMemo::request_stats`]).
     pub fn cache_stats(&self) -> CacheStats {
-        lock_recover(&self.cache).stats()
+        lock_recover(&self.cones).request_stats()
     }
 
-    /// Current cone-memo counters.
+    /// Per-component memo counters (see [`ConeMemo::stats`]).
     pub fn cone_stats(&self) -> CacheStats {
         lock_recover(&self.cones).stats()
     }
@@ -444,19 +361,18 @@ impl Engine {
     pub fn pool(&self) -> &Arc<Pool> {
         &self.pool
     }
-}
 
-/// Takes a workspace from the shared pile, or builds a fresh one on the
-/// engine's pool.
-fn checkout(workspaces: &Mutex<Vec<Workspace>>, pool: &Arc<Pool>) -> Workspace {
-    lock_recover(workspaces)
-        .pop()
-        .unwrap_or_else(|| Workspace::with_pool(deepseq_nn::Kernel::for_serve(), Arc::clone(pool)))
+    /// Takes a workspace from the shared pile, or builds a fresh one on the
+    /// engine's pool.
+    fn checkout(&self) -> Workspace {
+        lock_recover(&self.workspaces).pop().unwrap_or_else(|| {
+            Workspace::with_pool(deepseq_nn::Kernel::for_serve(), Arc::clone(&self.pool))
+        })
+    }
 }
 
 fn process(
     model: &InferenceModel,
-    cache: &Mutex<EmbeddingCache>,
     cones: &Mutex<ConeMemo>,
     request: ServeRequest,
     ws: &mut Workspace,
@@ -469,21 +385,19 @@ fn process(
     // or an injected `task_panic` fault) becomes a typed 500 for *its*
     // client, not a hung connection or a dead worker. The workspace is
     // rebuilt rather than reused — a panic may have left it mid-update.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        serve_one(model, cache, cones, request, ws)
-    }))
-    .unwrap_or_else(|payload| {
-        PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-        *ws = Workspace::with_pool(ws.kernel(), Arc::clone(ws.pool()));
-        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        Err(ServeError::Engine(EngineError::Panicked { detail }))
-    });
+    let result = catch_unwind(AssertUnwindSafe(|| serve_one(model, cones, request, ws)))
+        .unwrap_or_else(|payload| {
+            PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
+            *ws = Workspace::with_pool(ws.kernel(), Arc::clone(ws.pool()));
+            let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+                (*s).to_string()
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.clone()
+            } else {
+                "non-string panic payload".to_string()
+            };
+            Err(ServeError::Engine(EngineError::Panicked { detail }))
+        });
     let response = ServeResponse { id, design, result };
     if let Some(hook) = hook {
         hook(&response, start.elapsed());
@@ -491,16 +405,9 @@ fn process(
     response
 }
 
-fn serve_one(
-    model: &InferenceModel,
-    cache: &Mutex<EmbeddingCache>,
-    cones: &Mutex<ConeMemo>,
-    request: ServeRequest,
-    ws: &mut Workspace,
-) -> Result<ServedInference, ServeError> {
-    if fault::should_inject(FaultPoint::TaskPanic) {
-        panic!("injected task_panic fault");
-    }
+/// Checks that the request's circuit is valid and its workload covers
+/// every PI.
+fn validate(request: &ServeRequest) -> Result<(), ServeError> {
     request.aig.validate()?;
     if request.workload.len() < request.aig.num_pis() {
         return Err(ServeError::WorkloadTooShort {
@@ -508,139 +415,212 @@ fn serve_one(
             stimuli: request.workload.len(),
         });
     }
-    let key = CacheKey::for_request(&request.aig, &request.workload, request.init_seed);
-    let generation = model.generation();
-    if fault::should_inject(FaultPoint::CacheEvict) {
-        lock_recover(cache).remove(generation, &key);
-    }
-    if let Some(delay) = fault::slow_stage_delay("cache_lookup") {
-        std::thread::sleep(delay);
-    }
-    let lookup = trace::span(trace::SpanKind::CacheLookup);
-    let cached = lock_recover(cache).get(generation, &key);
-    drop(lookup);
-    if let Some(data) = cached {
-        return Ok(ServedInference {
-            num_nodes: data.num_nodes,
-            cache_hit: true,
-            cones_reused: 0,
-            data,
-        });
-    }
-    let graph = CircuitGraph::build(&request.aig);
-    let h0 = initial_states(
+    Ok(())
+}
+
+/// The request's `n×d` initial state matrix under `model`.
+fn initial_h0(model: &InferenceModel, request: &ServeRequest) -> Matrix {
+    initial_states(
         &request.aig,
         &request.workload,
         model.config().hidden_dim,
         request.init_seed,
-    );
+    )
+}
+
+fn serve_one(
+    model: &InferenceModel,
+    cones: &Mutex<ConeMemo>,
+    request: ServeRequest,
+    ws: &mut Workspace,
+) -> Result<ServedInference, ServeError> {
+    if fault::should_inject(FaultPoint::TaskPanic) {
+        panic!("injected task_panic fault");
+    }
+    validate(&request)?;
+    let h0 = initial_h0(model, &request);
+    let found = lookup(model, cones, &request.aig, &h0);
+    if let Some(hit) = found.whole_hit() {
+        return Ok(hit);
+    }
     if let Some(delay) = fault::slow_stage_delay("forward") {
         std::thread::sleep(delay);
     }
-    let (out, cones_reused) = if lock_recover(cones).is_enabled() && graph.num_nodes > 0 {
-        run_with_cones(model, cones, &request.aig, &graph, &h0, ws)
+    let reused = found.hits.iter().flatten().count();
+    let out = if reused == 0 {
+        run_cold(model, cones, &request.aig, &h0, &found, ws)
     } else {
-        (model.run(&graph, &h0, ws), 0)
+        run_missed(model, cones, &request.aig, &h0, &found, ws)
     };
-    let data = Arc::new(CachedInference {
-        predictions: out.predictions,
-        embedding: out.embedding,
-        num_nodes: graph.num_nodes,
-    });
-    lock_recover(cache).insert(generation, key, Arc::clone(&data));
-    Ok(ServedInference {
-        num_nodes: graph.num_nodes,
-        cache_hit: false,
-        cones_reused,
-        data,
-    })
+    Ok(served(out, request.aig.len(), false, reused))
 }
 
-/// The cone-granularity compute path of a cache-missing request: partition
-/// the circuit into weakly connected components, reuse the memoized state
-/// rows of every component seen before, propagate *only* the missed
-/// components (merged into one sub-circuit), and read the heads out over
-/// the assembled full state matrix.
-///
-/// Bitwise identity with `model.run(graph, h0, ws)` rests on the invariants
-/// laid out in the [`cone` module docs](crate::cone): component rows are a
-/// pure function of the [`ConeKey`], and the readout is row-pure with an
-/// order-stable pool. The property suite asserts it end to end across
-/// thread counts.
-fn run_with_cones(
-    model: &InferenceModel,
-    cones: &Mutex<ConeMemo>,
-    aig: &SeqAig,
-    graph: &CircuitGraph,
-    h0: &deepseq_nn::Matrix,
-    ws: &mut Workspace,
-) -> (InferenceOutput, usize) {
-    let parts = cone::partition(aig);
-    let generation = model.generation();
+fn served(
+    out: InferenceOutput,
+    num_nodes: usize,
+    cache_hit: bool,
+    cones_reused: usize,
+) -> ServedInference {
+    ServedInference {
+        num_nodes,
+        cache_hit,
+        cones_reused,
+        data: Arc::new(CachedInference {
+            predictions: out.predictions,
+            embedding: out.embedding,
+            num_nodes,
+        }),
+    }
+}
+
+/// A request's components, their memo keys, and what the memo holds of
+/// each.
+struct Lookup {
+    num_nodes: usize,
+    parts: Vec<Cone>,
+    keys: Vec<ConeKey>,
+    hits: Vec<Option<Arc<ConeEntry>>>,
+}
+
+/// Partitions the circuit and looks every component up in the memo (none
+/// when the memo is disabled, so the request takes the cold path). The
+/// `cache_evict` fault first drops the request's entries.
+fn lookup(model: &InferenceModel, cones: &Mutex<ConeMemo>, aig: &SeqAig, h0: &Matrix) -> Lookup {
+    let parts = if lock_recover(cones).is_enabled() {
+        cone::partition(aig)
+    } else {
+        Vec::new()
+    };
     let keys: Vec<ConeKey> = parts
         .iter()
         .map(|c| ConeKey {
-            model: generation,
+            model: model.generation(),
             structure: cone::component_fingerprint(aig, &c.members),
             h0: cone::component_h0_hash(h0, &c.members),
         })
         .collect();
-    let hits: Vec<Option<Arc<ConeStates>>> = {
+    if fault::should_inject(FaultPoint::CacheEvict) {
         let mut memo = lock_recover(cones);
-        keys.iter().map(|k| memo.get(k)).collect()
-    };
-    let reused = hits.iter().flatten().count();
+        for key in &keys {
+            memo.remove(key);
+        }
+    }
+    if let Some(delay) = fault::slow_stage_delay("cache_lookup") {
+        std::thread::sleep(delay);
+    }
+    let span = trace::span(trace::SpanKind::CacheLookup);
+    let hits = lock_recover(cones).lookup(&keys);
+    drop(span);
+    Lookup {
+        num_nodes: aig.len(),
+        parts,
+        keys,
+        hits,
+    }
+}
 
-    if reused == 0 {
-        // Fully cold: run the whole circuit (no extraction overhead) and
-        // seed the memo with every component's final rows.
-        let out = model.run(graph, h0, ws);
-        let mut memo = lock_recover(cones);
-        for (c, key) in parts.iter().zip(&keys) {
-            memo.insert(
-                *key,
-                Arc::new(ConeStates {
-                    rows: cone::gather_rows(ws.state(), &c.members),
-                }),
-            );
-        }
-        return (out, 0);
+impl Lookup {
+    /// The answer assembled from memoized rows alone, if there is at least
+    /// one component and every component hit.
+    fn whole_hit(&self) -> Option<ServedInference> {
+        let entries: Vec<Arc<ConeEntry>> = self.hits.iter().cloned().collect::<Option<_>>()?;
+        let d = entries.first()?.states.cols();
+        let out = assemble(self.num_nodes, d, &self.parts, &entries);
+        Some(served(out, self.num_nodes, true, entries.len()))
     }
+}
 
-    // Assemble the final state: memoized rows verbatim, missed components
-    // propagated together as one extracted sub-circuit.
-    let mut state = h0.clone();
-    let mut missed: Vec<u32> = Vec::new();
-    for (c, hit) in parts.iter().zip(&hits) {
-        match hit {
-            Some(states) => cone::scatter_rows(&mut state, &c.members, &states.rows),
-            None => missed.extend(&c.members),
-        }
+/// Scatters each component's rows onto its members' rows of `n`-row state
+/// and head matrices, and mean-pools the state in node order, exactly as
+/// the readout pools a whole-circuit forward pass.
+fn assemble(n: usize, d: usize, parts: &[Cone], entries: &[Arc<ConeEntry>]) -> InferenceOutput {
+    let mut state = Matrix::zeros(n, d);
+    let mut tr = Matrix::zeros(n, 2);
+    let mut lg = Matrix::zeros(n, 1);
+    for (c, entry) in parts.iter().zip(entries) {
+        cone::scatter_rows(&mut state, &c.members, &entry.states);
+        cone::scatter_rows(&mut tr, &c.members, &entry.predictions.tr);
+        cone::scatter_rows(&mut lg, &c.members, &entry.predictions.lg);
     }
-    if !missed.is_empty() {
-        // Components interleave in id space; ascending order preserves the
-        // relative member order of each (the bitwise-identity condition).
-        missed.sort_unstable();
-        let sub = cone::extract(aig, &missed);
-        let sub_graph = CircuitGraph::build(&sub);
-        let sub_h0 = cone::gather_rows(h0, &missed);
-        model.propagate(&sub_graph, &sub_h0, ws);
-        let mut memo = lock_recover(cones);
-        for ((c, key), hit) in parts.iter().zip(&keys).zip(&hits) {
-            if hit.is_some() {
-                continue;
-            }
-            let local: Vec<u32> = c
-                .members
-                .iter()
-                .map(|m| missed.binary_search(m).expect("missed member") as u32)
-                .collect();
-            let rows = cone::gather_rows(ws.state(), &local);
-            cone::scatter_rows(&mut state, &c.members, &rows);
-            memo.insert(*key, Arc::new(ConeStates { rows }));
-        }
+    InferenceOutput {
+        predictions: Predictions { tr, lg },
+        embedding: mean_pool(&state),
     }
-    (model.readout(&state, ws), reused)
+}
+
+/// The rows of `members` out of a forward pass's final state and heads.
+fn gather(state: &Matrix, out: &InferenceOutput, members: &[u32]) -> Arc<ConeEntry> {
+    Arc::new(ConeEntry {
+        states: cone::gather_rows(state, members),
+        predictions: Predictions {
+            tr: cone::gather_rows(&out.predictions.tr, members),
+            lg: cone::gather_rows(&out.predictions.lg, members),
+        },
+    })
+}
+
+/// Nothing hit: runs the whole circuit (no extraction overhead) and seeds
+/// the memo with every component's rows.
+fn run_cold(
+    model: &InferenceModel,
+    cones: &Mutex<ConeMemo>,
+    aig: &SeqAig,
+    h0: &Matrix,
+    found: &Lookup,
+    ws: &mut Workspace,
+) -> InferenceOutput {
+    let out = model.run(&CircuitGraph::build(aig), h0, ws);
+    let mut memo = lock_recover(cones);
+    for (c, key) in found.parts.iter().zip(&found.keys) {
+        memo.insert(*key, gather(ws.state(), &out, &c.members));
+    }
+    out
+}
+
+/// Some components hit: propagates and reads out only the missed ones,
+/// merged into one extracted sub-circuit, memoizes their rows and
+/// assembles the answer from all components' rows.
+///
+/// Bitwise identity with a whole-circuit run rests on the invariants laid
+/// out in the [`cone` module docs](crate::cone): component rows are a
+/// pure function of the [`ConeKey`], the heads are row-pure, and the pool
+/// sums rows in node order. The property suite asserts it end to end
+/// across thread counts.
+fn run_missed(
+    model: &InferenceModel,
+    cones: &Mutex<ConeMemo>,
+    aig: &SeqAig,
+    h0: &Matrix,
+    found: &Lookup,
+    ws: &mut Workspace,
+) -> InferenceOutput {
+    let components = || found.parts.iter().zip(&found.keys).zip(&found.hits);
+    // Components interleave in id space; ascending order preserves the
+    // relative member order of each (the bitwise-identity condition).
+    let mut missed: Vec<u32> = components()
+        .filter(|(_, hit)| hit.is_none())
+        .flat_map(|((c, _), _)| c.members.iter().copied())
+        .collect();
+    missed.sort_unstable();
+    let sub = CircuitGraph::build(&cone::extract(aig, &missed));
+    let sub_out = model.run(&sub, &cone::gather_rows(h0, &missed), ws);
+    let mut memo = lock_recover(cones);
+    let entries: Vec<Arc<ConeEntry>> = components()
+        .map(|((c, key), hit)| {
+            hit.clone().unwrap_or_else(|| {
+                let local: Vec<u32> = c
+                    .members
+                    .iter()
+                    .map(|m| missed.binary_search(m).expect("missed member") as u32)
+                    .collect();
+                let entry = gather(ws.state(), &sub_out, &local);
+                memo.insert(*key, Arc::clone(&entry));
+                entry
+            })
+        })
+        .collect();
+    drop(memo);
+    assemble(aig.len(), h0.cols(), &found.parts, &entries)
 }
 
 #[cfg(test)]
@@ -666,8 +646,8 @@ mod tests {
             InferenceModel::from_model(&model),
             EngineOptions {
                 workers,
-                cache_capacity: 8,
                 cone_capacity: 64,
+                ..EngineOptions::default()
             },
             pool,
         )
@@ -758,25 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_delivers_on_the_returned_channel() {
-        for threads in [1, 3] {
-            let engine = engine_on(2, Arc::new(Pool::new(threads)));
-            let response = engine
-                .submit(ServeRequest {
-                    id: 7,
-                    aig: toggle("t"),
-                    workload: Workload::uniform(0, 0.5),
-                    init_seed: 0,
-                })
-                .wait();
-            assert_eq!(response.id, 7);
-            assert!(response.result.is_ok());
-            assert_eq!(engine.requests_served(), 1);
-        }
-    }
-
-    #[test]
-    fn served_hook_observes_batch_and_submit_paths() {
+    fn served_hook_observes_every_batch_request() {
         let engine = engine(2);
         let seen = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&seen);
@@ -792,28 +754,7 @@ mod tests {
             init_seed: 0,
         };
         engine.serve_batch((0..5).map(make).collect());
-        engine.submit(make(9)).wait();
-        assert_eq!(seen.load(Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn dropped_reply_sender_yields_typed_engine_error() {
-        // A task that dies before sending surfaces as ReplyDropped — the
-        // caller never panics on recv and never hangs.
-        let (reply, receiver) = mpsc::channel::<ServeResponse>();
-        drop(reply);
-        let pending = PendingResponse {
-            id: 3,
-            design: "d".into(),
-            receiver,
-        };
-        let response = pending.wait();
-        assert_eq!(response.id, 3);
-        assert_eq!(response.design, "d");
-        assert!(matches!(
-            response.result,
-            Err(ServeError::Engine(EngineError::ReplyDropped))
-        ));
+        assert_eq!(seen.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -838,6 +779,70 @@ mod tests {
         let responses = engine.serve_batch(vec![make(3)]);
         assert!(responses[0].result.is_ok());
         assert!(!responses[0].result.as_ref().unwrap().cache_hit);
+    }
+
+    /// Two toggles, one per component; `second_init` flips the second.
+    fn two_toggles(second_init: bool) -> SeqAig {
+        let mut aig = SeqAig::new("pair");
+        for init in [false, second_init] {
+            let q = aig.add_ff("q", init);
+            let n = aig.add_not(q);
+            aig.connect_ff(q, n).unwrap();
+        }
+        aig
+    }
+
+    #[test]
+    fn memo_answers_whole_partial_and_degraded_lookups() {
+        let engine = engine(2);
+        let make = |id, aig: SeqAig| ServeRequest {
+            id,
+            aig,
+            workload: Workload::uniform(0, 0.5),
+            init_seed: 0,
+        };
+        let served = |request| {
+            let mut responses = engine.serve_batch(vec![request]);
+            responses.pop().unwrap().result.unwrap()
+        };
+        let cold = served(make(0, two_toggles(false)));
+        assert_eq!((cold.cache_hit, cold.cones_reused), (false, 0));
+        // One component changes: the other comes from the memo.
+        let partial = served(make(1, two_toggles(true)));
+        assert_eq!((partial.cache_hit, partial.cones_reused), (false, 1));
+        let whole = served(make(2, two_toggles(false)));
+        assert_eq!((whole.cache_hit, whole.cones_reused), (true, 2));
+        assert_eq!(whole.data, cold.data);
+        // Degraded lookups answer whole hits only.
+        let hit = engine.lookup_cached(&make(3, two_toggles(true))).unwrap();
+        assert_eq!(hit.result.unwrap().data, partial.data);
+        let mut other_seed = make(4, two_toggles(false));
+        other_seed.init_seed = 9;
+        assert!(engine.lookup_cached(&other_seed).is_none());
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 3));
+        let cones = engine.cone_stats();
+        assert_eq!((cones.hits, cones.misses), (5, 5));
+        assert_eq!(cones.entries, 3);
+    }
+
+    #[test]
+    fn empty_circuit_takes_the_cold_path() {
+        let engine = engine(1);
+        for id in 0..2 {
+            let response = engine.serve_batch(vec![ServeRequest {
+                id,
+                aig: SeqAig::new("empty"),
+                workload: Workload::uniform(0, 0.5),
+                init_seed: 0,
+            }]);
+            let served = response[0].result.as_ref().unwrap();
+            assert!(!served.cache_hit);
+            assert_eq!(served.data.predictions.tr.shape(), (0, 2));
+            assert_eq!(served.data.embedding.shape(), (1, 8));
+        }
+        assert_eq!(engine.cache_stats().misses, 2);
+        assert_eq!(engine.cone_stats().entries, 0);
     }
 
     #[test]

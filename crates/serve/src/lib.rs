@@ -27,11 +27,13 @@
 //!   added to `deepseq-nn`/`deepseq-core` alongside the text format
 //!   ([`InferenceModel::from_binary_checkpoint`]; [`load_checkpoint`]
 //!   maps a file of either format);
-//! * [`EmbeddingCache`] — a **content-addressed LRU**: results keyed by the
-//!   canonical structural hash of the circuit
-//!   ([`deepseq_netlist::structural_hash`], invariant under node
-//!   renumbering) plus the name-bound workload, the init seed and the
-//!   model generation, so repeated circuit+workload queries are O(1);
+//! * [`ConeMemo`] — the one **content-addressed LRU**: the final state
+//!   rows and head rows of each weakly connected component, keyed by
+//!   exactly what the forward pass reads (model generation, the
+//!   component's order-sensitive structure and its initial-state rows).
+//!   A request whose components all hit is answered without running the
+//!   model, a near-duplicate recomputes only its changed components, and
+//!   every answer is bitwise what an uncached engine returns;
 //! * [`Engine`] — batches independent requests across the **same shared
 //!   pool** the level parallelism runs on (one pool for the whole process,
 //!   not one thread set per engine), one workspace per concurrent task;
@@ -55,8 +57,7 @@
 //! let model = DeepSeq::new(DeepSeqConfig { hidden_dim: 8, iterations: 2,
 //!                                          ..DeepSeqConfig::default() });
 //! let engine = Engine::new(InferenceModel::from_model(&model),
-//!                          EngineOptions { workers: 2, cache_capacity: 32,
-//!                                          ..EngineOptions::default() });
+//!                          EngineOptions { workers: 2, ..EngineOptions::default() });
 //!
 //! // Serve a circuit under a workload.
 //! let mut aig = SeqAig::new("toggle");
@@ -88,12 +89,9 @@ use std::fmt;
 use deepseq_netlist::NetlistError;
 use deepseq_nn::ParamsError;
 
-pub use cache::{
-    CacheKey, CacheStats, CachedInference, ConeKey, ConeMemo, ConeStates, EmbeddingCache,
-};
+pub use cache::{CacheKey, CacheStats, CachedInference, ConeEntry, ConeKey, ConeMemo};
 pub use engine::{
-    panics_caught, Engine, EngineError, EngineOptions, PendingResponse, ServeRequest,
-    ServeResponse, ServedInference,
+    panics_caught, Engine, EngineError, EngineOptions, ServeRequest, ServeResponse, ServedInference,
 };
 pub use http::{HttpLimits, HttpRequest, HttpResponse};
 pub use infer::{load_checkpoint, CheckpointFormat, InferenceModel, InferenceOutput, Workspace};

@@ -46,13 +46,12 @@ predict options:
     --workers <N>        max requests processed concurrently (default: the
                          pool size; the pool itself is sized by the
                          DEEPSEQ_THREADS environment variable)
-    --cache <N>          embedding-cache capacity (default 256)
     --cones <N>          cone-memo capacity in fanin cones (default 1024;
-                         0 disables cone-granularity reuse)
+                         0 disables reuse)
     --repeat <N>         serve the file batch N times (default 1; >1 shows
                          the cache-hit path)
     --summary            emit mean predictions instead of full matrices
-    --stats              print engine/cache statistics to stderr
+    --stats              print engine/cone-memo statistics to stderr
     --trace-out <FILE>   enable span tracing and write a chrome://tracing
                          JSON profile to FILE on exit (see
                          docs/OBSERVABILITY.md); DEEPSEQ_TRACE=<FILE> does
@@ -66,9 +65,8 @@ serve options:
     --hidden <D>         hidden dim for the fresh model (default 32)
     --iters <T>          propagation iterations for the fresh model (default 4)
     --workers <N>        max requests processed concurrently (default: pool size)
-    --cache <N>          embedding-cache capacity (default 256)
     --cones <N>          cone-memo capacity in fanin cones (default 1024;
-                         0 disables cone-granularity reuse)
+                         0 disables reuse)
     --max-inflight <N>   admission: concurrent embed requests (default: pool size)
     --max-queue <N>      admission: waiting embed requests before 429 (default 64)
     --deadline-ms <MS>   per-request deadline, 504 on expiry (default 30000)
@@ -127,7 +125,6 @@ struct PredictArgs {
     p1: f64,
     seed: u64,
     workers: Option<usize>,
-    cache: usize,
     cones: usize,
     repeat: usize,
     summary: bool,
@@ -144,7 +141,6 @@ fn parse_predict_args(args: &[String]) -> Result<PredictArgs, String> {
         p1: 0.5,
         seed: 0,
         workers: None,
-        cache: 256,
         cones: EngineOptions::default().cone_capacity,
         repeat: 1,
         summary: false,
@@ -168,7 +164,6 @@ fn parse_predict_args(args: &[String]) -> Result<PredictArgs, String> {
             }
             "--seed" => out.seed = parse_num(value("--seed")?, "--seed")? as u64,
             "--workers" => out.workers = Some(parse_num(value("--workers")?, "--workers")?),
-            "--cache" => out.cache = parse_num(value("--cache")?, "--cache")?,
             "--cones" => out.cones = parse_num(value("--cones")?, "--cones")?,
             "--repeat" => out.repeat = parse_num(value("--repeat")?, "--repeat")?.max(1),
             "--summary" => out.summary = true,
@@ -237,8 +232,8 @@ fn predict(args: &[String]) -> Result<(), String> {
 
     let options = EngineOptions {
         workers: args.workers.unwrap_or(EngineOptions::default().workers),
-        cache_capacity: args.cache,
         cone_capacity: args.cones,
+        ..EngineOptions::default()
     };
     let engine = Engine::new(model, options);
 
@@ -263,16 +258,17 @@ fn predict(args: &[String]) -> Result<(), String> {
     }
 
     if args.stats {
-        let s = engine.cache_stats();
+        let (s, c) = (engine.cache_stats(), engine.cone_stats());
         eprintln!(
-            "served {} requests | cache: {} hits, {} misses, {} evictions, {}/{} entries ({:.0}% hit)",
+            "served {} requests ({} wholly from the memo) | cone memo: {} hits, {} misses, {} evictions, {}/{} entries ({:.0}% hit)",
             engine.requests_served(),
             s.hits,
-            s.misses,
-            s.evictions,
-            s.entries,
-            s.capacity,
-            100.0 * s.hit_ratio()
+            c.hits,
+            c.misses,
+            c.evictions,
+            c.entries,
+            c.capacity,
+            100.0 * c.hit_ratio()
         );
     }
     if let Some(path) = &trace_out {
@@ -287,7 +283,6 @@ struct ServeArgs {
     hidden: usize,
     iters: usize,
     workers: Option<usize>,
-    cache: usize,
     cones: usize,
     max_inflight: usize,
     max_queue: usize,
@@ -304,7 +299,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         hidden: 32,
         iters: 4,
         workers: None,
-        cache: 256,
         cones: EngineOptions::default().cone_capacity,
         max_inflight: defaults.max_inflight,
         max_queue: defaults.max_queue,
@@ -323,7 +317,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
             "--hidden" => out.hidden = parse_num(value("--hidden")?, "--hidden")?,
             "--iters" => out.iters = parse_num(value("--iters")?, "--iters")?,
             "--workers" => out.workers = Some(parse_num(value("--workers")?, "--workers")?),
-            "--cache" => out.cache = parse_num(value("--cache")?, "--cache")?,
             "--cones" => out.cones = parse_num(value("--cones")?, "--cones")?,
             "--max-inflight" => {
                 out.max_inflight = parse_num(value("--max-inflight")?, "--max-inflight")?
@@ -360,8 +353,8 @@ fn serve(args: &[String]) -> Result<(), String> {
         model,
         EngineOptions {
             workers: args.workers.unwrap_or(EngineOptions::default().workers),
-            cache_capacity: args.cache,
             cone_capacity: args.cones,
+            ..EngineOptions::default()
         },
     );
     let server = HttpServer::bind(

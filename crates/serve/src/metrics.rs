@@ -130,10 +130,10 @@ impl Metrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the registry (plus the embedding-cache and cone-memo
-    /// counters, the pool's scheduler counters, the per-stage span
-    /// histograms, the process-wide config-warning / caught-panic /
-    /// injected-fault counts) in Prometheus text format.
+    /// Renders the registry (plus the cone memo's per-request `cache` and
+    /// per-component `cones` counters, the pool's scheduler counters, the
+    /// per-stage span histograms, the process-wide config-warning /
+    /// caught-panic / injected-fault counts) in Prometheus text format.
     pub fn render(
         &self,
         cache: &CacheStats,
@@ -261,74 +261,56 @@ impl Metrics {
         counter(
             &mut out,
             "deepseq_cache_hits_total",
-            "Embedding-cache hits.",
+            "Requests answered wholly from the cone memo.",
             cache.hits,
         );
         counter(
             &mut out,
             "deepseq_cache_misses_total",
-            "Embedding-cache misses.",
+            "Requests not answered wholly from the cone memo.",
             cache.misses,
         );
         counter(
             &mut out,
             "deepseq_cache_evictions_total",
-            "Embedding-cache evictions.",
+            "Cone-memo evictions.",
             cache.evictions,
         );
         gauge(
             &mut out,
             "deepseq_cache_entries",
-            "Embedding-cache resident entries.",
+            "Cone-memo resident component entries.",
             cache.entries as f64,
         );
         gauge(
             &mut out,
             "deepseq_cache_capacity",
-            "Embedding-cache capacity.",
+            "Cone-memo capacity in component entries (0 disables reuse).",
             cache.capacity as f64,
         );
         gauge(
             &mut out,
             "deepseq_cache_hit_ratio",
-            "Embedding-cache hit ratio in [0, 1] (0 before any lookup).",
+            "Share of requests answered wholly from the cone memo, in [0, 1] (0 before any lookup).",
             cache.hit_ratio(),
         );
 
         counter(
             &mut out,
             "deepseq_cone_hits_total",
-            "Cone-memo hits (fanin-cone states reused across requests).",
+            "Cone-memo component hits (fanin-cone rows reused across requests).",
             cones.hits,
         );
         counter(
             &mut out,
             "deepseq_cone_misses_total",
-            "Cone-memo misses (cones recomputed).",
+            "Cone-memo component misses (cones recomputed).",
             cones.misses,
-        );
-        counter(
-            &mut out,
-            "deepseq_cone_evictions_total",
-            "Cone-memo evictions.",
-            cones.evictions,
-        );
-        gauge(
-            &mut out,
-            "deepseq_cone_entries",
-            "Cone-memo resident entries.",
-            cones.entries as f64,
-        );
-        gauge(
-            &mut out,
-            "deepseq_cone_capacity",
-            "Cone-memo capacity (0 disables cone reuse).",
-            cones.capacity as f64,
         );
         gauge(
             &mut out,
             "deepseq_cone_hit_ratio",
-            "Cone-memo hit ratio in [0, 1] (0 before any lookup).",
+            "Cone-memo component hit ratio in [0, 1] (0 before any lookup).",
             cones.hit_ratio(),
         );
 
@@ -483,16 +465,14 @@ mod tests {
         let cache = CacheStats {
             hits: 3,
             misses: 1,
-            evictions: 0,
-            entries: 4,
-            capacity: 16,
+            evictions: 2,
+            entries: 7,
+            capacity: 1024,
         };
         let cones = CacheStats {
             hits: 9,
             misses: 3,
-            evictions: 2,
-            entries: 7,
-            capacity: 1024,
+            ..cache
         };
         let pool = PoolStats {
             threads: 4,
@@ -514,14 +494,12 @@ mod tests {
             "deepseq_cache_hit_ratio 0.75",
             "deepseq_cone_hits_total 9",
             "deepseq_cone_misses_total 3",
-            "deepseq_cone_evictions_total 2",
-            "deepseq_cone_entries 7",
-            "deepseq_cone_capacity 1024",
             "deepseq_cone_hit_ratio 0.75",
             "deepseq_cache_hits_total 3",
             "deepseq_cache_misses_total 1",
-            "deepseq_cache_entries 4",
-            "deepseq_cache_capacity 16",
+            "deepseq_cache_evictions_total 2",
+            "deepseq_cache_entries 7",
+            "deepseq_cache_capacity 1024",
             "deepseq_config_warnings_total",
             "deepseq_panics_caught_total",
             "deepseq_faults_injected_total{point=\"checkpoint_read\"}",
@@ -537,6 +515,14 @@ mod tests {
             "deepseq_stage_p95_seconds{stage=\"cache_lookup\"}",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+        // One memo: its size and evictions are `deepseq_cache_*` only.
+        for gone in [
+            "deepseq_cone_evictions",
+            "deepseq_cone_entries",
+            "deepseq_cone_capacity",
+        ] {
+            assert!(!text.contains(gone), "unexpected {gone:?} in:\n{text}");
         }
         // The hit-ratio line parses as a float — the contract the CI load
         // client enforces over the wire.

@@ -962,7 +962,6 @@ mod tests {
             InferenceModel::from_model(&model),
             EngineOptions {
                 workers: 2,
-                cache_capacity: 8,
                 ..EngineOptions::default()
             },
             Arc::new(Pool::new(2)),

@@ -413,7 +413,7 @@ fn checkpoint_read_fault_degrades_reload_and_recovery_restores_service() {
 
 /// Regression: a request that snapshots the model, is held in its forward
 /// pass while `/admin/reload` swaps in other weights, and finishes after
-/// the swap must not leave its old-model result in the exact cache — the
+/// the swap must not leave its old-model rows in the cone memo — the
 /// same request afterwards answers exactly what the new model computes.
 #[test]
 fn reload_during_a_held_request_leaves_no_stale_cache_entry() {

@@ -1,8 +1,8 @@
-//! Property tests of the serving subsystem: the content address must be
-//! blind to node renumbering (that is what makes it *content* addressing),
-//! the threaded engine must return exactly what a direct forward pass
-//! returns, and the level-parallel forward pass must be bitwise identical
-//! at every thread count.
+//! Property tests of the serving subsystem: a response is a pure function
+//! of its request (whatever the cone memo saw before), the threaded engine
+//! must return exactly what a direct forward pass returns, and the
+//! level-parallel forward pass must be bitwise identical at every thread
+//! count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,8 +11,8 @@ use deepseq_core::encoding::initial_states;
 use deepseq_core::{CircuitGraph, DeepSeq, DeepSeqConfig};
 use deepseq_netlist::{AigNode, NodeId, SeqAig};
 use deepseq_nn::{Kernel, Pool};
-use deepseq_serve::{CacheKey, Engine, EngineOptions, InferenceModel, ServeRequest, Workspace};
-use deepseq_sim::PiStimulus;
+use deepseq_serve::json::response_to_json;
+use deepseq_serve::{Engine, EngineOptions, InferenceModel, ServeRequest, Workspace};
 use deepseq_sim::Workload;
 use proptest::prelude::*;
 
@@ -190,25 +190,75 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn cache_key_invariant_under_renumbering(aig in arb_seq_aig(), perm_seed in any::<u64>(), seed in any::<u64>()) {
-        // Give every PI a distinct stimulus keyed by its name...
-        let stim_of = |name: &str| {
-            let salt = name.bytes().map(|b| b as u64).sum::<u64>() % 97;
-            PiStimulus::independent(0.01 + salt as f64 / 100.0)
+    fn responses_are_pure_under_repeats_edits_and_renumbering(
+        random in arb_seq_aig(),
+        seeds in proptest::collection::vec(any::<u64>(), 2..5),
+        ops in proptest::collection::vec((0u8..4, any::<u64>()), 4..10),
+    ) {
+        // One engine with the default memo serves a request sequence that
+        // mixes repeats, one-component edits, renumberings and reseeds;
+        // each answer must be bitwise what a fresh uncached engine gives
+        // the same request, at every pool width.
+        let model = DeepSeq::new(DeepSeqConfig { hidden_dim: 8, iterations: 2, ..DeepSeqConfig::default() });
+        let request = |id: u64, aig: SeqAig, init_seed: u64| ServeRequest {
+            id,
+            workload: Workload::uniform(aig.num_pis(), 0.5),
+            aig,
+            init_seed,
         };
-        let workload = Workload::new(
-            aig.pis().iter().map(|&pi| stim_of(aig.node_name(pi).unwrap())).collect(),
-        );
-        let renumbered = renumber(&aig, perm_seed);
-        // ...and rebuild the workload in the renumbered circuit's PI order.
-        let workload2 = Workload::new(
-            renumbered.pis().iter().map(|&pi| stim_of(renumbered.node_name(pi).unwrap())).collect(),
-        );
-        prop_assert_eq!(
-            CacheKey::for_request(&aig, &workload, seed),
-            CacheKey::for_request(&renumbered, &workload2, seed),
-            "renumbering broke the content address"
-        );
+        let mut blocks = seeds.clone();
+        let mut sequence = vec![
+            request(0, multi_block_aig(&blocks), 0),
+            request(1, random, 0),
+        ];
+        for (i, &(op, arg)) in ops.iter().enumerate() {
+            let id = i as u64 + 2;
+            let earlier = &sequence[arg as usize % sequence.len()];
+            let next = match op {
+                0 => ServeRequest { id, ..earlier.clone() },
+                1 => {
+                    let b = arg as usize % blocks.len();
+                    blocks[b] ^= arg | 1;
+                    request(id, multi_block_aig(&blocks), 0)
+                }
+                2 => request(id, renumber(&earlier.aig, arg), earlier.init_seed),
+                _ => request(id, earlier.aig.clone(), arg % 3),
+            };
+            sequence.push(next);
+        }
+        for threads in [1usize, 4] {
+            let pool = Arc::new(Pool::new(threads));
+            let engine = |cone_capacity| Engine::with_pool(
+                InferenceModel::from_model(&model),
+                EngineOptions { workers: 2, cone_capacity, ..EngineOptions::default() },
+                Arc::clone(&pool),
+            );
+            let memoed = engine(EngineOptions::default().cone_capacity);
+            for req in &sequence {
+                let got = memoed.serve_batch(vec![req.clone()]).pop().unwrap();
+                let want = engine(0).serve_batch(vec![req.clone()]).pop().unwrap();
+                let (g, w) = (got.result.as_ref().unwrap(), want.result.as_ref().unwrap());
+                for (tag, got_m, want_m) in [
+                    ("tr", &g.data.predictions.tr, &w.data.predictions.tr),
+                    ("lg", &g.data.predictions.lg, &w.data.predictions.lg),
+                    ("embedding", &g.data.embedding, &w.data.embedding),
+                ] {
+                    prop_assert_eq!(got_m.shape(), want_m.shape());
+                    for (i, (x, y)) in got_m.data().iter().zip(want_m.data()).enumerate() {
+                        prop_assert_eq!(
+                            x.to_bits(), y.to_bits(),
+                            "request {} {} t{} elem {}: {} vs {}",
+                            req.id, tag, threads, i, x, y
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    response_to_json(&got, false).replacen("\"cache_hit\":true", "\"cache_hit\":false", 1),
+                    response_to_json(&want, false),
+                    "request {} t{}", req.id, threads
+                );
+            }
+        }
     }
 
     #[test]
@@ -252,8 +302,7 @@ proptest! {
         let config = DeepSeqConfig { hidden_dim: 6, iterations: 2, ..DeepSeqConfig::default() };
         let model = DeepSeq::new(config);
         let frozen = InferenceModel::from_model(&model);
-        let engine = Engine::new(frozen, EngineOptions { workers, cache_capacity: 8,
-                                                         ..EngineOptions::default() });
+        let engine = Engine::new(frozen, EngineOptions { workers, ..EngineOptions::default() });
 
         let requests: Vec<ServeRequest> = aigs.iter().enumerate().map(|(i, aig)| ServeRequest {
             id: i as u64,
@@ -313,18 +362,16 @@ proptest! {
         };
         // The memo must be bitwise-invisible at every thread count: a
         // memo-warm answer for the edit equals a cold full recompute.
-        // cache_capacity: 0 disables the exact-match cache so the served
-        // result is forced through the cone path.
         for threads in [1usize, 4] {
             let pool = Arc::new(Pool::new(threads));
             let memoed = Engine::with_pool(
                 InferenceModel::from_model(&model),
-                EngineOptions { workers: 2, cache_capacity: 0, cone_capacity: 64 },
+                EngineOptions { workers: 2, cone_capacity: 64, ..EngineOptions::default() },
                 Arc::clone(&pool),
             );
             let plain = Engine::with_pool(
                 InferenceModel::from_model(&model),
-                EngineOptions { workers: 2, cache_capacity: 0, cone_capacity: 0 },
+                EngineOptions { workers: 2, cone_capacity: 0, ..EngineOptions::default() },
                 pool,
             );
             memoed.serve_batch(vec![request(&base, 0)]); // warm the memo

@@ -95,7 +95,6 @@ fn engine_matches_in_process_forward_bitwise() {
         InferenceModel::from_model(&model),
         EngineOptions {
             workers: 3,
-            cache_capacity: 8,
             ..EngineOptions::default()
         },
     );

@@ -235,7 +235,6 @@ pub fn test_engine(threads: usize) -> Engine {
         InferenceModel::from_model(&model),
         EngineOptions {
             workers: threads,
-            cache_capacity: 64,
             ..EngineOptions::default()
         },
         Arc::new(Pool::new(threads)),

@@ -1,5 +1,5 @@
 //! End-to-end serving scenario: train-free checkpoint handoff into the
-//! batched tape-free inference engine, with cache hit/miss statistics.
+//! batched tape-free inference engine, with cone-memo hit/miss statistics.
 //!
 //! 1. Build a model and write a **binary checkpoint** (the `DSQM` format).
 //! 2. Reload it as a frozen [`InferenceModel`] — no tape, no optimizer.
@@ -7,9 +7,11 @@
 //!    training-scale circuits) through the shared-pool [`Engine`] — the
 //!    same `DEEPSEQ_THREADS`-sized pool runs request- and level-level
 //!    parallelism, with bitwise-identical outputs at any thread count.
-//! 4. Re-serve the same batch: every request is a content-addressed cache
-//!    hit, including a *renumbered* copy of a circuit — the canonical
-//!    structural hash sees through node reordering.
+//! 4. Re-serve the same batch: every request is answered from the cone
+//!    memo without running the model. A *renumbered* copy of a circuit is
+//!    computed instead: its initial states are seeded by node index, so it
+//!    is a different request to the forward pass, and the memo is keyed by
+//!    what the forward pass reads.
 //!
 //! Run: `cargo run --release --example serving`
 
@@ -44,7 +46,6 @@ fn main() {
         frozen,
         EngineOptions {
             workers: 4,
-            cache_capacity: 64,
             ..EngineOptions::default()
         },
     );
@@ -80,32 +81,40 @@ fn main() {
     println!("\ncold batch ({} circuits):", circuits.len());
     serve_round(&engine, requests(0, &circuits));
 
-    // 4. Warm batch: everything hits — including a *renumbered* copy of
-    //    the first circuit, which the canonical structural hash identifies
-    //    with the entry the cold batch populated. (The duplicate rides the
-    //    warm batch: in the cold batch it could race a concurrent worker
-    //    still computing the original and legitimately miss.)
+    // 4. Warm batch: everything hits the memo. A renumbered copy of the
+    //    first circuit rides along and is computed, not borrowed from the
+    //    original. (Repeats ride the warm batch: in the cold batch they
+    //    could race a concurrent worker still computing the original and
+    //    legitimately miss.)
     let mut warm = circuits.clone();
     warm.push(reverse_renumber(&circuits[0]));
-    println!("\nwarm batch (same circuits + renumbered duplicate):");
+    println!("\nwarm batch (same circuits + renumbered copy):");
     serve_round(&engine, requests(100, &warm));
 
     let stats = engine.cache_stats();
+    let cones = engine.cone_stats();
     println!(
-        "\ncache: {} hits / {} misses ({:.0}% hit), {} entries resident, {} evictions",
+        "\ncone memo: {} of {} requests answered wholly ({:.0}%), {} of {} components reused, \
+         {} entries resident, {} evictions",
         stats.hits,
-        stats.misses,
+        stats.hits + stats.misses,
         100.0 * stats.hit_ratio(),
+        cones.hits,
+        cones.hits + cones.misses,
         stats.entries,
         stats.evictions
     );
     println!("requests served: {}", engine.requests_served());
     assert_eq!(
-        stats.misses as usize,
+        stats.hits as usize,
         circuits.len(),
-        "only the cold batch may miss; the renumbered duplicate must hit"
+        "every repeated circuit is answered from the memo"
     );
-    assert_eq!(stats.hits as usize, warm.len(), "every warm request hits");
+    assert_eq!(
+        stats.misses as usize,
+        circuits.len() + 1,
+        "the cold batch and the renumbered copy are computed"
+    );
 }
 
 fn serve_round(engine: &Engine, requests: Vec<ServeRequest>) {

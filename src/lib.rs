@@ -17,7 +17,7 @@
 //! | [`data`] | `deepseq-data` | benchmark families, the six Table IV designs |
 //! | [`power`] | `deepseq-power` | power pipeline: probabilistic + Grannite baselines, SAIF |
 //! | [`reliability`] | `deepseq-reliability` | analytical baseline, reliability fine-tuning |
-//! | [`serve`] | `deepseq-serve` | batched tape-free inference engine, binary checkpoints, embedding cache |
+//! | [`serve`] | `deepseq-serve` | batched tape-free inference engine, binary checkpoints, cone memo |
 //!
 //! # Quickstart
 //!

@@ -1,7 +1,9 @@
 //! Smoke test of the HTTP serving lifecycle through the facade: a server
 //! booted from a binary checkpoint answers a miss, then a cache hit; in
 //! degraded mode it serves the hit and sheds the miss; a reload restores
-//! it; and a drain reports every request it served.
+//! it; a header claiming billions of lines is a 400, not a dead server; a
+//! renumbered circuit gets exactly a fresh engine's answer; and a drain
+//! reports every request it served.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -9,9 +11,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use deepseq::core::{DeepSeq, DeepSeqConfig};
-use deepseq::netlist::{write_aiger, SeqAig};
+use deepseq::netlist::{parse_aiger, write_aiger, SeqAig};
 use deepseq::nn::Pool;
-use deepseq::serve::{Engine, EngineOptions, HttpServer, InferenceModel, ServerOptions};
+use deepseq::serve::json::response_to_json;
+use deepseq::serve::{
+    Engine, EngineOptions, HttpServer, InferenceModel, ServeRequest, ServerOptions,
+};
+use deepseq::sim::Workload;
 
 /// One `Connection: close` exchange; returns (status, body).
 fn exchange(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String) {
@@ -55,6 +61,18 @@ fn circuit() -> String {
     write_aiger(&aig)
 }
 
+/// One circuit in two numberings: the same two AND gates, `a ∧ b` (the
+/// output) and `a ∧ ¬b`, defined in either order, in ASCII AIGER.
+fn and_pair(swapped: bool) -> String {
+    let (both, a_not_b) = ("6 2 4\n", "8 2 5\n");
+    let ands = if swapped {
+        [a_not_b, both]
+    } else {
+        [both, a_not_b]
+    };
+    format!("aag 4 2 0 1 2\n2\n4\n6\n{}{}", ands[0], ands[1])
+}
+
 #[test]
 fn embed_degrade_reload_and_drain() {
     let dir = std::env::temp_dir().join(format!("deepseq-lifecycle-{}", std::process::id()));
@@ -71,7 +89,6 @@ fn embed_degrade_reload_and_drain() {
         InferenceModel::from_binary_checkpoint(&checkpoint).expect("checkpoint decodes"),
         EngineOptions {
             workers: 2,
-            cache_capacity: 16,
             ..EngineOptions::default()
         },
         Arc::new(Pool::new(2)),
@@ -125,11 +142,50 @@ fn embed_degrade_reload_and_drain() {
     assert_eq!(status, 200, "{computed}");
     assert!(computed.contains("\"cache_hit\":false"), "{computed}");
 
-    // 4. Drain: the engine served the miss, the hit and the recomputed
-    // miss; degraded-mode answers never reach it.
+    // 4. A 32-byte header claiming 2^32 - 1 variables and AND gates is a
+    // parse error, not an allocation that aborts the process.
+    let huge = b"aag 4294967295 0 0 0 4294967295\n";
+    let (status, body) = exchange(addr, "POST", "/v1/embed", huge);
+    assert_eq!(status, 400, "{body}");
+    // The server lives on; the reload emptied the memo, so the next embed
+    // recomputes the first answer.
+    let (status, after) = embed("id=1");
+    assert_eq!(status, 200, "{after}");
+    assert_eq!(after, miss);
+
+    // 5. A renumbering of an earlier circuit is answered for its own
+    // numbering: bitwise what a fresh, uncached engine returns.
+    let (status, first) = exchange(addr, "POST", "/v1/embed", and_pair(false).as_bytes());
+    assert_eq!(status, 200, "{first}");
+    let (status, twin) = exchange(addr, "POST", "/v1/embed", and_pair(true).as_bytes());
+    assert_eq!(status, 200, "{twin}");
+    let fresh = Engine::with_pool(
+        InferenceModel::from_binary_checkpoint(&checkpoint).expect("checkpoint decodes"),
+        EngineOptions {
+            workers: 1,
+            cone_capacity: 0,
+            ..EngineOptions::default()
+        },
+        Arc::new(Pool::new(1)),
+    );
+    let aig = parse_aiger(&and_pair(true)).expect("valid AIGER");
+    let expected = fresh
+        .serve_batch(vec![ServeRequest {
+            id: 0,
+            workload: Workload::uniform(aig.num_pis(), 0.5),
+            aig,
+            init_seed: 0,
+        }])
+        .pop()
+        .expect("one response");
+    assert_eq!(twin, response_to_json(&expected, false));
+
+    // 6. Drain: the engine served the miss, the hit, the recomputed miss,
+    // the hit after the 400 and both numberings; degraded-mode answers
+    // and unparseable bodies never reach it.
     assert_eq!(exchange(addr, "POST", "/admin/drain", b"").0, 200);
     let report = server.shutdown();
-    assert_eq!(report.requests_served, 3);
+    assert_eq!(report.requests_served, 6);
     assert_eq!(report.connections_abandoned, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
