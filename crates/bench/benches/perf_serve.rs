@@ -4,6 +4,8 @@
 //! random circuit. These back the PR-2 acceptance criterion (tape-free
 //! measurably faster than tape; cache hit faster still) and feed the
 //! `BENCH_serve.json` perf-trajectory artifact collected in CI.
+//! `serve_parse_aiger_*` and `serve_json_full_*` time the text work
+//! around a request: decoding its AIGER body and rendering its reply.
 //!
 //! The tape-free and engine benches are pinned to 1-thread pools so the
 //! committed trajectory isolates the serial path and stays comparable
@@ -20,8 +22,9 @@ use deepseq_core::encoding::initial_states;
 use deepseq_core::{CircuitGraph, DeepSeq, DeepSeqConfig};
 use deepseq_data::designs::ptc;
 use deepseq_data::random::{random_circuit, CircuitSpec};
-use deepseq_netlist::{lower_to_aig, SeqAig};
+use deepseq_netlist::{lower_to_aig, parse_aiger, write_aiger, SeqAig};
 use deepseq_nn::{Kernel, Matrix, Pool};
+use deepseq_serve::json::response_to_json;
 use deepseq_serve::{Engine, EngineOptions, InferenceModel, ServeRequest, Workspace};
 use deepseq_sim::Workload;
 use rand::rngs::StdRng;
@@ -228,10 +231,48 @@ fn bench_cone_reuse(c: &mut Criterion) {
     }
 }
 
+/// The HTTP edge's text work on the `serve_cone_*` design: decoding its
+/// AIGER request body (`serve_parse_aiger_blocks16`) and rendering its
+/// full JSON response (`serve_json_full_blocks16`): the text work the
+/// HTTP edge adds to every request.
+fn bench_text_edge(c: &mut Criterion) {
+    let config = DeepSeqConfig {
+        hidden_dim: 32,
+        iterations: 4,
+        ..DeepSeqConfig::default()
+    };
+    let base = blocky_aig(16, 24, 0);
+    let text = write_aiger(&base);
+    c.bench_function("serve_parse_aiger_blocks16", |b| {
+        b.iter(|| parse_aiger(&text).expect("parses"))
+    });
+    let engine = Engine::with_pool(
+        InferenceModel::from_model(&DeepSeq::new(config)),
+        EngineOptions {
+            workers: 1,
+            ..EngineOptions::default()
+        },
+        Arc::new(Pool::new(1)),
+    );
+    let response = engine
+        .serve_batch(vec![ServeRequest {
+            id: 0,
+            workload: Workload::uniform(base.num_pis(), 0.5),
+            aig: base,
+            init_seed: 0,
+        }])
+        .pop()
+        .expect("one response");
+    assert!(response.result.is_ok());
+    c.bench_function("serve_json_full_blocks16", |b| {
+        b.iter(|| response_to_json(&response, false))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_tape_forward, bench_tapefree_forward, bench_tapefree_per_kernel, bench_cache_hit,
-        bench_cone_reuse
+        bench_cone_reuse, bench_text_edge
 }
 criterion_main!(benches);

@@ -44,7 +44,8 @@ pub enum FaultPoint {
     TaskPanic = 1,
     /// Sleep inside a pipeline stage (qualified by a stage name).
     SlowStage = 2,
-    /// Treat an embedding-cache probe as a miss and drop the entry.
+    /// Drop a request's cone-memo entries before its probe, so every
+    /// component misses.
     CacheEvict = 3,
     /// Fail the socket write of a response.
     SocketWrite = 4,

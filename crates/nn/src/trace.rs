@@ -44,7 +44,8 @@ pub enum SpanKind {
     Parse = 1,
     /// Time blocked in the admission gate before a compute slot freed.
     QueueWait = 2,
-    /// Embedding-cache probe (hit or miss) under the cache lock.
+    /// Cone-memo probe of a request's components (hits or misses) under
+    /// the memo lock.
     CacheLookup = 3,
     /// One full forward pass of the inference model.
     Forward = 4,

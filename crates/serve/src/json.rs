@@ -1,78 +1,107 @@
-//! Minimal JSON emission for serving responses (no serialization
-//! dependencies, matching the repository's offline constraint).
+//! JSON rendering of serving responses, with no serialization dependency
+//! (the repository builds offline).
+//!
+//! A response body is rendered into one `String`, reserved up front from
+//! the matrix shapes. Numbers are written straight into it with `f32`'s
+//! `Display`: the shortest decimal that round-trips, never in exponent
+//! notation, so always a valid JSON number. Non-finite values become
+//! `null`. The bytes of every body are pinned by the facade's
+//! `response_golden` test.
 
 use std::fmt::Write;
-
-use deepseq_core::Predictions;
 
 use crate::engine::ServeResponse;
 
 /// Escapes a string for a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out
 }
 
-fn number(v: f32) -> String {
+/// Appends `s` escaped for a JSON string literal. Runs of characters that
+/// need no escape are copied whole; every escaped character is ASCII, so
+/// the scan can go byte by byte.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escaped = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escaped);
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Appends one number, or `null` if it is not finite.
+fn push_number(out: &mut String, v: f32) {
     if v.is_finite() {
-        // Rust's Display prints the shortest exactly-round-tripping decimal,
-        // which is always a valid JSON number.
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-fn matrix_rows(rows: usize, cols: usize, get: impl Fn(usize, usize) -> f32) -> String {
-    let mut out = String::from("[");
+/// Appends `rows` rows of `cols` values from row-major `data`: a flat
+/// array when `cols == 1`, an array of row arrays otherwise.
+fn push_rows(out: &mut String, data: &[f32], rows: usize, cols: usize) {
+    out.push('[');
     for r in 0..rows {
         if r > 0 {
             out.push(',');
         }
+        let row = &data[r * cols..(r + 1) * cols];
         if cols == 1 {
-            out.push_str(&number(get(r, 0)));
-        } else {
-            out.push('[');
-            for c in 0..cols {
-                if c > 0 {
-                    out.push(',');
-                }
-                out.push_str(&number(get(r, c)));
-            }
-            out.push(']');
+            push_number(out, row[0]);
+            continue;
         }
+        out.push('[');
+        for (c, &v) in row.iter().enumerate() {
+            if c > 0 {
+                out.push(',');
+            }
+            push_number(out, v);
+        }
+        out.push(']');
     }
     out.push(']');
-    out
 }
 
 /// Renders one response as a single JSON object (one line, no trailing
 /// newline). Full mode includes the per-node prediction matrices; summary
 /// mode only their means.
 pub fn response_to_json(response: &ServeResponse, summary: bool) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"id\":{},\"design\":\"{}\"",
-        response.id,
-        escape(&response.design)
-    );
+    // Room for the fixed fields and, per value, a decimal of up to 11
+    // characters with its separator; only tiny or huge values need more.
+    let values = match &response.result {
+        Ok(served) if !summary => {
+            let preds = &served.data.predictions;
+            preds.tr.data().len() + preds.lg.data().len() + served.data.embedding.cols()
+        }
+        Ok(served) => 2 + served.data.embedding.cols(),
+        Err(_) => 16,
+    };
+    let mut out = String::with_capacity(128 + response.design.len() + 12 * values);
+    let _ = write!(out, "{{\"id\":{},\"design\":\"", response.id);
+    push_escaped(&mut out, &response.design);
+    out.push('"');
     match &response.result {
         Err(err) => {
-            let _ = write!(out, ",\"error\":\"{}\"", escape(&err.to_string()));
+            out.push_str(",\"error\":\"");
+            push_escaped(&mut out, &err.to_string());
+            out.push('"');
         }
         Ok(served) => {
             let preds = &served.data.predictions;
@@ -82,22 +111,20 @@ pub fn response_to_json(response: &ServeResponse, summary: bool) -> String {
                 served.num_nodes, served.cache_hit
             );
             if summary {
-                let _ = write!(
-                    out,
-                    ",\"mean_tr\":{},\"mean_lg\":{}",
-                    number(preds.tr.mean_abs()),
-                    number(preds.lg.mean_abs())
-                );
+                out.push_str(",\"mean_tr\":");
+                push_number(&mut out, preds.tr.mean_abs());
+                out.push_str(",\"mean_lg\":");
+                push_number(&mut out, preds.lg.mean_abs());
             } else {
-                let _ = write!(out, ",\"tr\":{}", predictions_tr(preds));
-                let _ = write!(out, ",\"lg\":{}", predictions_lg(preds));
+                for (key, m) in [(",\"tr\":", &preds.tr), (",\"lg\":", &preds.lg)] {
+                    out.push_str(key);
+                    push_rows(&mut out, m.data(), m.rows(), m.cols());
+                }
             }
+            // The `1×d` embedding renders as a one-row matrix.
             let emb = &served.data.embedding;
-            let _ = write!(
-                out,
-                ",\"embedding\":{}",
-                matrix_rows(1, emb.cols(), |_, c| emb.get(0, c))
-            );
+            out.push_str(",\"embedding\":");
+            push_rows(&mut out, emb.row(0), 1, emb.cols());
         }
     }
     out.push('}');
@@ -238,14 +265,6 @@ pub fn stage_summary_json(stages: &[deepseq_nn::trace::StageStats], dropped: u64
     out
 }
 
-fn predictions_tr(preds: &Predictions) -> String {
-    matrix_rows(preds.tr.rows(), preds.tr.cols(), |r, c| preds.tr.get(r, c))
-}
-
-fn predictions_lg(preds: &Predictions) -> String {
-    matrix_rows(preds.lg.rows(), preds.lg.cols(), |r, c| preds.lg.get(r, c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,18 +277,28 @@ mod tests {
 
     #[test]
     fn numbers_are_json_safe() {
-        assert_eq!(number(0.5), "0.5");
-        assert_eq!(number(f32::NAN), "null");
-        assert_eq!(number(f32::INFINITY), "null");
+        let render = |v: f32| {
+            let mut out = String::new();
+            push_number(&mut out, v);
+            out
+        };
+        assert_eq!(render(0.5), "0.5");
+        assert_eq!(render(f32::NAN), "null");
+        assert_eq!(render(f32::INFINITY), "null");
     }
 
     #[test]
     fn matrix_rendering_flattens_columns() {
-        assert_eq!(matrix_rows(2, 1, |r, _| r as f32), "[0,1]");
-        assert_eq!(
-            matrix_rows(2, 2, |r, c| (r * 2 + c) as f32),
-            "[[0,1],[2,3]]"
-        );
+        let render = |rows: usize, cols: usize| {
+            let data: Vec<f32> = (0..rows * cols).map(|v| v as f32).collect();
+            let mut out = String::new();
+            push_rows(&mut out, &data, rows, cols);
+            out
+        };
+        assert_eq!(render(2, 1), "[0,1]");
+        assert_eq!(render(2, 2), "[[0,1],[2,3]]");
+        assert_eq!(render(2, 0), "[[],[]]");
+        assert_eq!(render(0, 2), "[]");
     }
 
     #[test]

@@ -193,6 +193,10 @@ fn malformed_requests_get_json_errors_not_dropped_connections() {
         b"this is not a netlist",
         b"\xff\xfe\x00",
         b"",
+        // A gate defining variable 0, then a constant operand.
+        b"aag 2 1 0 0 2\n2\n0 2 2\n4 0 2\n",
+        // A symbol line opening with a multi-byte character.
+        b"aag 1 1 0 0 0\n2\n\xc3\xa9 x\n",
     ] {
         let response = exchange(addr, "POST", "/v1/embed", body);
         assert_eq!(response.status, 400, "body {body:?}");
@@ -202,6 +206,9 @@ fn malformed_requests_get_json_errors_not_dropped_connections() {
             response.body
         );
     }
+    // The server still serves after every rejection.
+    let valid = exchange(addr, "POST", "/v1/embed", counter_aiger(0).as_bytes());
+    assert_eq!(valid.status, 200, "{}", valid.body);
 
     server.shutdown();
 }

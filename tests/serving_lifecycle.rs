@@ -1,8 +1,8 @@
 //! Smoke test of the HTTP serving lifecycle through the facade: a server
 //! booted from a binary checkpoint answers a miss, then a cache hit; in
 //! degraded mode it serves the hit and sheds the miss; a reload restores
-//! it; a header claiming billions of lines is a 400, not a dead server; a
-//! renumbered circuit gets exactly a fresh engine's answer; and a drain
+//! it; hostile AIGER bodies are 400s, not a dead server; a renumbered
+//! circuit gets exactly a fresh engine's answer; and a drain
 //! reports every request it served.
 
 use std::io::{Read, Write};
@@ -142,11 +142,25 @@ fn embed_degrade_reload_and_drain() {
     assert_eq!(status, 200, "{computed}");
     assert!(computed.contains("\"cache_hit\":false"), "{computed}");
 
-    // 4. A 32-byte header claiming 2^32 - 1 variables and AND gates is a
-    // parse error, not an allocation that aborts the process.
-    let huge = b"aag 4294967295 0 0 0 4294967295\n";
-    let (status, body) = exchange(addr, "POST", "/v1/embed", huge);
-    assert_eq!(status, 400, "{body}");
+    // 4. Hostile bodies are parse errors, not a dead server or a dropped
+    // connection: a 32-byte header claiming 2^32 - 1 variables and AND
+    // gates (no allocation from the header), a gate defining variable 0
+    // followed by a constant operand, and a symbol line that opens with a
+    // multi-byte character.
+    for hostile in [
+        &b"aag 4294967295 0 0 0 4294967295\n"[..],
+        b"aag 2 1 0 0 2\n2\n0 2 2\n4 0 2\n",
+        "aag 1 1 0 0 0\n2\n\u{e9} x\n".as_bytes(),
+    ] {
+        let (status, body) = exchange(addr, "POST", "/v1/embed", hostile);
+        assert_eq!(
+            status,
+            400,
+            "{:?}: {body}",
+            String::from_utf8_lossy(hostile)
+        );
+        assert!(body.starts_with("{\"error\":"), "{body}");
+    }
     // The server lives on; the reload emptied the memo, so the next embed
     // recomputes the first answer.
     let (status, after) = embed("id=1");
