@@ -8,6 +8,12 @@
 //! `serve_kernel_blocked_256x256x64` against `serve_kernel_naive_256x256x64`
 //! there.
 //!
+//! The training shapes time one level of the GRU gate at `d = 32` on the
+//! bitwise kernels: the forward `x·W` of a 1- and an 8-row level, and the
+//! two backward products of an 8-row level, `dW = xᵀ·g`
+//! (`serve_kernel_<kernel>_tmatmul_8x68x32`) and `dx = g·Wᵀ`
+//! (`serve_kernel_<kernel>_matmult_8x32x68`).
+//!
 //! All products are pinned to a 1-thread pool: these benches isolate
 //! kernel arithmetic, so their trajectory must not depend on the
 //! measurement host's core count (`perf_threads` owns the scaling story).
@@ -21,6 +27,11 @@ use deepseq_nn::{Act, Kernel, Matrix, Pool};
 /// level-batch × GRU-gate shape (`input_dim = 2d + 4` node types at
 /// `d = 32`), and a wide-hidden shape.
 const SHAPES: [(usize, usize, usize); 3] = [(256, 256, 64), (512, 68, 32), (128, 128, 128)];
+
+/// `(m, k, n)` of one GRU gate product `x·W` at `d = 32` (`k = 2d + 4`)
+/// on a one-node level and on an 8-node level, the shapes training and an
+/// `eco` edit run level by level.
+const MODEL_SHAPES: [(usize, usize, usize); 2] = [(1, 68, 32), (8, 68, 32)];
 
 fn filled(rows: usize, cols: usize, seed: f32) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -48,6 +59,33 @@ fn bench_gemm(c: &mut Criterion) {
                 |bch| bch.iter(|| kernel.matmul_into_on(&serial, &a, &b, &mut out)),
             );
         }
+    }
+}
+
+fn bench_model_shapes(c: &mut Criterion) {
+    let serial = Pool::new(1);
+    for &(m, k, n) in &MODEL_SHAPES {
+        let a = filled(m, k, 0.6);
+        let b = filled(k, n, -0.4);
+        for kernel in Kernel::ALL {
+            let mut out = Matrix::default();
+            c.bench_function(
+                &format!("serve_kernel_{}_{m}x{k}x{n}", kernel.name()),
+                |bch| bch.iter(|| kernel.matmul_into_on(&serial, &a, &b, &mut out)),
+            );
+        }
+    }
+    // The backward pair of the 8-row gate: `x` is 8×68, `g` 8×32, `W` 68×32.
+    let (x, g, w) = (filled(8, 68, 0.6), filled(8, 32, -0.4), filled(68, 32, 0.3));
+    for kernel in Kernel::ALL {
+        c.bench_function(
+            &format!("serve_kernel_{}_tmatmul_8x68x32", kernel.name()),
+            |bch| bch.iter(|| kernel.t_matmul_on(&serial, &x, &g)),
+        );
+        c.bench_function(
+            &format!("serve_kernel_{}_matmult_8x32x68", kernel.name()),
+            |bch| bch.iter(|| kernel.matmul_t_on(&serial, &g, &w)),
+        );
     }
 }
 
@@ -84,6 +122,6 @@ fn bench_fused_gate(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_gemm, bench_fused_gate
+    targets = bench_gemm, bench_model_shapes, bench_fused_gate
 }
 criterion_main!(benches);

@@ -3,7 +3,8 @@
 //! every training-path computation.
 //!
 //! This binary sets the variable before any kernel dispatch and then
-//! pins that (a) the process-wide training default refuses fast mode,
+//! pins that (a) the process-wide training default refuses fast mode
+//! and stays on the bitwise `blocked` kernel,
 //! (b) the `Matrix` product methods the autograd tape is built on keep
 //! producing the naive kernel's exact bits, and (c) full data-parallel
 //! training stays bitwise deterministic — identical epoch history,
@@ -36,9 +37,10 @@ fn training_default_refuses_fast_mode() {
     set_simd_env();
     assert_eq!(
         Kernel::global(),
-        Kernel::Naive,
+        Kernel::Blocked,
         "the training default must ignore DEEPSEQ_KERNEL=simd"
     );
+    assert!(Kernel::global().is_bitwise());
     // But the serving entry point honors it — the env var is not lost.
     assert_eq!(Kernel::for_serve(), Kernel::Simd);
 }

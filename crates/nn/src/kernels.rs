@@ -1,4 +1,4 @@
-//! Cache-blocked, vectorizer-friendly `f32` GEMM kernels and the runtime
+//! Register-tiled, vectorizer-friendly `f32` GEMM kernels and the runtime
 //! dispatcher selecting between them.
 //!
 //! DeepSeq's levelized propagation spends nearly all of its time in matrix
@@ -7,12 +7,16 @@
 //! one place, behind the [`Kernel`] dispatch enum:
 //!
 //! * [`Kernel::Naive`] — the reference `i-k-j` triple loop. Slowest, but the
-//!   arithmetic every other variant is measured against. Default for
-//!   training so tape results stay bit-for-bit stable across releases.
-//! * [`Kernel::Blocked`] — the same accumulation order, restructured into
-//!   cache-sized `k`-panels and register-tiled output columns so the
-//!   autovectorizer emits wide mul-add loops and each output element stays
-//!   in a register across a whole panel. Default for serving.
+//!   arithmetic every other variant is measured against; the tests compare
+//!   against it, and `DEEPSEQ_KERNEL=naive` runs the whole process on it.
+//! * [`Kernel::Blocked`] — the same arithmetic, restructured into register
+//!   tiles: one output row, 32 columns wide (a whole row at d = 32),
+//!   accumulates in registers over the whole contraction, so 32
+//!   independent add chains run at once. `a × bᵀ` packs `bᵀ` first and
+//!   runs the same tiles; outputs narrower than 8 columns tile over rows
+//!   instead. On x86-64 CPUs with AVX2 the same body runs compiled for
+//!   AVX2 (no fused multiply-add), with the same bits. Default for
+//!   training and serving.
 //! * [`Kernel::Simd`] — explicit **fast mode**: AVX2/FMA micro-kernels
 //!   over contiguous B panels (runtime feature detection; hosts without
 //!   AVX2 run a bitwise-identical portable fused fallback — see the
@@ -27,8 +31,8 @@
 //! results (property-tested in `crates/nn/tests/properties.rs`). Picking
 //! between them is purely a performance decision, never a numerics
 //! decision. This mode is the default everywhere and the *only* mode the
-//! tape/training path will run: [`Kernel::global`] maps `simd` back to
-//! the reference kernel.
+//! tape/training path will run: [`Kernel::global`] maps `simd` to
+//! [`Kernel::Blocked`].
 //!
 //! **Fast mode** (`simd`): fused multiply-add accumulation, still
 //! ascending-`k` per element, so results are *self*-deterministic —
@@ -64,7 +68,8 @@
 //! The `DEEPSEQ_KERNEL` environment variable (`naive` | `blocked` |
 //! `simd`, read once per process; unrecognized values warn once to
 //! stderr and keep the default) overrides the serving default, and the
-//! training default for the bitwise names:
+//! training default for the bitwise names (`DEEPSEQ_KERNEL=naive` is the
+//! reference run of the whole process):
 //!
 //! ```text
 //! DEEPSEQ_KERNEL=simd target/release/deepseq-serve predict design.aag
@@ -87,6 +92,7 @@
 //! assert_eq!(a.matmul(&b), reference);
 //! ```
 
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -109,18 +115,31 @@ pub fn simd_accelerated() -> bool {
 /// empty value behaves like an unset variable.
 pub const KERNEL_ENV: &str = "DEEPSEQ_KERNEL";
 
-/// Output-column register tile width of the blocked and simd kernels
-/// (one AVX2 `__m256` of f32s — the width of simd's packed B panels).
+/// Output-column register tile width of the simd kernels (one AVX2
+/// `__m256` of f32s — the width of simd's packed B panels).
 const NR: usize = 8;
 
-/// Reference `k`-panel height of the blocked kernels: [`kc_for`] clamps
-/// the panel to `KC / 2 ..= 4 · KC` rows of the right-hand operand (or
-/// the whole contraction, when that is shorter).
-const KC: usize = 128;
+thread_local! {
+    /// Reused packing scratch of the products that repack their right-hand
+    /// operand first (blocked `a × bᵀ`, every simd product); grows to the
+    /// largest operand seen on this thread and is then reused, mirroring
+    /// the serve path's `Workspace` buffer discipline. Parallel products
+    /// pack once on the calling thread and share the packed operand
+    /// read-only with the workers.
+    static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
-/// Row tile height of the portable simd panel kernels and of the blocked
-/// `a × bᵀ` kernel's `b` tile.
-const MR: usize = 4;
+/// Runs `f` with the thread-local pack buffer *moved out* of its `RefCell`
+/// for the duration. The buffer must not stay borrowed across a pool
+/// fan-out: while parked in `Pool::run` this thread may help-execute
+/// another task that itself packs an operand, and a live borrow would
+/// panic (`BorrowMutError`). Taking the `Vec` out keeps the re-entrant
+/// product on its own (freshly grown) buffer; ours is restored afterwards.
+fn with_pack_scratch(f: impl FnOnce(&mut Vec<f32>)) {
+    let mut pack = PACK_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    f(&mut pack);
+    PACK_SCRATCH.with(|s| *s.borrow_mut() = pack);
+}
 
 /// Minimum multiply-adds (`m·k·n`) before a product fans out across the
 /// pool — below this, partitioning overhead outweighs the work.
@@ -128,16 +147,6 @@ pub const PAR_MIN_FLOPS: usize = 1 << 16;
 
 /// Minimum output rows per parallel chunk.
 const PAR_MIN_ROWS: usize = 8;
-
-/// The blocked kernels' `k`-panel height for a product contracting over
-/// `k` into `n` output columns: size the `kc × n` panel of `b` to roughly
-/// 32 KiB of L1, clamped to sane tiles. A pure locality knob — the panels
-/// run in ascending order, so it never changes the bits.
-fn kc_for(k: usize, n: usize) -> usize {
-    ((32 * 1024 / 4) / n.max(1))
-        .clamp(KC / 2, KC * 4)
-        .min(k.max(1))
-}
 
 /// Element-wise activation applied by the fused kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -201,7 +210,7 @@ pub enum Kernel {
     /// Reference `i-k-j` triple loop (skips zero left-hand entries).
     #[default]
     Naive,
-    /// Cache-blocked `k`-panels with register-tiled output columns.
+    /// Register-tiled output rows: the default for training and serving.
     Blocked,
     /// **Fast mode**: AVX2/FMA micro-kernels over contiguous B panels
     /// (portable fused fallback off-x86). Self-deterministic but *not*
@@ -254,7 +263,7 @@ impl Kernel {
 
     /// Is the process in fast mode (`DEEPSEQ_KERNEL=simd`)? In fast mode
     /// the *serving* path runs the simd kernels while the tape/training
-    /// path stays on the bitwise reference — see [`Kernel::global`].
+    /// path stays on a bitwise kernel — see [`Kernel::global`].
     pub fn fast_mode() -> bool {
         Kernel::from_env() == Some(Kernel::Simd)
     }
@@ -267,15 +276,17 @@ impl Kernel {
     }
 
     /// The process-wide default kernel used by the [`Matrix`] product
-    /// methods (and therefore the autograd tape): `DEEPSEQ_KERNEL` if set
-    /// to a bitwise kernel, otherwise [`Kernel::Naive`]. `simd`
-    /// deliberately maps to the reference loops here — fast mode is a
+    /// methods (and therefore the autograd tape and training):
+    /// `DEEPSEQ_KERNEL` if set to a bitwise kernel, otherwise
+    /// [`Kernel::Blocked`]. `DEEPSEQ_KERNEL=naive` puts the whole process
+    /// on the reference loops, which compute the same bits. `simd`
+    /// deliberately maps to [`Kernel::Blocked`] here — fast mode is a
     /// serving contract, and training/gradchecks/determinism suites must
     /// stay bitwise no matter what the environment says (pinned by
     /// `crates/core/tests/simd_guard.rs`).
     pub fn global() -> Kernel {
         match Kernel::from_env() {
-            Some(Kernel::Simd) | None => Kernel::Naive,
+            Some(Kernel::Simd) | None => Kernel::Blocked,
             Some(kernel) => kernel,
         }
     }
@@ -410,7 +421,7 @@ impl Kernel {
         match kernel {
             Kernel::Naive => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_naive_rows),
             Kernel::Blocked => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_blocked_rows),
-            Kernel::Simd => simd::with_pack_scratch(|pack| {
+            Kernel::Simd => with_pack_scratch(|pack| {
                 simd::pack_b(b, m, n, pack);
                 run_trow_tasks(pool, ranges, a, pack, o, m, ka, n, simd::t_gemm_fused_rows);
             }),
@@ -449,9 +460,13 @@ impl Kernel {
         let (a, b, o) = (a.data(), b.data(), out.data_mut());
         match kernel {
             Kernel::Naive => run_row_tasks(pool, ranges, a, b, o, k, nb, gemm_bt_naive_rows),
-            Kernel::Blocked => run_row_tasks(pool, ranges, a, b, o, k, nb, gemm_bt_blocked_rows),
+            // Packed bᵀ turns `a × bᵀ` into the plain blocked product.
+            Kernel::Blocked => with_pack_scratch(|pack| {
+                pack_transpose(b, nb, k, pack);
+                run_row_tasks(pool, ranges, a, pack, o, k, nb, gemm_blocked);
+            }),
             // Panelized bᵀ turns `a × bᵀ` into the plain fused micro-kernel.
-            Kernel::Simd => simd::with_pack_scratch(|pack| {
+            Kernel::Simd => with_pack_scratch(|pack| {
                 simd::pack_bt(b, k, nb, pack);
                 run_row_tasks(pool, ranges, a, pack, o, k, nb, simd::gemm_fused_rows);
             }),
@@ -577,7 +592,7 @@ impl Kernel {
         match kernel {
             Kernel::Naive => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_naive),
             Kernel::Blocked => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_blocked),
-            Kernel::Simd => simd::with_pack_scratch(|pack| {
+            Kernel::Simd => with_pack_scratch(|pack| {
                 simd::pack_b(b, k, n, pack);
                 run_row_tasks(pool, ranges, a, pack, out, k, n, simd::gemm_fused_rows);
             }),
@@ -684,84 +699,10 @@ fn gemm_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
-/// Cache-blocked GEMM: `k` is split into [`kc_for`]-row panels of `b`
-/// (processed in ascending order, preserving per-element accumulation
-/// order); within a panel each output row is walked in `NR`-wide register
-/// tiles so the accumulators never round-trip through memory per `k` step.
+/// Blocked `out += a × b` over a row chunk: the register-tiled
+/// [`blocked_rows`] body with `a`'s rows as the tile rows.
 fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let n_main = n - n % NR;
-    let kc = kc_for(k, n);
-    let mut kk = 0;
-    while kk < k {
-        let kc = kc.min(k - kk);
-        let bpanel = &b[kk * n..(kk + kc) * n];
-        // Two output rows at a time: every loaded `b` tile is used twice.
-        // `chunks_exact` + `first_chunk` keep the inner loops free of bounds
-        // checks, so they compile to straight-line vector mul-adds over the
-        // register accumulators.
-        let m_main = m - m % 2;
-        let mut i = 0;
-        while i < m_main {
-            let arow0 = &a[i * k + kk..i * k + kk + kc];
-            let arow1 = &a[(i + 1) * k + kk..(i + 1) * k + kk + kc];
-            let (orow0, orow1) = out[i * n..(i + 2) * n].split_at_mut(n);
-            let mut j = 0;
-            while j < n_main {
-                let mut acc0 = [0.0f32; NR];
-                let mut acc1 = [0.0f32; NR];
-                acc0.copy_from_slice(&orow0[j..j + NR]);
-                acc1.copy_from_slice(&orow1[j..j + NR]);
-                for ((&av0, &av1), brow_full) in arow0.iter().zip(arow1).zip(bpanel.chunks_exact(n))
-                {
-                    let brow: &[f32; NR] = brow_full[j..].first_chunk().expect("j + NR <= n");
-                    for t in 0..NR {
-                        acc0[t] += av0 * brow[t];
-                        acc1[t] += av1 * brow[t];
-                    }
-                }
-                orow0[j..j + NR].copy_from_slice(&acc0);
-                orow1[j..j + NR].copy_from_slice(&acc1);
-                j += NR;
-            }
-            for j in n_main..n {
-                let mut acc0 = orow0[j];
-                let mut acc1 = orow1[j];
-                for ((&av0, &av1), brow_full) in arow0.iter().zip(arow1).zip(bpanel.chunks_exact(n))
-                {
-                    acc0 += av0 * brow_full[j];
-                    acc1 += av1 * brow_full[j];
-                }
-                orow0[j] = acc0;
-                orow1[j] = acc1;
-            }
-            i += 2;
-        }
-        if i < m {
-            let arow = &a[i * k + kk..i * k + kk + kc];
-            let orow = &mut out[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j < n_main {
-                let mut acc = [0.0f32; NR];
-                acc.copy_from_slice(&orow[j..j + NR]);
-                for (&av, brow_full) in arow.iter().zip(bpanel.chunks_exact(n)) {
-                    let brow: &[f32; NR] = brow_full[j..].first_chunk().expect("j + NR <= n");
-                    for t in 0..NR {
-                        acc[t] += av * brow[t];
-                    }
-                }
-                orow[j..j + NR].copy_from_slice(&acc);
-                j += NR;
-            }
-            for j in n_main..n {
-                let mut acc = orow[j];
-                for (&av, brow_full) in arow.iter().zip(bpanel.chunks_exact(n)) {
-                    acc += av * brow_full[j];
-                }
-                orow[j] = acc;
-            }
-        }
-        kk += kc;
-    }
+    blocked_rows(a, k, 1, b, out, m, k, n);
 }
 
 /// Reference `aᵀ × b` over output rows `i0..i1`: accumulates row `r` of `a`
@@ -794,9 +735,9 @@ fn t_gemm_naive_rows(
     }
 }
 
-/// Blocked `aᵀ × b` over output rows `i0..i1`: `r` is split into
-/// [`kc_for`]-row panels (ascending, preserving accumulation order); each
-/// output row is walked in `NR` register tiles.
+/// Blocked `aᵀ × b` over output rows `i0..i1`: the register-tiled
+/// [`blocked_rows`] body with `a`'s columns `i0..i1` as the tile rows and
+/// the `m` rows of `a` and `b` as the contraction.
 #[allow(clippy::too_many_arguments)]
 fn t_gemm_blocked_rows(
     a: &[f32],
@@ -808,37 +749,7 @@ fn t_gemm_blocked_rows(
     i0: usize,
     i1: usize,
 ) {
-    let n_main = n - n % NR;
-    let kc = kc_for(m, n);
-    let mut rr = 0;
-    while rr < m {
-        let rc = kc.min(m - rr);
-        for i in i0..i1 {
-            let orow = &mut out[(i - i0) * n..(i - i0 + 1) * n];
-            let mut j = 0;
-            while j < n_main {
-                let mut acc = [0.0f32; NR];
-                acc.copy_from_slice(&orow[j..j + NR]);
-                for p in rr..rr + rc {
-                    let av = a[p * ka + i];
-                    let brow = &b[p * n + j..p * n + j + NR];
-                    for t in 0..NR {
-                        acc[t] += av * brow[t];
-                    }
-                }
-                orow[j..j + NR].copy_from_slice(&acc);
-                j += NR;
-            }
-            for j in n_main..n {
-                let mut acc = orow[j];
-                for p in rr..rr + rc {
-                    acc += a[p * ka + i] * b[p * n + j];
-                }
-                orow[j] = acc;
-            }
-        }
-        rr += rc;
-    }
+    blocked_rows(&a[i0..], 1, ka, b, out, i1 - i0, m, n);
 }
 
 /// Reference `a × bᵀ` over a row chunk of `a`: one dot product per output
@@ -857,35 +768,166 @@ fn gemm_bt_naive_rows(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usi
     }
 }
 
-/// Blocked `a × bᵀ` over a row chunk of `a`: four simultaneous dot products
-/// per `a` row, reusing each loaded `a` element across a 4-row `b` tile.
-fn gemm_bt_blocked_rows(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, nb: usize) {
-    let nb_main = nb - nb % MR;
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j < nb_main {
-            let mut acc = [0.0f32; MR];
-            for (t, accv) in acc.iter_mut().enumerate() {
-                *accv = out[i * nb + j + t];
-            }
-            for (p, &av) in arow.iter().enumerate() {
-                for (t, accv) in acc.iter_mut().enumerate() {
-                    *accv += av * b[(j + t) * k + p];
-                }
-            }
-            out[i * nb + j..i * nb + j + MR].copy_from_slice(&acc);
-            j += MR;
+/// Writes `bᵀ` of a row-major `nb × k` matrix `b` into `pack` as a
+/// row-major `k × nb` matrix, so the blocked kernel runs `a × bᵀ` as the
+/// plain product `a × pack`.
+fn pack_transpose(b: &[f32], nb: usize, k: usize, pack: &mut Vec<f32>) {
+    pack.clear();
+    pack.resize(k * nb, 0.0);
+    for (p, prow) in pack.chunks_exact_mut(nb).enumerate() {
+        for (j, o) in prow.iter_mut().enumerate() {
+            *o = b[j * k + p];
         }
-        while j < nb {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = out[i * nb + j];
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            out[i * nb + j] = acc;
-            j += 1;
+    }
+}
+
+/// The blocked kernels' body: `out += A × b` for `rows` output rows, where
+/// element `(i, p)` of `A` is `a[i·rs + p·ps]` (`rs = k, ps = 1` for `a`'s
+/// rows, `rs = 1, ps = ka` for its columns), `b` is row-major `k × n` and
+/// `out` holds exactly `rows` rows of `n`.
+///
+/// Each output element is one chain over ascending `p` that starts from
+/// its `out` value (zero: every product writes into a zeroed output) and
+/// takes a separate multiply and add per step — the reference
+/// kernels' arithmetic, so the bits match theirs on finite inputs. The
+/// tiles only decide how many such chains run at once, each with all its
+/// accumulators in registers for the whole contraction: one-row tiles
+/// 32, 16 and 8 columns wide cover each row from the left (at d = 32 one
+/// tile is a whole output row, 32 independent chains); the last
+/// `n mod 8` columns, and so every output narrower than 8 columns, tile
+/// over rows instead — 4 rows × 4 columns, then 8 rows × 1 column.
+///
+/// On x86-64 CPUs with AVX2 the same body runs compiled for AVX2 (wider
+/// vectors, still no fused multiply-add), which computes the same bits.
+#[allow(clippy::too_many_arguments)]
+fn blocked_rows(
+    a: &[f32],
+    rs: usize,
+    ps: usize,
+    b: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `blocked_rows_avx2` is `blocked_body` compiled for AVX2;
+        // its only requirement is a CPU that executes AVX2, which the
+        // runtime check above just confirmed.
+        unsafe { blocked_rows_avx2(a, rs, ps, b, out, rows, k, n) };
+        return;
+    }
+    blocked_body(a, rs, ps, b, out, rows, k, n);
+}
+
+/// [`blocked_body`] compiled for AVX2. The feature adds 256-bit vectors
+/// only: no fused multiply-add, so the bits are the portable body's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn blocked_rows_avx2(
+    a: &[f32],
+    rs: usize,
+    ps: usize,
+    b: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    blocked_body(a, rs, ps, b, out, rows, k, n);
+}
+
+/// See [`blocked_rows`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn blocked_body(
+    a: &[f32],
+    rs: usize,
+    ps: usize,
+    b: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    if rows == 0 || n == 0 {
+        return;
+    }
+    let (b, out) = (&b[..k * n], &mut out[..rows * n]);
+    let mut j = 0;
+    j = band::<1, 32>(a, rs, ps, b, out, rows, n, j);
+    j = band::<1, 16>(a, rs, ps, b, out, rows, n, j);
+    j = band::<1, 8>(a, rs, ps, b, out, rows, n, j);
+    j = band::<4, 4>(a, rs, ps, b, out, rows, n, j);
+    band::<8, 1>(a, rs, ps, b, out, rows, n, j);
+}
+
+/// Covers `W`-column bands of the output from column `j` while they fit,
+/// each with `R × W` tiles down the rows (and `1 × W` tiles for the last
+/// `rows mod R`); returns the first column left over.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn band<const R: usize, const W: usize>(
+    a: &[f32],
+    rs: usize,
+    ps: usize,
+    b: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    n: usize,
+    mut j: usize,
+) -> usize {
+    while j + W <= n {
+        let mut i = 0;
+        while i + R <= rows {
+            tile::<R, W>(a, rs, ps, b, out, n, i, j);
+            i += R;
         }
+        while i < rows {
+            tile::<1, W>(a, rs, ps, b, out, n, i, j);
+            i += 1;
+        }
+        j += W;
+    }
+    j
+}
+
+/// The `R × W` output tile at rows `i..i + R`, columns `j..j + W`, with
+/// its `R·W` accumulators in registers for the whole contraction.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile<const R: usize, const W: usize>(
+    a: &[f32],
+    rs: usize,
+    ps: usize,
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc) in acc.iter_mut().enumerate() {
+        acc.copy_from_slice(&out[(i + r) * n + j..][..W]);
+    }
+    // Index loops over fixed-size arrays rather than iterator chains:
+    // optimized, both compile to the same register tile (no bounds check
+    // in the inner loop); unoptimized, as in test builds, these make fewer
+    // calls per step.
+    for (p, brow) in b.chunks_exact(n).enumerate() {
+        let brow: &[f32; W] = brow[j..].first_chunk().expect("tile in b");
+        for r in 0..R {
+            let av = a[(i + r) * rs + p * ps];
+            let accr = &mut acc[r];
+            for t in 0..W {
+                accr[t] += av * brow[t];
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[(i + r) * n + j..][..W].copy_from_slice(acc);
     }
 }
 
@@ -901,26 +943,38 @@ mod tests {
 
     #[test]
     fn all_kernels_agree_bitwise() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
+        // The small widths run every mix of the blocked kernel's 32-, 16-,
+        // 8-, 4-wide and one-column tiles, the row counts every 4- and
+        // 8-row tail; then a few larger shapes.
+        let widths = [
+            1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 24, 31, 32, 33, 47, 68, 70,
+        ];
+        let grid = widths.into_iter().flat_map(|n| {
+            [1, 2, 3, 4, 5, 7, 8, 9, 12, 17]
+                .into_iter()
+                .flat_map(move |m| [0, 1, 3, 33].map(|k| (m, k, n)))
+        });
+        let more = [
             (3, 5, 7),
             (8, 8, 8),
             (17, 33, 9),
             (64, 96, 40),
             (5, 1, 5),
             (1, 12, 1),
-        ] {
+        ];
+        for (m, k, n) in grid.chain(more) {
             let a = filled(m, k, 0.7);
             let b = filled(k, n, -0.4);
-            let reference = Kernel::Naive.matmul(&a, &b);
+            let t_a = filled(k, m, 0.3);
+            let bt_b = filled(n, k, -0.9);
             for kernel in Kernel::ALL {
-                let got = kernel.matmul(&a, &b);
-                assert_eq!(
-                    got.data(),
-                    reference.data(),
-                    "{} {m}x{k}x{n}",
-                    kernel.name()
-                );
+                let shape = format!("{} {m}x{k}x{n}", kernel.name());
+                let naive = Kernel::Naive;
+                assert_eq!(kernel.matmul(&a, &b), naive.matmul(&a, &b), "{shape}");
+                let (got, want) = (kernel.t_matmul(&t_a, &b), naive.t_matmul(&t_a, &b));
+                assert_eq!(got, want, "t_matmul {shape}");
+                let (got, want) = (kernel.matmul_t(&a, &bt_b), naive.matmul_t(&a, &bt_b));
+                assert_eq!(got, want, "matmul_t {shape}");
             }
         }
     }
@@ -976,6 +1030,32 @@ mod tests {
                 "{}",
                 kernel.name()
             );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_blocked_body_matches_portable_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: no avx2 here, the portable body is the only path");
+            return;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [1, 3, 4, 8, 17, 32, 68] {
+            for m in [1, 5, 8, 9] {
+                for k in [0, 1, 33] {
+                    let b = filled(k, n, -0.4);
+                    // `a`'s rows (`a × b`) and its columns (`aᵀ × b`).
+                    for (a, rs, ps) in [(filled(m, k, 0.7), k, 1), (filled(k, m, 0.3), 1, m)] {
+                        let mut want = vec![0.0; m * n];
+                        blocked_body(a.data(), rs, ps, b.data(), &mut want, m, k, n);
+                        let mut got = vec![0.0; m * n];
+                        // SAFETY: the CPU executes AVX2, checked above.
+                        unsafe { blocked_rows_avx2(a.data(), rs, ps, b.data(), &mut got, m, k, n) };
+                        assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} rs={rs}");
+                    }
+                }
+            }
         }
     }
 

@@ -31,35 +31,15 @@
 //! contract is documented in docs/ARCHITECTURE.md ("Numerics contract").
 //!
 //! The kernels consume `NR`-wide contraction-major B panels, built by
-//! [`pack_b`] / [`pack_bt`] into a reused thread-local buffer
-//! ([`with_pack_scratch`]): `NR` = 8 f32 lanes is exactly one `__m256`
+//! [`pack_b`] / [`pack_bt`] into the kernels' reused thread-local pack
+//! buffer: `NR` = 8 f32 lanes is exactly one `__m256`
 //! vector, so a packed panel row is one aligned-enough (`loadu`) vector
 //! load per contraction step.
 
-use std::cell::RefCell;
+use super::NR;
 
-use super::{MR, NR};
-
-thread_local! {
-    /// Reused panel-packing scratch; grows to the largest right-hand
-    /// operand seen on this thread and is then reused, mirroring the serve
-    /// path's `Workspace` buffer discipline. Parallel products pack once
-    /// on the calling thread and share the panels read-only with the
-    /// workers.
-    static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with the thread-local pack buffer *moved out* of its `RefCell`
-/// for the duration. The buffer must not stay borrowed across a pool
-/// fan-out: while parked in `Pool::run` this thread may help-execute
-/// another task that itself packs panels, and a live borrow would panic
-/// (`BorrowMutError`). Taking the `Vec` out keeps the re-entrant product
-/// on its own (freshly grown) buffer; ours is restored afterwards.
-pub(super) fn with_pack_scratch(f: impl FnOnce(&mut Vec<f32>)) {
-    let mut pack = PACK_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    f(&mut pack);
-    PACK_SCRATCH.with(|s| *s.borrow_mut() = pack);
-}
+/// Row tile height of the portable panel kernels.
+const MR: usize = 4;
 
 /// Packs row-major `b` (`rows × cols`) into `NR`-wide column panels laid
 /// out contraction-major (contiguous per contraction step): panel `jp`

@@ -155,8 +155,9 @@ impl Matrix {
     }
 
     /// Matrix product `self × other`, dispatched through the process-wide
-    /// default [`Kernel`](crate::Kernel) (naive unless `DEEPSEQ_KERNEL`
-    /// overrides it — see [`crate::kernels`]).
+    /// default [`Kernel::global`](crate::Kernel::global) (`blocked` unless
+    /// `DEEPSEQ_KERNEL` names another bitwise kernel — see
+    /// [`crate::kernels`]).
     ///
     /// # Panics
     /// Panics on dimension mismatch.

@@ -193,6 +193,12 @@ pub fn mean_pool(hidden: &Matrix) -> Matrix {
 /// The [`Ops`] backend that records on an autograd [`Tape`]; weights are
 /// parameter leaves of `params`, so [`Tape::backward`] reaches them.
 ///
+/// Each weight is recorded as one leaf, on its first use, and every later
+/// use reads that leaf. [`Tape::backward`] then sums all uses' gradients
+/// into the leaf in reverse use order, the order in which one leaf per
+/// use would reach [`GradStore`](crate::GradStore) — the same bits, one
+/// copy of each weight per pass.
+///
 /// With [`TapeOps::with_nodes`], the node state is a row map (node → tape
 /// value and row) that [`TapeOps::commit`] and [`TapeOps::copy_rows`]
 /// update without recording anything.
@@ -200,6 +206,8 @@ pub fn mean_pool(hidden: &Matrix) -> Matrix {
 pub struct TapeOps<'t> {
     tape: &'t mut Tape,
     params: &'t Params,
+    /// The leaf of each parameter used so far, indexed by [`ParamId`].
+    leaves: Vec<Option<VarId>>,
     cur: Vec<(VarId, usize)>,
     /// State width (for empty gathers) and node features.
     nodes: Option<(usize, VarId)>,
@@ -211,6 +219,7 @@ impl<'t> TapeOps<'t> {
         TapeOps {
             tape,
             params,
+            leaves: Vec::new(),
             cur: Vec::new(),
             nodes: None,
         }
@@ -228,6 +237,7 @@ impl<'t> TapeOps<'t> {
         TapeOps {
             tape,
             params,
+            leaves: Vec::new(),
             cur: (0..n).map(|i| (state, i)).collect(),
             nodes: Some((d, features)),
         }
@@ -250,6 +260,14 @@ impl<'t> TapeOps<'t> {
 
     fn nodes(&self) -> (usize, VarId) {
         self.nodes.expect("node-state ops need TapeOps::with_nodes")
+    }
+
+    /// The leaf of weight `id`, recorded on its first use.
+    fn param(&mut self, id: ParamId) -> VarId {
+        if self.leaves.len() <= id.0 {
+            self.leaves.resize(id.0 + 1, None);
+        }
+        *self.leaves[id.0].get_or_insert_with(|| self.tape.param(self.params, id))
     }
 }
 
@@ -279,15 +297,15 @@ impl Ops for TapeOps<'_> {
         b: Option<ParamId>,
         act: Act,
     ) -> VarId {
-        let w = self.tape.param(self.params, w);
-        let u = self.tape.param(self.params, u);
-        let b = b.map(|b| self.tape.param(self.params, b));
+        let w = self.param(w);
+        let u = self.param(u);
+        let b = b.map(|b| self.param(b));
         self.tape.fused_gate(x, w, h, u, b, act)
     }
 
     fn linear(&mut self, x: VarId, w: ParamId, b: ParamId, act: Act) -> VarId {
-        let w = self.tape.param(self.params, w);
-        let b = self.tape.param(self.params, b);
+        let w = self.param(w);
+        let b = self.param(b);
         let xw = self.tape.matmul(x, w);
         let y = self.tape.add_row(xw, b);
         match act {
@@ -333,6 +351,55 @@ impl Ops for TapeOps<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_weight_is_recorded_once_per_pass() {
+        // A three-level chain through one dense layer, recorded through
+        // `TapeOps` and by hand with a fresh leaf per use.
+        let mut params = Params::new();
+        let w = params.register(
+            "w",
+            Matrix::from_fn(3, 3, |r, c| ((r * 3 + c) as f32).sin()),
+        );
+        let b = params.register("b", Matrix::from_fn(1, 3, |_, c| 0.1 * c as f32 - 0.05));
+        let x0 = Matrix::from_fn(4, 3, |r, c| ((r + 2 * c) as f32 * 0.3).cos());
+        let target = Matrix::full(4, 3, 0.25);
+        let levels = 3;
+
+        let mut tape = Tape::new();
+        let mut y = tape.input(x0.clone());
+        let start = tape.len();
+        let mut ops = TapeOps::new(&mut tape, &params);
+        let mut per_level = Vec::new();
+        for _ in 0..levels {
+            y = ops.linear(y, w, b, Act::Tanh);
+            per_level.push(ops.tape.len());
+        }
+        let loss = tape.l1_loss(y, &target);
+
+        let mut per_use = Tape::new();
+        let mut y = per_use.input(x0);
+        for _ in 0..levels {
+            let wv = per_use.param(&params, w);
+            let bv = per_use.param(&params, b);
+            let xw = per_use.matmul(y, wv);
+            let pre = per_use.add_row(xw, bv);
+            y = per_use.tanh(pre);
+        }
+        let per_use_loss = per_use.l1_loss(y, &target);
+
+        // Level one records the two leaves and three ops; later levels
+        // only their three ops.
+        assert_eq!(per_level, [start + 5, start + 8, start + 11]);
+        assert_eq!(per_use.len(), tape.len() + 2 * (levels - 1));
+        // One leaf sums every use's gradient in the order per-use leaves
+        // reach the store, so the sums match bit for bit.
+        let (got, want) = (tape.backward(loss), per_use.backward(per_use_loss));
+        for id in [w, b] {
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.get(id).unwrap()), bits(want.get(id).unwrap()));
+        }
+    }
 
     #[test]
     fn node_state_remaps_without_recording() {

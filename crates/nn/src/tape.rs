@@ -26,6 +26,8 @@
 //! assert_eq!(grads.get(w).unwrap().get(0, 0), 3.0);
 //! ```
 
+use std::collections::HashMap;
+
 use crate::kernels::{Act, Kernel};
 use crate::matrix::Matrix;
 use crate::ops;
@@ -379,6 +381,7 @@ impl Tape {
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
         grads[loss.0] = Some(Matrix::full(1, 1, 1.0));
         let mut store = GradStore::new();
+        let mut transposes = HashMap::new();
 
         for idx in (0..self.nodes.len()).rev() {
             let grad = match grads[idx].take() {
@@ -392,7 +395,7 @@ impl Tape {
             match &node.op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
-                    let da = grad.matmul_t(&self.nodes[b.0].value);
+                    let da = self.times_transpose(&mut transposes, &grad, *b);
                     let db = self.nodes[a.0].value.t_matmul(&grad);
                     accumulate(&mut grads, *a, da);
                     accumulate(&mut grads, *b, db);
@@ -507,9 +510,9 @@ impl Tape {
                         Act::Tanh => grad.zip(y, |g, y| g * (1.0 - y * y)),
                         Act::Relu => grad.zip(y, |g, y| if y > 0.0 { g } else { 0.0 }),
                     };
-                    let dx = g.matmul_t(&self.nodes[w.0].value);
+                    let dx = self.times_transpose(&mut transposes, &g, *w);
                     let dw = self.nodes[x.0].value.t_matmul(&g);
-                    let dh = g.matmul_t(&self.nodes[u.0].value);
+                    let dh = self.times_transpose(&mut transposes, &g, *u);
                     let du = self.nodes[h.0].value.t_matmul(&g);
                     accumulate(&mut grads, *x, dx);
                     accumulate(&mut grads, *w, dw);
@@ -555,6 +558,23 @@ impl Tape {
             }
         }
         store
+    }
+
+    /// `g · value(v)ᵀ` with the bits of [`Matrix::matmul_t`], through a
+    /// transpose of `v` made on its first use in this backward pass and
+    /// kept in `transposes`: a weight leaf that every level reads (one
+    /// leaf per weight under [`TapeOps`](crate::TapeOps)) is transposed
+    /// once per pass instead of once per use.
+    fn times_transpose(
+        &self,
+        transposes: &mut HashMap<VarId, Matrix>,
+        g: &Matrix,
+        v: VarId,
+    ) -> Matrix {
+        let vt = transposes
+            .entry(v)
+            .or_insert_with(|| self.nodes[v.0].value.transpose());
+        g.matmul(vt)
     }
 }
 
@@ -802,5 +822,41 @@ mod tests {
         let grads = tape.backward(loss);
         assert!(grads.get(w).is_some());
         assert!(grads.get(unused).is_none());
+    }
+
+    #[test]
+    fn reused_transpose_keeps_matmul_t_bits() {
+        // One weight read by a plain product and a fused gate: its one
+        // transpose serves both backward rules, which must still give the
+        // bits of `matmul_t` on the weight itself.
+        let mut params = Params::new();
+        let fill = |rows, cols, seed: f32| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * cols + c) as f32 * 0.37 + seed).sin()
+            })
+        };
+        let x = params.register("x", fill(5, 6, 0.1));
+        let h = params.register("h", fill(5, 6, 0.2));
+        let w = params.register("w", fill(6, 4, 0.3));
+        let target = fill(5, 4, 0.4).map(|v| v + 50.0);
+        let mut tape = Tape::new();
+        let (xv, hv, wv) = (
+            tape.param(&params, x),
+            tape.param(&params, h),
+            tape.param(&params, w),
+        );
+        let y1 = tape.matmul(xv, wv);
+        let y2 = tape.fused_gate(hv, wv, xv, wv, None, Act::Identity);
+        let sum = tape.add(y1, y2);
+        let loss = tape.l1_loss(sum, &target);
+        let grads = tape.backward(loss);
+        // Every prediction is below its target: dL/dsum = -1/20 throughout.
+        let g = Matrix::full(5, 4, -1.0 / 20.0);
+        let gwt = Kernel::Naive.matmul_t(&g, params.get(w));
+        let mut dx = gwt.clone();
+        dx.add_assign(&gwt);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(grads.get(h).unwrap()), bits(&gwt));
+        assert_eq!(bits(grads.get(x).unwrap()), bits(&dx));
     }
 }

@@ -9,14 +9,19 @@
 //! `Relu`-activated fused gate) generate inputs bounded away from the kink
 //! so the numeric derivative is meaningful.
 //!
+//! Two properties run a layer twice through one `TapeOps`, whose second
+//! use reads the weight leaves of the first.
+//!
 //! The deterministic per-op unit checks live in `crates/nn/src/tape.rs`;
 //! this file is the randomized sweep the training subsystem's correctness
 //! rests on — if any backward rule drifts from its forward, the
 //! data-parallel trainer in `deepseq-core` would silently optimize the
 //! wrong function.
 
-use deepseq_nn::{Act, Matrix, Params, Tape, VarId};
+use deepseq_nn::{Act, GruCell, Linear, Matrix, Params, Tape, TapeOps, VarId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 mod util;
 use util::{close_rel, SeedRng};
@@ -330,6 +335,49 @@ proptest! {
             let uv = tape.param(p, u);
             let y = tape.fused_gate(xv, wv, hv, uv, None, Act::Tanh);
             tape.l1_loss(y, &t)
+        }, 8e-2);
+        prop_assert!(ok.is_ok(), "{:?}", ok);
+    }
+
+    #[test]
+    fn grad_linear_read_twice_through_one_tape_ops(seed in any::<u64>()) {
+        // `TapeOps` records each weight once per pass, so the second layer
+        // application reads the first one's leaves: the gradient of `w`
+        // and `b` must sum both uses.
+        let mut rng = SeedRng(seed | 1);
+        let (m, d) = (rng.dim(), rng.dim());
+        let x = rng.matrix(m, d);
+        let t = shifted_target(&mut rng, m, d, 6.0);
+        let mut params = Params::new();
+        let lin = Linear::new(&mut params, "lin", d, d, &mut StdRng::seed_from_u64(seed));
+        let ok = check_gradients(&mut params, move |tape, p| {
+            let xv = tape.input(x.clone());
+            let mut ops = TapeOps::new(tape, p);
+            let y1 = lin.forward(&mut ops, xv, Act::Tanh);
+            let y2 = lin.forward(&mut ops, y1, Act::Tanh);
+            tape.l1_loss(y2, &t)
+        }, 8e-2);
+        prop_assert!(ok.is_ok(), "{:?}", ok);
+    }
+
+    #[test]
+    fn grad_gru_cell_read_twice_through_one_tape_ops(seed in any::<u64>()) {
+        // Two recurrent steps of one cell, as two levels of propagation
+        // run it: all nine gate weights are read twice.
+        let mut rng = SeedRng(seed | 1);
+        let (m, e, d) = (rng.dim(), rng.dim(), rng.dim());
+        let x = rng.matrix(m, e);
+        let h0 = rng.matrix(m, d);
+        let t = shifted_target(&mut rng, m, d, 6.0);
+        let mut params = Params::new();
+        let gru = GruCell::new(&mut params, "gru", e, d, &mut StdRng::seed_from_u64(seed));
+        let ok = check_gradients(&mut params, move |tape, p| {
+            let xv = tape.input(x.clone());
+            let hv = tape.input(h0.clone());
+            let mut ops = TapeOps::new(tape, p);
+            let h1 = gru.forward(&mut ops, xv, hv);
+            let h2 = gru.forward(&mut ops, xv, h1);
+            tape.l1_loss(h2, &t)
         }, 8e-2);
         prop_assert!(ok.is_ok(), "{:?}", ok);
     }

@@ -33,6 +33,11 @@ pub fn assert_matrices_close_rel(got: &Matrix, want: &Matrix, eps: f32) {
     assert_close_rel(got.data(), want.data(), eps);
 }
 
+/// Contraction and output widths of the model's products: the blocked
+/// kernels' tile widths (32 at d = 32, 4 and 1 for narrow outputs) and
+/// their tails (2, 33, and 68 = 2d + 4, the GRU input width).
+const MODEL_DIMS: [usize; 6] = [1, 2, 4, 32, 33, 68];
+
 /// Deterministic xorshift over a proptest-supplied seed, for deriving
 /// random shapes *and* values from one input (the vendored proptest has no
 /// `flat_map`).
@@ -49,6 +54,16 @@ impl SeedRng {
     /// A dimension in `1..=4`.
     pub fn dim(&mut self) -> usize {
         1 + self.next(4)
+    }
+
+    /// A width from [`MODEL_DIMS`].
+    pub fn model_dim(&mut self) -> usize {
+        MODEL_DIMS[self.next(MODEL_DIMS.len())]
+    }
+
+    /// A level's row count, `1..=40`.
+    pub fn level_rows(&mut self) -> usize {
+        1 + self.next(40)
     }
 
     /// Mix exact zeros (exercising the naive kernel's zero-skip), exact
@@ -95,11 +110,12 @@ impl SeedRng {
 }
 
 /// Random GEMM operand pair: degenerate shapes (empty, `1×N`, `N×1`),
-/// blocked-tile-aligned shapes, arbitrary in-between sizes, and shapes
-/// large enough to clear the parallel fan-out threshold.
+/// blocked-tile-aligned shapes, arbitrary in-between sizes, shapes large
+/// enough to clear the parallel fan-out threshold, and model shapes (a
+/// level's rows against [`MODEL_DIMS`] widths).
 pub fn gemm_operands(seed: u64) -> (Matrix, Matrix) {
     let mut rng = SeedRng(seed | 1);
-    let (m, k, n) = match rng.next(6) {
+    let (m, k, n) = match rng.next(7) {
         0 => (rng.next(3), rng.next(13), rng.next(13)), // may be empty
         1 => (1, 1 + rng.next(24), 1 + rng.next(24)),   // 1×N
         2 => (1 + rng.next(24), 1 + rng.next(24), 1),   // N×1
@@ -109,6 +125,7 @@ pub fn gemm_operands(seed: u64) -> (Matrix, Matrix) {
             8 * (1 + rng.next(4)),
         ), // aligned
         4 => (64 + rng.next(120), 24 + rng.next(40), 24 + rng.next(40)), // parallel-scale (≥ PAR_MIN_FLOPS)
+        5 => (rng.level_rows(), rng.model_dim(), rng.model_dim()),       // model shapes
         _ => (1 + rng.next(40), 1 + rng.next(40), 1 + rng.next(40)),
     };
     let a = Matrix::from_fn(m, k, |_, _| rng.value());
@@ -117,10 +134,11 @@ pub fn gemm_operands(seed: u64) -> (Matrix, Matrix) {
 }
 
 /// Random operands for the transpose products: `a (m×k)`, `t_b (m×n)` for
-/// `aᵀ·b`, and `bt_b (j×k)` for `a·bᵀ` — shapes include empty and 1-wide.
+/// `aᵀ·b`, and `bt_b (j×k)` for `a·bᵀ` — shapes include empty and 1-wide,
+/// and model shapes (the backward products of a level of `m` rows).
 pub fn transpose_operands(seed: u64) -> (Matrix, Matrix, Matrix) {
     let mut rng = SeedRng(seed | 1);
-    let (m, k, n, j) = match rng.next(5) {
+    let (m, k, n, j) = match rng.next(6) {
         0 => (rng.next(3), rng.next(8), rng.next(8), rng.next(8)),
         1 => (1, 1 + rng.next(16), 1 + rng.next(16), 1),
         2 => (
@@ -130,6 +148,12 @@ pub fn transpose_operands(seed: u64) -> (Matrix, Matrix, Matrix) {
             48 + rng.next(64),
             48 + rng.next(64),
             48 + rng.next(64),
+        ),
+        3 => (
+            rng.level_rows(),
+            rng.model_dim(),
+            rng.model_dim(),
+            rng.model_dim(),
         ),
         _ => (
             1 + rng.next(24),

@@ -55,8 +55,9 @@ fn fast_mode_selection_surface() {
     assert_eq!(Kernel::for_serve(), Kernel::Simd);
     assert!(!Kernel::for_serve().is_bitwise());
     // Training refuses fast mode: the tape default stays on the bitwise
-    // reference kernel no matter what the environment says.
-    assert_eq!(Kernel::global(), Kernel::Naive);
+    // blocked kernel no matter what the environment says.
+    assert_eq!(Kernel::global(), Kernel::Blocked);
+    assert!(Kernel::global().is_bitwise());
 }
 
 #[test]

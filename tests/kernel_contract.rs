@@ -1,10 +1,10 @@
-//! Smoke test of the GEMM kernel contract through the facade: the serving
+//! Smoke test of the GEMM kernel contract through the facade: the default
 //! kernel `blocked` reproduces the reference `naive` kernel bit for bit on
-//! the product shapes one `eco` edit runs (d = 32), on 1- and 2-thread
-//! pools; a tape-free forward pass on it is bit-equal to the tape's
-//! `DeepSeq::predict` for every configuration on 1-, 2- and 4-thread pools,
-//! including levels wide enough to be split into chunks; and serving
-//! defaults to it.
+//! the product shapes one `eco` edit runs and on the backward products
+//! training runs (d = 32), on 1- and 2-thread pools; a tape-free forward
+//! pass on it is bit-equal to the tape's `DeepSeq::predict` for every
+//! configuration on 1-, 2- and 4-thread pools, including levels wide
+//! enough to be split into chunks; and serving defaults to it.
 
 use std::sync::Arc;
 
@@ -95,6 +95,57 @@ fn blocked_matches_naive_bitwise_on_eco_shapes() {
         let reference = run(Kernel::Naive);
         for ((what, got), (_, want)) in run(Kernel::Blocked).iter().zip(&reference) {
             assert_bits_eq(got, want, &format!("{what} on {threads} thread(s)"));
+        }
+    }
+}
+
+#[test]
+fn blocked_matches_naive_bitwise_on_training_backward_shapes() {
+    let d = 32;
+    let input_dim = 2 * d + 4;
+    // Levels of one node, a typical 8 and 33 (wide enough to fan out).
+    for rows in [1, 8, 33] {
+        for threads in [1, 2] {
+            let pool = Pool::new(threads);
+            let run = |kernel: Kernel| {
+                // One GRU gate `x·W + h·U` with upstream gradient `g`.
+                let (x, w) = (filled(rows, input_dim, 0.1), filled(input_dim, d, 0.2));
+                let (h, u) = (filled(rows, d, 0.3), filled(d, d, 0.4));
+                let g = filled(rows, d, 0.5);
+                // One attention score `q·w1 + k·w2` (Eq. 5), gradient `gs`.
+                let (q, w1) = (filled(rows, d, 0.6), filled(d, 1, 0.7));
+                let (key, w2) = (filled(rows, d, 0.8), filled(d, 1, 0.9));
+                let gs = filled(rows, 1, 1.0);
+                // The tape runs `g·Wᵀ` as `g × (Wᵀ)` over one transpose
+                // per weight and pass; both forms must match naive.
+                [
+                    ("gate dx = g·Wᵀ", kernel.matmul_t_on(&pool, &g, &w)),
+                    (
+                        "gate dx = g×(Wᵀ)",
+                        kernel.matmul_on(&pool, &g, &w.transpose()),
+                    ),
+                    ("gate dW = xᵀ·g", kernel.t_matmul_on(&pool, &x, &g)),
+                    ("gate dh = g·Uᵀ", kernel.matmul_t_on(&pool, &g, &u)),
+                    (
+                        "gate dh = g×(Uᵀ)",
+                        kernel.matmul_on(&pool, &g, &u.transpose()),
+                    ),
+                    ("gate dU = hᵀ·g", kernel.t_matmul_on(&pool, &h, &g)),
+                    ("score dq = g·w1ᵀ", kernel.matmul_t_on(&pool, &gs, &w1)),
+                    (
+                        "score dq = g×(w1ᵀ)",
+                        kernel.matmul_on(&pool, &gs, &w1.transpose()),
+                    ),
+                    ("score dw1 = qᵀ·g", kernel.t_matmul_on(&pool, &q, &gs)),
+                    ("score dk = g·w2ᵀ", kernel.matmul_t_on(&pool, &gs, &w2)),
+                    ("score dw2 = kᵀ·g", kernel.t_matmul_on(&pool, &key, &gs)),
+                ]
+            };
+            let reference = run(Kernel::Naive);
+            for ((what, got), (_, want)) in run(Kernel::Blocked).iter().zip(&reference) {
+                let ctx = format!("{what}, {rows} row(s) on {threads} thread(s)");
+                assert_bits_eq(got, want, &ctx);
+            }
         }
     }
 }
