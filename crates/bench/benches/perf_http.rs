@@ -4,16 +4,19 @@
 //! `serve_http_*` ids land in `BENCH_serve.json` next to the in-process
 //! engine numbers of `perf_serve`, so the trajectory separates protocol
 //! overhead (`healthz`, `embed_hit`) from compute (`embed_miss`) and
-//! records a small concurrent burst.
+//! records a small concurrent burst. `serve_http_healthz_rtt_keepalive`
+//! repeats the `healthz` round-trip on one open connection, so its gap
+//! to `serve_http_healthz_rtt` is the cost of a new connection: connect,
+//! accept, the connection's thread, teardown.
 //!
-//! The engine is pinned to a 1-thread pool (connection handlers then run
-//! on dedicated threads, the server's no-worker fallback) so the numbers
+//! The engine is pinned to a 1-thread pool (every connection has its own
+//! thread at any pool size; the pool only computes) so the numbers
 //! isolate the serial edge and stay comparable across measurement hosts,
 //! like the rest of the committed trajectory.
 //!
 //! Run: `cargo bench -p deepseq-bench --bench perf_http`
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
@@ -40,6 +43,36 @@ fn exchange(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> u16 {
         .and_then(|line| line.split(' ').nth(1))
         .and_then(|code| code.parse().ok())
         .expect("status line")
+}
+
+/// One `GET /healthz` on an open keep-alive connection; returns the
+/// status code and leaves the connection open for the next call.
+fn healthz_keepalive(reader: &mut BufReader<TcpStream>) -> u16 {
+    reader
+        .get_mut()
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: bench\r\n\r\n")
+        .expect("send");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status line");
+    let status = line
+        .split(' ')
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .expect("status code");
+    let mut length = 0;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("header line");
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(value) = line.strip_prefix("content-length: ") {
+            length = value.trim().parse().expect("content-length");
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("body");
+    status
 }
 
 /// The `rand200`-scale stand-in of this bench: a 24-bit ripple counter
@@ -94,6 +127,14 @@ fn bench_http(c: &mut Criterion) {
     c.bench_function("serve_http_healthz_rtt", |b| {
         b.iter(|| assert_eq!(exchange(addr, "GET", "/healthz", b""), 200))
     });
+
+    // The same round-trip on one persistent connection: no connect,
+    // accept or teardown.
+    let mut connection = BufReader::new(TcpStream::connect(addr).expect("connect"));
+    c.bench_function("serve_http_healthz_rtt_keepalive", |b| {
+        b.iter(|| assert_eq!(healthz_keepalive(&mut connection), 200))
+    });
+    drop(connection);
 
     // Cache-hit round-trip: admission + cone-memo lookup + JSON over the
     // wire.

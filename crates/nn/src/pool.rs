@@ -3,34 +3,28 @@
 //! DeepSeq's levelized propagation is embarrassingly parallel *within* a
 //! level, and every GEMM kernel in [`kernels`](crate::kernels) is
 //! row-partitionable without changing a single accumulation order. This
-//! module provides the one shared substrate both exploit — and, since the
-//! HTTP serving edge landed, the substrate connection handlers run on too:
-//! a [`Pool`] of persistent `std::thread` workers, each with its **own job
-//! queue**, stealing from its siblings when it runs dry (no external
-//! dependencies — the build is offline). A scoped [`Pool::run`] lets
-//! callers fan borrowed work out across the workers; a fire-and-forget
-//! [`Pool::spawn`] takes `'static` jobs (the serve engine's request path
-//! and the HTTP server's per-connection handlers).
+//! module provides the one shared substrate both exploit: a [`Pool`] of
+//! persistent `std::thread` workers, each with its **own job queue**,
+//! stealing from its siblings when it runs dry (no external dependencies —
+//! the build is offline). A scoped [`Pool::run`] lets callers fan borrowed
+//! work out across the workers; a fire-and-forget [`Pool::spawn`] takes
+//! `'static` jobs.
+//!
+//! The pool runs compute only. No job on it blocks on a socket or any
+//! other external event, so every queued job is fair game for every
+//! thread that takes jobs, including a thread waiting in `run`. Work that
+//! does block — the HTTP server's connections — runs on threads of its
+//! own, outside the pool.
 //!
 //! # Per-worker queues and stealing
 //!
-//! The first multi-threaded incarnation of this pool fed every worker from
-//! a single `mpsc` channel behind one mutex. Under a handful of CPU-bound
-//! fan-outs that was invisible; under a network front door pushing one job
-//! per connection plus nested GEMM fan-outs it becomes the contended hot
-//! spot. Jobs are now pushed round-robin onto per-worker queues; a worker
-//! pops from its own queue first and *steals* from the others when it is
-//! empty, so enqueues and dequeues in the common case touch different
-//! locks, and an idle worker always finds queued work no matter which
-//! queue it landed on.
-//!
-//! The two job classes steal differently. Scoped [`Pool::run`] tasks are
-//! pure compute and may be taken by anyone — including other blocked `run`
-//! callers, which keeps nested fan-out deadlock-free exactly as before.
-//! Fire-and-forget [`Pool::spawn`] jobs may block on external events (a
-//! connection handler in a socket read), so only the workers take them: a
-//! `run` caller waiting on its row chunks never picks up a job that could
-//! park it on someone else's socket.
+//! Jobs are pushed round-robin onto per-worker queues; a worker pops from
+//! its own queue first and *steals* from the others when it is empty, so
+//! enqueues and dequeues in the common case touch different locks, and an
+//! idle worker always finds queued work no matter which queue it landed
+//! on. A thread blocked in `run` helps the same way: while its own tasks
+//! are outstanding it pops and runs queued jobs, which keeps nested
+//! fan-out deadlock-free.
 //!
 //! # Determinism
 //!
@@ -96,7 +90,7 @@ const MAX_THREADS: usize = 1024;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One class of per-worker queues with a round-robin push cursor.
+/// The per-worker job queues, with a round-robin push cursor.
 struct QueueClass {
     queues: Vec<Mutex<VecDeque<Job>>>,
     next: AtomicUsize,
@@ -132,23 +126,11 @@ impl QueueClass {
 }
 
 /// Queue state shared by the workers and every `Arc<Pool>` holder.
-///
-/// Jobs come in two classes with distinct stealing rules:
-///
-/// * **scoped** tasks (from [`Pool::run`]) are pure compute chunks that
-///   never block on external events — *anyone* may steal them, including
-///   other blocked `run` callers, which is what keeps nested fan-out
-///   deadlock-free;
-/// * **spawned** jobs (from [`Pool::spawn`]) may block arbitrarily long
-///   (an HTTP connection handler sitting in a socket read) — only the
-///   *workers* take them, never a blocked `run` caller, so a GEMM waiting
-///   on its row chunks can never wedge itself behind a stranger's socket.
 struct Shared {
-    scoped: QueueClass,
-    spawned: QueueClass,
-    /// Jobs currently queued in either class (incremented after a push,
-    /// decremented after a successful pop). Lets idle workers verify
-    /// emptiness before parking without re-scanning every queue lock.
+    queues: QueueClass,
+    /// Jobs currently queued (incremented after a push, decremented after
+    /// a successful pop). Lets idle workers verify emptiness before
+    /// parking without re-scanning every queue lock.
     pending: AtomicUsize,
     /// Cleared when the pool is dropped; workers drain and exit.
     open: AtomicBool,
@@ -166,43 +148,24 @@ struct Shared {
     wakeups: AtomicU64,
 }
 
-/// Which queue classes a dequeue attempt may touch.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Take {
-    /// Scoped tasks first (they gate a blocked caller), then spawned jobs.
-    Anything,
-    /// Scoped tasks only — the rule for helping `run` callers.
-    ScopedOnly,
-}
-
 impl Shared {
     /// Enqueues a job and wakes one parked worker (any worker can steal
     /// any job).
-    fn push(&self, job: Job, scoped: bool) {
-        if scoped {
-            self.scoped.push(job);
-        } else {
-            self.spawned.push(job);
-        }
+    fn push(&self, job: Job) {
+        self.queues.push(job);
         self.pending.fetch_add(1, Ordering::Release);
         let _guard = self.idle_lock.lock().expect("pool idle lock");
         self.idle_cv.notify_one();
     }
 
-    /// Dequeues one job according to `take`, preferring `home`'s queues.
-    fn pop(&self, home: usize, take: Take) -> Option<Job> {
-        let job = self.scoped.pop(home).or_else(|| match take {
-            Take::Anything => self.spawned.pop(home),
-            Take::ScopedOnly => None,
-        });
-        if let Some((job, stolen)) = job {
-            self.pending.fetch_sub(1, Ordering::Release);
-            if stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            return Some(job);
+    /// Dequeues one job, preferring `home`'s queue.
+    fn pop(&self, home: usize) -> Option<Job> {
+        let (job, stolen) = self.queues.pop(home)?;
+        self.pending.fetch_sub(1, Ordering::Release);
+        if stolen {
+            self.steals.fetch_add(1, Ordering::Relaxed);
         }
-        None
+        Some(job)
     }
 }
 
@@ -210,7 +173,7 @@ impl Shared {
 /// queues are drained.
 fn worker_loop(shared: Arc<Shared>, home: usize) {
     loop {
-        if let Some(job) = shared.pop(home, Take::Anything) {
+        if let Some(job) = shared.pop(home) {
             // A panicking job must not kill the worker: scoped tasks
             // re-raise on the caller via their latch guard, spawned jobs
             // just drop their reply channel.
@@ -335,8 +298,7 @@ impl Pool {
             };
         }
         let shared = Arc::new(Shared {
-            scoped: QueueClass::new(threads - 1),
-            spawned: QueueClass::new(threads - 1),
+            queues: QueueClass::new(threads - 1),
             pending: AtomicUsize::new(0),
             open: AtomicBool::new(true),
             idle_lock: Mutex::new(()),
@@ -399,8 +361,7 @@ impl Pool {
     ///
     /// `run` may be called from inside a pool task (a request job fanning
     /// its levels out, a level chunk fanning a GEMM out): while waiting for
-    /// its own tasks, the caller **steals queued scoped tasks and runs
-    /// them** (never [`Pool::spawn`] jobs, which may block on I/O), so
+    /// its own tasks, the caller **steals queued jobs and runs them**, so
     /// nested fan-out always makes progress even with every worker
     /// occupied, and idle workers pick nested tasks up for real
     /// parallelism.
@@ -444,19 +405,16 @@ impl Pool {
             let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
             let latch = Arc::clone(&latch);
             let panicked = Arc::clone(&panicked);
-            shared.push(
-                Box::new(move || {
-                    let _trace = (trace_ctx != 0).then(|| trace::scope(trace_ctx));
-                    let mut guard = CountDownGuard {
-                        latch: &latch,
-                        panicked: &panicked,
-                        completed: false,
-                    };
-                    task();
-                    guard.completed = true;
-                }),
-                true,
-            );
+            shared.push(Box::new(move || {
+                let _trace = (trace_ctx != 0).then(|| trace::scope(trace_ctx));
+                let mut guard = CountDownGuard {
+                    latch: &latch,
+                    panicked: &panicked,
+                    completed: false,
+                };
+                task();
+                guard.completed = true;
+            }));
         }
         {
             // Block until the queued tasks drain, even if `first` panics.
@@ -493,7 +451,7 @@ impl Pool {
             if latch.is_done() {
                 return;
             }
-            if let Some(job) = shared.pop(0, Take::ScopedOnly) {
+            if let Some(job) = shared.pop(0) {
                 let _ = catch_unwind(AssertUnwindSafe(job));
                 continue;
             }
@@ -510,10 +468,15 @@ impl Pool {
         }
     }
 
-    /// Enqueues a `'static` job for a worker (fire and forget). On a
+    /// Enqueues a `'static` job for the pool (fire and forget). On a
     /// 1-thread pool the job runs inline before `spawn` returns. A panic in
     /// the job is swallowed (the worker survives); jobs that must report
     /// completion should do so through a channel they own.
+    ///
+    /// The job must not block on external events (a socket, a lock held
+    /// across I/O, a channel fed from outside the pool): any thread
+    /// waiting in [`Pool::run`] may pick it up, and would then wait on the
+    /// same event before its own tasks can finish.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         match &self.shared {
             Some(shared) => {
@@ -523,15 +486,12 @@ impl Pool {
                     0
                 };
                 if trace_ctx != 0 {
-                    shared.push(
-                        Box::new(move || {
-                            let _trace = trace::scope(trace_ctx);
-                            job();
-                        }),
-                        false,
-                    );
+                    shared.push(Box::new(move || {
+                        let _trace = trace::scope(trace_ctx);
+                        job();
+                    }));
                 } else {
-                    shared.push(Box::new(job), false);
+                    shared.push(Box::new(job));
                 }
             }
             None => job(),
@@ -753,7 +713,7 @@ mod tests {
 
     #[test]
     fn nested_runs_from_saturating_spawned_jobs_make_progress() {
-        // More blocking jobs than workers, each fanning out a nested run:
+        // More spawned jobs than workers, each fanning out a nested run:
         // without steal-while-waiting this deadlocks (every worker blocked
         // on sub-tasks that sit behind other jobs in the queues).
         let pool = Arc::new(Pool::new(2)); // one worker
@@ -856,42 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_run_callers_never_execute_spawned_jobs() {
-        // One worker, wedged. A spawned job and a scoped `run` are both
-        // queued: the run caller must finish its own scoped tasks without
-        // ever picking up the (potentially blocking) spawned job.
-        let pool = Pool::new(2);
-        let (wedge_tx, wedge_rx) = mpsc::channel::<()>();
-        pool.spawn(move || {
-            let _ = wedge_rx.recv_timeout(std::time::Duration::from_secs(10));
-        });
-        // Give the worker a moment to take the wedge job off its queue.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let spawned_ran = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&spawned_ran);
-        pool.spawn(move || flag.store(true, Ordering::Release));
-        let counter = AtomicUsize::new(0);
-        pool.run(
-            (0..6)
-                .map(|_| {
-                    boxed(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                })
-                .collect(),
-        );
-        assert_eq!(counter.load(Ordering::Relaxed), 6);
-        // The only thread allowed to run the spawned job is still wedged.
-        assert!(!spawned_ran.load(Ordering::Acquire));
-        wedge_tx.send(()).expect("wedged worker still waiting");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while !spawned_ran.load(Ordering::Acquire) {
-            assert!(std::time::Instant::now() < deadline, "spawned job ran");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    #[test]
     fn task_panic_propagates_and_pool_survives() {
         let pool = Pool::new(2);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -909,8 +833,8 @@ mod tests {
 
     #[test]
     fn pool_dropped_from_inside_a_worker_does_not_hang() {
-        // A spawned job can hold the last `Arc<Pool>` (an engine request
-        // outliving its engine): releasing it runs `Pool::drop` on the
+        // A spawned job can hold the last `Arc<Pool>` (an engine outlived
+        // by work it queued): releasing it runs `Pool::drop` on the
         // worker itself, which must not try to join its own thread.
         let pool = Arc::new(Pool::new(2));
         let (tx, rx) = mpsc::channel();

@@ -28,7 +28,7 @@
 
 use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// The stage of the pipeline a span measures.
@@ -190,8 +190,9 @@ fn now_ns() -> u64 {
 // Thread-local ring buffers + global registry
 // ---------------------------------------------------------------------------
 
-/// Per-thread span capacity. Oldest records are overwritten when full;
-/// [`dropped_spans`] counts the overwrites.
+/// Span capacity of each live thread's ring, and of the one shared ring
+/// that keeps the spans of exited threads. Oldest records are overwritten
+/// when full; [`dropped_spans`] counts the overwrites.
 const RING_CAPACITY: usize = 32_768;
 
 struct Ring {
@@ -201,52 +202,90 @@ struct Ring {
     dropped: u64,
 }
 
+impl Ring {
+    const fn new() -> Ring {
+        Ring {
+            records: Vec::new(),
+            head: 0,
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, record: SpanRecord) {
+        if self.records.len() < RING_CAPACITY {
+            self.records.push(record);
+        } else {
+            let at = self.head;
+            self.records[at] = record;
+            self.head = (at + 1) % RING_CAPACITY;
+            self.dropped += 1;
+        }
+    }
+
+    /// The records in the order they were pushed, oldest first.
+    fn oldest_first(&self) -> impl Iterator<Item = &SpanRecord> {
+        let (newer, older) = self.records.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
 struct ThreadBuf {
     thread: u64,
     ring: Mutex<Ring>,
 }
 
-impl ThreadBuf {
-    fn push(&self, record: SpanRecord) {
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.records.len() < RING_CAPACITY {
-            ring.records.push(record);
-        } else {
-            let at = ring.head;
-            ring.records[at] = record;
-            ring.head = (at + 1) % RING_CAPACITY;
-            ring.dropped += 1;
+/// Locks a trace mutex, recovering it if a panicking holder poisoned it
+/// (a ring of plain `Copy` records stays consistent).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Buffers of the live threads that have recorded a span. Lock order:
+/// `REGISTRY`, then a thread's ring, then `RETIRED`.
+static REGISTRY: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
+/// Spans of exited threads, folded in as each thread exits.
+static RETIRED: Mutex<Ring> = Mutex::new(Ring::new());
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
+
+/// A thread's registered buffer. Dropped as the thread exits, it moves
+/// the thread's spans into [`RETIRED`] and unregisters the buffer, so
+/// trace memory stays bounded however many threads come and go (the
+/// HTTP server runs one per connection).
+struct LocalBuf(Arc<ThreadBuf>);
+
+impl Drop for LocalBuf {
+    fn drop(&mut self) {
+        let mut registry = lock(&REGISTRY);
+        registry.retain(|buf| !Arc::ptr_eq(buf, &self.0));
+        let ring = lock(&self.0.ring);
+        let mut retired = lock(&RETIRED);
+        for record in ring.oldest_first() {
+            retired.push(*record);
         }
+        retired.dropped += ring.dropped;
     }
 }
 
-static REGISTRY: Mutex<Vec<std::sync::Arc<ThreadBuf>>> = Mutex::new(Vec::new());
-static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    static LOCAL_BUF: OnceCell<std::sync::Arc<ThreadBuf>> = const { OnceCell::new() };
+    static LOCAL_BUF: OnceCell<LocalBuf> = const { OnceCell::new() };
     static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
 }
 
 fn push_with_thread(mut record: SpanRecord) {
     LOCAL_BUF.with(|cell| {
-        let buf = cell.get_or_init(|| {
-            let buf = std::sync::Arc::new(ThreadBuf {
+        let LocalBuf(buf) = cell.get_or_init(|| {
+            let buf = Arc::new(ThreadBuf {
                 thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
                 ring: Mutex::new(Ring {
                     records: Vec::with_capacity(RING_CAPACITY.min(1024)),
-                    head: 0,
-                    dropped: 0,
+                    ..Ring::new()
                 }),
             });
-            REGISTRY
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(std::sync::Arc::clone(&buf));
-            buf
+            lock(&REGISTRY).push(Arc::clone(&buf));
+            LocalBuf(buf)
         });
         record.thread = buf.thread;
-        buf.push(record);
+        lock(&buf.ring).push(record);
     });
 }
 
@@ -399,25 +438,21 @@ pub fn kernel_tag_name(tag: u8) -> Option<&'static str> {
 // Collection
 // ---------------------------------------------------------------------------
 
-/// Snapshot the records of one trace across every thread's ring buffer,
-/// sorted by start time (ties: longer span first, so parents precede
-/// children). `trace == 0` returns every record.
+/// Snapshot the records of one trace across every live thread's ring
+/// buffer and the ring of exited threads' spans, sorted by start time
+/// (ties: longer span first, so parents precede children). `trace == 0`
+/// returns every record.
 pub fn collect(trace: u64) -> Vec<SpanRecord> {
-    let buffers: Vec<_> = REGISTRY
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .cloned()
-        .collect();
+    let keep = |r: &&SpanRecord| trace == 0 || r.trace == trace;
     let mut out = Vec::new();
-    for buf in buffers {
-        let ring = buf.ring.lock().unwrap_or_else(|e| e.into_inner());
-        out.extend(
-            ring.records
-                .iter()
-                .filter(|r| trace == 0 || r.trace == trace)
-                .copied(),
-        );
+    {
+        // Holding the registry keeps an exiting thread from moving its
+        // spans into `RETIRED` between the two reads.
+        let registry = lock(&REGISTRY);
+        for buf in registry.iter() {
+            out.extend(lock(&buf.ring).records.iter().filter(keep).copied());
+        }
+        out.extend(lock(&RETIRED).records.iter().filter(keep).copied());
     }
     out.sort_by(|a, b| {
         a.start_ns
@@ -430,12 +465,9 @@ pub fn collect(trace: u64) -> Vec<SpanRecord> {
 
 /// Total spans overwritten in full ring buffers since process start.
 pub fn dropped_spans() -> u64 {
-    REGISTRY
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|buf| buf.ring.lock().unwrap_or_else(|e| e.into_inner()).dropped)
-        .sum()
+    let registry = lock(&REGISTRY);
+    let live: u64 = registry.iter().map(|buf| lock(&buf.ring).dropped).sum();
+    live + lock(&RETIRED).dropped
 }
 
 // ---------------------------------------------------------------------------
@@ -713,6 +745,35 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
+    }
+
+    #[test]
+    fn exited_threads_keep_their_spans_in_bounded_memory() {
+        set_enabled(true);
+        let registered = || lock(&REGISTRY).len();
+        let before = registered();
+        let traces: Vec<u64> = (0..200).map(|_| next_trace_id()).collect();
+        for &trace in &traces {
+            std::thread::spawn(move || {
+                let _scope = scope(trace);
+                let _span = span(SpanKind::SocketWrite);
+            })
+            .join()
+            .expect("span thread");
+        }
+        // Each exited thread unregistered its buffer…
+        let after = registered();
+        assert!(
+            after < before + 200,
+            "{before} → {after} registered buffers"
+        );
+        // …and its span is still collectible.
+        let records = collect(0);
+        for trace in traces {
+            let spans: Vec<_> = records.iter().filter(|r| r.trace == trace).collect();
+            assert_eq!(spans.len(), 1, "trace {trace}: {spans:?}");
+            assert_eq!(spans[0].kind, SpanKind::SocketWrite);
+        }
     }
 
     #[test]

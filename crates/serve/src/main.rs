@@ -64,7 +64,6 @@ serve options:
                          freshly seeded model is used
     --hidden <D>         hidden dim for the fresh model (default 32)
     --iters <T>          propagation iterations for the fresh model (default 4)
-    --workers <N>        max requests processed concurrently (default: pool size)
     --cones <N>          cone-memo capacity in fanin cones (default 1024;
                          0 disables reuse)
     --max-inflight <N>   admission: concurrent embed requests (default: pool size)
@@ -282,7 +281,6 @@ struct ServeArgs {
     checkpoint: Option<String>,
     hidden: usize,
     iters: usize,
-    workers: Option<usize>,
     cones: usize,
     max_inflight: usize,
     max_queue: usize,
@@ -298,7 +296,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         checkpoint: None,
         hidden: 32,
         iters: 4,
-        workers: None,
         cones: EngineOptions::default().cone_capacity,
         max_inflight: defaults.max_inflight,
         max_queue: defaults.max_queue,
@@ -316,7 +313,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
             "--checkpoint" => out.checkpoint = Some(value("--checkpoint")?.clone()),
             "--hidden" => out.hidden = parse_num(value("--hidden")?, "--hidden")?,
             "--iters" => out.iters = parse_num(value("--iters")?, "--iters")?,
-            "--workers" => out.workers = Some(parse_num(value("--workers")?, "--workers")?),
             "--cones" => out.cones = parse_num(value("--cones")?, "--cones")?,
             "--max-inflight" => {
                 out.max_inflight = parse_num(value("--max-inflight")?, "--max-inflight")?
@@ -352,7 +348,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let engine = Engine::new(
         model,
         EngineOptions {
-            workers: args.workers.unwrap_or(EngineOptions::default().workers),
             cone_capacity: args.cones,
             ..EngineOptions::default()
         },

@@ -1,13 +1,15 @@
 //! The HTTP/1.1 network front door of the serving engine.
 //!
 //! [`HttpServer::bind`] puts an [`Engine`] behind a `std::net::TcpListener`:
-//! a dedicated accept thread hands each connection to the engine's shared
-//! worker [`Pool`](deepseq_nn::Pool) (via `Pool::spawn`; on a 1-thread
-//! pool, which has no workers, connections fall back to one thread each so
-//! the accept loop never blocks behind a request). Connection handlers
-//! speak the small HTTP slice of [`http`](crate::http), route to the
-//! endpoints below, and record everything in a shared
-//! [`Metrics`] registry.
+//! a dedicated accept thread blocks in `accept` and gives each connection
+//! a thread of its own, so a slow or idle client never delays another.
+//! The engine's worker [`Pool`](deepseq_nn::Pool) runs compute only —
+//! the level and GEMM fan-out of admitted requests — and no connection
+//! ever waits for a worker. Past `MAX_CONNECTIONS` (1024) open connections
+//! the accept thread answers `503` itself and closes the socket. Connection
+//! handlers speak the small HTTP slice of [`http`](crate::http), route to
+//! the endpoints below, and record everything in a shared [`Metrics`]
+//! registry.
 //!
 //! # Endpoints
 //!
@@ -48,13 +50,17 @@
 //! [`HttpServer::request_drain`]) stops the accept loop, lets every
 //! admitted request finish, answers `503` to requests arriving on
 //! already-open connections, and closes those connections as they go
-//! idle. `shutdown` returns once every connection closed (or the
-//! `drain_grace` cap expired). In-flight work is never dropped — the
-//! drain property test in `crates/serve/tests/http_drain.rs` holds the
-//! server to exactly that.
+//! idle. The accept thread sleeps in a blocking `accept`, so a drain
+//! request wakes it with one connection to the server's own port
+//! (loopback when bound to an unspecified address such as `0.0.0.0`);
+//! the thread sees the drain flag, drops that connection uncounted and
+//! closes the listener. `shutdown` returns once every connection closed
+//! (or the `drain_grace` cap expired). In-flight work is never dropped —
+//! the drain property test in `crates/serve/tests/http_drain.rs` holds
+//! the server to exactly that.
 
 use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -72,6 +78,20 @@ use crate::http::{
 use crate::json::response_to_json;
 use crate::metrics::Metrics;
 use crate::ServeError;
+
+/// Connections open at once, each on its own thread. The accept thread
+/// answers `503` and closes any connection past this count. The cap
+/// exists because a connection thread, with its stack and kernel state,
+/// costs far more than the queued socket a fixed set of handlers would
+/// keep instead, and an unbounded count of them can exhaust the process.
+const MAX_CONNECTIONS: u64 = 1024;
+
+/// Pause after a failed `accept` (out of file descriptors, for example),
+/// so a persistent failure does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a drain waits for its wake-up connection to the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Locks a mutex, recovering the guard if a panicking holder poisoned it.
 /// Server state (admission counters, drain flag) stays meaningful across a
@@ -263,12 +283,26 @@ struct ServerShared {
     drain_lock: Mutex<()>,
     drain_cv: Condvar,
     started: Instant,
+    /// Where a drain connects to wake the accept thread out of `accept`.
+    wake_addr: SocketAddr,
+    /// Set once a wake-up connection reached the listener: the accept
+    /// thread then exits on its own and can be joined.
+    accept_woken: Mutex<bool>,
 }
 
 impl ServerShared {
-    fn request_drain(&self) {
+    /// Flags the drain, wakes every drain waiter, and wakes the accept
+    /// thread with one connection to the listener unless an earlier call
+    /// already did. Returns whether a wake-up connection got through, that
+    /// is, whether the accept thread is certain to exit.
+    fn request_drain(&self) -> bool {
         self.draining.store(true, Ordering::Release);
         self.notify_drain_waiters();
+        let mut woken = lock_recover(&self.accept_woken);
+        if !*woken {
+            *woken = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT).is_ok();
+        }
+        *woken
     }
 
     fn is_draining(&self) -> bool {
@@ -318,8 +352,9 @@ impl ServerShared {
     }
 }
 
-/// Decrements the open-connection gauge and pokes the drain condvar when a
-/// handler exits, however it exits.
+/// One counted connection: decrements the open-connection gauge and pokes
+/// the drain condvar when dropped — when its handler exits, however it
+/// exits, or with the handler's closure if its thread never started.
 struct ConnectionGuard {
     shared: Arc<ServerShared>,
 }
@@ -343,10 +378,9 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds `options.addr` and starts accepting connections on a
-    /// dedicated thread. The engine's pool runs the connection handlers.
+    /// dedicated thread. Each connection gets a thread of its own.
     pub fn bind(engine: Engine, options: ServerOptions) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(&options.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let max_inflight = if options.max_inflight == 0 {
             engine.pool().threads().max(1)
@@ -375,6 +409,8 @@ impl HttpServer {
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
             started: Instant::now(),
+            wake_addr: wake_address(addr),
+            accept_woken: Mutex::new(false),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -440,11 +476,15 @@ impl HttpServer {
 
     /// Gracefully drains and shuts down: stops accepting, finishes every
     /// admitted request, waits for connections to close (bounded by
-    /// `drain_grace`), and joins the accept thread.
+    /// `drain_grace`), and joins the accept thread. Should the wake-up
+    /// connection fail, the accept thread is left to exit on the next
+    /// connection it accepts instead of being joined.
     pub fn shutdown(mut self) -> DrainReport {
-        self.shared.request_drain();
+        let accept_exits = self.shared.request_drain();
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+            if accept_exits {
+                let _ = handle.join();
+            }
         }
         let grace = self.shared.options.drain_grace;
         let deadline = Instant::now() + grace;
@@ -479,46 +519,62 @@ impl HttpServer {
     }
 }
 
+/// The address a drain connects to in order to wake the accept thread:
+/// the bound address, with loopback in place of an unspecified IP.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 /// Accepts connections until a drain is requested, then drops the
 /// listener (new connects are refused by the OS from that point on).
 fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
     loop {
+        let accepted = listener.accept();
+        // Checked before counting: the drain's wake-up connection, or
+        // any client racing it, is dropped uncounted.
         if shared.is_draining() {
             return; // dropping the listener closes the socket
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared
-                    .metrics
-                    .connections_total
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .connections_open
-                    .fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(&shared);
-                let handler = move || handle_connection(stream, conn_shared);
-                // A 1-thread pool has no workers and runs spawned jobs
-                // inline, which would wedge the accept loop behind one
-                // connection — give those connections their own thread.
-                if shared.engine.pool().threads() > 1 {
-                    shared.engine.pool().spawn(handler);
-                } else {
-                    let _ = std::thread::Builder::new()
-                        .name("deepseq-http-conn".to_string())
-                        .spawn(handler);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        match accepted {
+            Ok((stream, _peer)) => open_connection(stream, &shared),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
+/// Counts an accepted connection and starts its handler thread, or, past
+/// `MAX_CONNECTIONS`, answers `503` and closes it on the calling thread.
+fn open_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
+    let metrics = &shared.metrics;
+    metrics.connections_total.fetch_add(1, Ordering::Relaxed);
+    let already_open = metrics.connections_open.fetch_add(1, Ordering::Relaxed);
+    let guard = ConnectionGuard {
+        shared: Arc::clone(shared),
+    };
+    if already_open >= MAX_CONNECTIONS {
+        let response = HttpResponse::error(503, "too many open connections").closing();
+        metrics.count_status(503);
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+        let _ = write_response(&mut BufWriter::new(&stream), &response);
+        let _ = stream.shutdown(Shutdown::Write);
+        return;
+    }
+    // A failed spawn drops the closure, and with it the socket (the peer
+    // sees it close) and the guard (the gauge counts it closed).
+    let _ = std::thread::Builder::new()
+        .name("deepseq-http-conn".to_string())
+        .spawn(move || handle_connection(stream, guard));
+}
+
 /// Serves one connection: keep-alive request loop, routing, error
-/// rendering. Never panics the worker on a bad peer.
+/// rendering. Never panics the thread on a bad peer.
 ///
 /// # Socket timeouts
 ///
@@ -528,11 +584,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
 /// is parsed — body reads and the response write instead run against the
 /// request's own deadline budget: a client legitimately trickling a large
 /// body is not killed by the (much shorter) keepalive timeout, and a stuck
-/// peer cannot pin a worker past the deadline either.
-fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
-    let _guard = ConnectionGuard {
-        shared: Arc::clone(&shared),
-    };
+/// peer cannot pin the thread past the deadline either.
+fn handle_connection(stream: TcpStream, guard: ConnectionGuard) {
+    let shared = &guard.shared;
     let _ = stream.set_nodelay(true);
     // Timeout-control handle: `set_read_timeout`/`set_write_timeout` act on
     // the shared socket, so this clone adjusts the reader and writer halves
@@ -577,7 +631,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
                     return;
                 }
             };
-        let mut response = route(&shared, &request);
+        let mut response = route(shared, &request);
         // During a drain, finish the request we already read but close the
         // connection; new requests belong on a live instance.
         if request.wants_close() || shared.is_draining() {
@@ -864,9 +918,9 @@ fn embed(shared: &Arc<ServerShared>, request: &HttpRequest, start: Instant) -> H
             shared.note_admitted();
             let request_id = serve_request.id;
             let design = serve_request.aig.name().to_string();
-            // serve_batch with one request runs it inline on this thread;
-            // level fan-out inside the engine still spreads across the
-            // pool's scoped queues.
+            // serve_batch with one request runs it inline on this
+            // connection's thread; level fan-out inside the engine still
+            // spreads across the pool.
             let mut responses = shared.engine.serve_batch(vec![serve_request]);
             shared.admission.release(metrics);
             shared.notify_drain_waiters();
@@ -1008,6 +1062,9 @@ mod tests {
             drain_lock: Mutex::new(()),
             drain_cv: Condvar::new(),
             started: Instant::now(),
+            // No accept thread runs here, so a drain has nothing to wake.
+            wake_addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
+            accept_woken: Mutex::new(true),
         })
     }
 
@@ -1244,6 +1301,28 @@ mod tests {
         assert_eq!(ok.status, 200);
         assert!(!shared.is_degraded());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_503_and_close() {
+        use std::io::Read;
+        let shared = shared();
+        let open = &shared.metrics.connections_open;
+        open.store(MAX_CONNECTIONS, Ordering::Relaxed);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _peer) = listener.accept().expect("accept");
+        open_connection(stream, &shared);
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        // Reading to EOF proves the server closed the socket.
+        let mut raw = String::new();
+        client.read_to_string(&mut raw).expect("503, then EOF");
+        assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
+        assert!(raw.contains("connection: close\r\n"), "{raw}");
+        assert_eq!(open.load(Ordering::Relaxed), MAX_CONNECTIONS);
+        assert_eq!(shared.metrics.responses_5xx.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -13,8 +13,9 @@ use util::{counter_aiger, exchange, test_engine};
 #[test]
 fn drain_completes_in_flight_requests_and_accepts_no_new_connections() {
     // One compute slot: of the four clients below, one computes and three
-    // wait in the admission queue when the drain hits. The pool is wider
-    // than the client count so every connection handler gets a worker.
+    // wait in the admission queue when the drain hits. Every connection
+    // has a thread of its own, so all four reach the gate whatever the
+    // pool size.
     let server = HttpServer::bind(
         test_engine(6),
         ServerOptions {
@@ -133,4 +134,32 @@ fn idle_drain_is_immediate() {
         started.elapsed()
     );
     assert!(std::net::TcpStream::connect(addr).is_err());
+}
+
+/// A drain wakes the accept thread, blocked in `accept`, with one
+/// connection to the server's own port. Bound to the unspecified address,
+/// the server makes that connection over loopback; the wake-up is never
+/// counted as a client connection.
+#[test]
+fn server_on_unspecified_address_shuts_down_promptly() {
+    let server = HttpServer::bind(
+        test_engine(2),
+        ServerOptions {
+            addr: "0.0.0.0:0".to_string(),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("bind 0.0.0.0:0");
+    let port = server.local_addr().port();
+    let metrics = server.metrics();
+    let started = Instant::now();
+    let report = server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    assert_eq!(report.connections_abandoned, 0);
+    assert_eq!(metrics.connections_total.load(Ordering::Relaxed), 0);
+    assert!(
+        std::net::TcpStream::connect(("127.0.0.1", port)).is_err(),
+        "port {port} still accepting after shutdown"
+    );
 }

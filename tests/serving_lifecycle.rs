@@ -3,12 +3,13 @@
 //! degraded mode it serves the hit and sheds the miss; a reload restores
 //! it; hostile AIGER bodies are 400s, not a dead server; a renumbered
 //! circuit gets exactly a fresh engine's answer; and a drain
-//! reports every request it served.
+//! reports every request it served. Idle keep-alive connections never
+//! delay a new client.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use deepseq::core::{DeepSeq, DeepSeqConfig};
 use deepseq::netlist::{parse_aiger, write_aiger, SeqAig};
@@ -43,6 +44,39 @@ fn exchange(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, St
         .map_or("", |(_, b)| b)
         .to_string();
     (status, body)
+}
+
+/// Opens a keep-alive connection and answers one `GET /healthz` on it,
+/// leaving the connection open and idle.
+fn idle_keepalive_connection(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send request");
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 512];
+    loop {
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "server closed a keep-alive connection");
+        raw.extend_from_slice(&chunk[..n]);
+        let text = String::from_utf8_lossy(&raw);
+        let Some((head, body)) = text.split_once("\r\n\r\n") else {
+            continue;
+        };
+        let length: usize = head
+            .lines()
+            .find_map(|line| line.strip_prefix("content-length: "))
+            .and_then(|value| value.parse().ok())
+            .expect("content-length header");
+        if body.len() >= length {
+            assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+            assert!(head.contains("connection: keep-alive"), "{head}");
+            return stream;
+        }
+    }
 }
 
 /// A two-flip-flop circuit with one input, in ASCII AIGER.
@@ -202,4 +236,39 @@ fn embed_degrade_reload_and_drain() {
     assert_eq!(report.requests_served, 6);
     assert_eq!(report.connections_abandoned, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every connection has a thread of its own, so idle keep-alive
+/// connections hold no worker of the compute pool: with as many of them
+/// open as a 2-thread pool has threads, a new client is answered at once,
+/// not after the 5 s `idle_keepalive` runs out.
+#[test]
+fn idle_keepalive_connections_do_not_stall_a_new_client() {
+    let model = DeepSeq::new(DeepSeqConfig {
+        hidden_dim: 8,
+        iterations: 2,
+        ..DeepSeqConfig::default()
+    });
+    let engine = Engine::with_pool(
+        InferenceModel::from_model(&model),
+        EngineOptions::default(),
+        Arc::new(Pool::new(2)),
+    );
+    let server = HttpServer::bind(engine, ServerOptions::default()).expect("bind 127.0.0.1:0");
+    let addr = server.local_addr();
+    let idle: Vec<TcpStream> = (0..2).map(|_| idle_keepalive_connection(addr)).collect();
+
+    let started = Instant::now();
+    let (status, body) = exchange(addr, "GET", "/healthz", b"");
+    let waited = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        waited < Duration::from_secs(1),
+        "a new client waited {waited:?} behind {} idle connections",
+        idle.len()
+    );
+
+    drop(idle);
+    let report = server.shutdown();
+    assert_eq!(report.connections_abandoned, 0);
 }
