@@ -41,18 +41,18 @@ fn filled(rows: usize, cols: usize, seed: f32) -> Matrix {
 
 fn bench_gemm(c: &mut Criterion) {
     eprintln!(
-        "simd acceleration: {}",
+        "blocked kernel build: {}",
         if deepseq_nn::simd_accelerated() {
-            "avx2+fma"
+            "avx2"
         } else {
-            "portable fused fallback"
+            "portable"
         }
     );
     let serial = Pool::new(1);
     for &(m, k, n) in &SHAPES {
         let a = filled(m, k, 0.6);
         let b = filled(k, n, -0.4);
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+        for kernel in Kernel::ALL {
             let mut out = Matrix::default();
             c.bench_function(
                 &format!("serve_kernel_{}_{m}x{k}x{n}", kernel.name()),
@@ -99,7 +99,7 @@ fn bench_fused_gate(c: &mut Criterion) {
     let u = filled(d, d, 0.2);
     let bias = filled(1, d, 0.05);
     let serial = Pool::new(1);
-    for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+    for kernel in Kernel::ALL {
         let mut out = Matrix::default();
         let mut tmp = Matrix::default();
         c.bench_function(&format!("serve_fused_gate_{}_d{d}", kernel.name()), |bch| {

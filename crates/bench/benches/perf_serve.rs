@@ -78,23 +78,14 @@ fn bench_tape_forward(c: &mut Criterion) {
     }
 }
 
-fn bench_tapefree_forward(c: &mut Criterion) {
-    for f in fixtures() {
-        // The serving default kernel on a pinned 1-thread pool — this id is
-        // the long-running tape-free trajectory entry in BENCH_serve.json.
-        let mut ws = Workspace::with_pool(Kernel::for_serve(), Arc::new(Pool::new(1)));
-        c.bench_function(&format!("serve_tapefree_forward_{}", f.tag), |b| {
-            b.iter(|| f.frozen.run(&f.graph, &f.h0, &mut ws))
-        });
-    }
-}
-
-/// The same tape-free forward pass pinned to each GEMM kernel, so
-/// `BENCH_serve.json` records the per-kernel end-to-end numbers alongside
-/// the raw GEMM microbenches of `perf_kernels`.
+/// The tape-free forward pass pinned to each GEMM kernel on a 1-thread
+/// pool, so `BENCH_serve.json` records the per-kernel end-to-end numbers
+/// alongside the raw GEMM microbenches of `perf_kernels`. The `blocked`
+/// rows are the serving default, the long-running tape-free trajectory
+/// entry that `tapefree_speedup_*` divides the tape rows by.
 fn bench_tapefree_per_kernel(c: &mut Criterion) {
     for f in fixtures() {
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+        for kernel in Kernel::ALL {
             let mut ws = Workspace::with_pool(kernel, Arc::new(Pool::new(1)));
             c.bench_function(
                 &format!("serve_tapefree_{}_{}", kernel.name(), f.tag),
@@ -272,7 +263,7 @@ fn bench_text_edge(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_tape_forward, bench_tapefree_forward, bench_tapefree_per_kernel, bench_cache_hit,
-        bench_cone_reuse, bench_text_edge
+    targets = bench_tape_forward, bench_tapefree_per_kernel, bench_cache_hit, bench_cone_reuse,
+        bench_text_edge
 }
 criterion_main!(benches);

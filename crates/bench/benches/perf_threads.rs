@@ -98,7 +98,7 @@ fn bench_mt_tapefree(c: &mut Criterion) {
     for f in fixtures() {
         for threads in THREADS {
             let pool = Arc::new(Pool::new(threads));
-            let mut ws = Workspace::with_pool(Kernel::for_serve(), pool);
+            let mut ws = Workspace::with_pool(Kernel::global(), pool);
             c.bench_function(&format!("serve_mt_tapefree_t{threads}_{}", f.tag), |b| {
                 b.iter(|| f.frozen.run(&f.graph, &f.h0, &mut ws))
             });

@@ -16,9 +16,10 @@
 //! (`id`, `unit`, `mean`, `median`, `min`, `max`, …), so the output embeds
 //! them verbatim under their benchmark ids, sorted for stable diffs. A
 //! `derived` section adds the ratios the acceptance criteria and the README
-//! table read: tape → tape-free speedup per design, naive →
-//! blocked/simd kernel speedup per GEMM shape and for the fused GRU
-//! gate, full-recompute → cone-memo speedup on near-duplicate circuits
+//! table read: tape → tape-free (serving-default `blocked` kernel) speedup
+//! per design, naive → blocked kernel speedup per GEMM shape, for the
+//! fused GRU gate and for the tape-free forward pass, full-recompute →
+//! cone-memo speedup on near-duplicate circuits
 //! (`cone_speedup_*`), and the 1-thread → N-thread speedups of the
 //! `perf_threads` and `perf_train` entries
 //! (`serve_mt_<what>_t<N>_<rest>` → `mt_speedup_<what>_t<N>_<rest>`,
@@ -156,31 +157,28 @@ fn derive_speedups(means: &[(String, f64)]) -> Vec<(String, f64)> {
         if *mean <= 0.0 {
             continue;
         }
-        // Tape → tape-free (serving-default kernel), per design tag.
-        if let Some(tag) = name.strip_prefix("serve_tapefree_forward_") {
+        // Naive → blocked GEMM, per shape.
+        if let Some(rest) = name.strip_prefix("serve_kernel_blocked_") {
+            if let Some(naive) = mean_of(&format!("serve_kernel_naive_{rest}")) {
+                out.push((format!("kernel_speedup_blocked_{rest}"), naive / mean));
+            }
+        }
+        if let Some(rest) = name.strip_prefix("serve_fused_gate_blocked_") {
+            if let Some(naive) = mean_of(&format!("serve_fused_gate_naive_{rest}")) {
+                out.push((format!("fused_gate_speedup_blocked_{rest}"), naive / mean));
+            }
+        }
+        // Tape → tape-free and naive → blocked tape-free, per design tag;
+        // `blocked` is the serving default.
+        if let Some(tag) = name.strip_prefix("serve_tapefree_blocked_") {
             if let Some(tape) = mean_of(&format!("serve_tape_forward_{tag}")) {
                 out.push((format!("tapefree_speedup_{tag}"), tape / mean));
             }
-        }
-        // Naive → blocked/simd GEMM, per shape.
-        for kernel in ["blocked", "simd"] {
-            if let Some(rest) = name.strip_prefix(&format!("serve_kernel_{kernel}_")) {
-                if let Some(naive) = mean_of(&format!("serve_kernel_naive_{rest}")) {
-                    out.push((format!("kernel_speedup_{kernel}_{rest}"), naive / mean));
-                }
-            }
-            if let Some(rest) = name.strip_prefix(&format!("serve_fused_gate_{kernel}_")) {
-                if let Some(naive) = mean_of(&format!("serve_fused_gate_naive_{rest}")) {
-                    out.push((format!("fused_gate_speedup_{kernel}_{rest}"), naive / mean));
-                }
-            }
-            if let Some(rest) = name.strip_prefix(&format!("serve_tapefree_{kernel}_")) {
-                if let Some(naive) = mean_of(&format!("serve_tapefree_naive_{rest}")) {
-                    out.push((
-                        format!("tapefree_kernel_speedup_{kernel}_{rest}"),
-                        naive / mean,
-                    ));
-                }
+            if let Some(naive) = mean_of(&format!("serve_tapefree_naive_{tag}")) {
+                out.push((
+                    format!("tapefree_kernel_speedup_blocked_{tag}"),
+                    naive / mean,
+                ));
             }
         }
         // Full recompute → cone-memo near-duplicate, per fixture.

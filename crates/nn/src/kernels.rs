@@ -15,35 +15,18 @@
 //!   independent add chains run at once. `a × bᵀ` packs `bᵀ` first and
 //!   runs the same tiles; outputs narrower than 8 columns tile over rows
 //!   instead. On x86-64 CPUs with AVX2 the same body runs compiled for
-//!   AVX2 (no fused multiply-add), with the same bits. Default for
-//!   training and serving.
-//! * [`Kernel::Simd`] — explicit **fast mode**: AVX2/FMA micro-kernels
-//!   over contiguous B panels (runtime feature detection; hosts without
-//!   AVX2 run a bitwise-identical portable fused fallback — see the
-//!   `simd` module's docs via [`simd_accelerated`]). Opt-in only, never a
-//!   default.
+//!   AVX2 (no fused multiply-add), with the same bits (see
+//!   [`simd_accelerated`]). Default for training and serving.
 //!
-//! # The two-mode numerics contract
+//! # The numerics contract
 //!
-//! **Bitwise mode** (`naive` | `blocked`): both variants accumulate each
-//! output element over `k` **in ascending order**, without fused
-//! multiply-add, so for finite inputs they produce bitwise-identical
-//! results (property-tested in `crates/nn/tests/properties.rs`). Picking
-//! between them is purely a performance decision, never a numerics
-//! decision. This mode is the default everywhere and the *only* mode the
-//! tape/training path will run: [`Kernel::global`] maps `simd` to
-//! [`Kernel::Blocked`].
-//!
-//! **Fast mode** (`simd`): fused multiply-add accumulation, still
-//! ascending-`k` per element, so results are *self*-deterministic —
-//! bitwise-identical across runs, thread counts and hosts (the portable
-//! fallback computes the same bits as the AVX2 path) — but not bitwise
-//! equal to the reference. The divergence is property-tested against
-//! naive in `crates/nn/tests/kernel_numerics.rs` (relative error ≤ 1e-5
-//! in the backward-error sense, bounded ULP distance on well-conditioned
-//! elements). See docs/ARCHITECTURE.md, "Numerics contract", for when
-//! each mode is safe. [`Kernel::is_bitwise`] answers the question
-//! programmatically.
+//! Both variants accumulate each output element over `k` **in ascending
+//! order**, without fused multiply-add, so for finite inputs they produce
+//! bitwise-identical results (property-tested in
+//! `crates/nn/tests/properties.rs`). Picking between them is purely a
+//! performance decision, never a numerics decision, and every path of
+//! the process, the tape and training included, runs under the same
+//! contract. See docs/ARCHITECTURE.md, "Numerics contract".
 //!
 //! The fused entry point [`Kernel::matmul_bias_act`] covers the GRU gate
 //! pattern `act(x·W + h·U + b)` in one call; it performs the identical
@@ -65,14 +48,13 @@
 //!
 //! # Selection
 //!
-//! The `DEEPSEQ_KERNEL` environment variable (`naive` | `blocked` |
-//! `simd`, read once per process; unrecognized values warn once to
-//! stderr and keep the default) overrides the serving default, and the
-//! training default for the bitwise names (`DEEPSEQ_KERNEL=naive` is the
-//! reference run of the whole process):
+//! The `DEEPSEQ_KERNEL` environment variable (`naive` | `blocked`, read
+//! once per process; any other value warns once to stderr and keeps the
+//! default) overrides the default of the whole process, training and
+//! serving alike. `naive` is the reference run:
 //!
 //! ```text
-//! DEEPSEQ_KERNEL=simd target/release/deepseq-serve predict design.aag
+//! DEEPSEQ_KERNEL=naive target/release/deepseq-serve predict design.aag
 //! ```
 //!
 //! # Example
@@ -83,12 +65,12 @@
 //! let a = Matrix::from_fn(64, 48, |r, c| (r + c) as f32 * 0.01);
 //! let b = Matrix::from_fn(48, 32, |r, c| (r as f32 - c as f32) * 0.01);
 //!
-//! // The bitwise kernels agree bitwise on finite inputs.
+//! // The kernels agree bitwise on finite inputs.
 //! let reference = Kernel::Naive.matmul(&a, &b);
 //! assert_eq!(Kernel::Blocked.matmul(&a, &b), reference);
 //!
-//! // `Matrix::matmul` dispatches through the process-wide *training*
-//! // default, which refuses fast mode — bitwise in every environment.
+//! // `Matrix::matmul` dispatches through the process-wide default, one of
+//! // the two — bitwise in every environment.
 //! assert_eq!(a.matmul(&b), reference);
 //! ```
 
@@ -99,33 +81,32 @@ use std::sync::OnceLock;
 use crate::matrix::Matrix;
 use crate::pool::{chunk_ranges_or_whole, Pool};
 
-mod simd;
-
-/// True when the running CPU executes [`Kernel::Simd`]'s AVX2/FMA paths;
-/// false means simd products run the portable fused fallback, which is
-/// slower but produces the same bits. Useful for benchmarks and CI
-/// notices; never needed for correctness.
+/// True when the running CPU executes [`Kernel::Blocked`]'s AVX2 build;
+/// false means the portable build runs, which computes the same bits.
+/// Useful for benchmark and CI notices; never needed for correctness.
 pub fn simd_accelerated() -> bool {
-    simd::accelerated()
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// Environment variable naming the kernel to use process-wide
-/// (`naive` | `blocked` | `simd`). Read once, on first dispatch; an
-/// unrecognized value warns once to stderr and keeps the default, and an
-/// empty value behaves like an unset variable.
+/// (`naive` | `blocked`). Read once, on first dispatch; an unrecognized
+/// value warns once to stderr and keeps the default, and an empty value
+/// behaves like an unset variable.
 pub const KERNEL_ENV: &str = "DEEPSEQ_KERNEL";
 
-/// Output-column register tile width of the simd kernels (one AVX2
-/// `__m256` of f32s — the width of simd's packed B panels).
-const NR: usize = 8;
-
 thread_local! {
-    /// Reused packing scratch of the products that repack their right-hand
-    /// operand first (blocked `a × bᵀ`, every simd product); grows to the
-    /// largest operand seen on this thread and is then reused, mirroring
-    /// the serve path's `Workspace` buffer discipline. Parallel products
-    /// pack once on the calling thread and share the packed operand
-    /// read-only with the workers.
+    /// Reused packing scratch of blocked `a × bᵀ`, which transposes its
+    /// right-hand operand first; grows to the largest operand seen on this
+    /// thread and is then reused, mirroring the serve path's `Workspace`
+    /// buffer discipline. Parallel products pack once on the calling
+    /// thread and share the packed operand read-only with the workers.
     static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -212,28 +193,18 @@ pub enum Kernel {
     Naive,
     /// Register-tiled output rows: the default for training and serving.
     Blocked,
-    /// **Fast mode**: AVX2/FMA micro-kernels over contiguous B panels
-    /// (portable fused fallback off-x86). Self-deterministic but *not*
-    /// bitwise-equal to the bitwise variants; see the
-    /// [module docs](self) for the numerics contract. Opt-in only.
-    Simd,
 }
 
 impl Kernel {
-    /// The **bitwise** variants, for iteration in tests and benchmarks.
-    /// [`Kernel::Simd`] is excluded because it is a different arithmetic
-    /// under a different (bounded, not bitwise) contract — suites iterate
-    /// it explicitly.
+    /// Every variant, for iteration in tests and benchmarks.
     pub const ALL: [Kernel; 2] = [Kernel::Naive, Kernel::Blocked];
 
-    /// Parses a kernel name (`naive` | `blocked` | `simd`,
-    /// case-insensitive). These are exactly the values accepted in
-    /// `DEEPSEQ_KERNEL`.
+    /// Parses a kernel name (`naive` | `blocked`, case-insensitive).
+    /// These are exactly the values accepted in `DEEPSEQ_KERNEL`.
     pub fn parse(name: &str) -> Option<Kernel> {
         match name.trim().to_ascii_lowercase().as_str() {
             "naive" => Some(Kernel::Naive),
             "blocked" => Some(Kernel::Blocked),
-            "simd" => Some(Kernel::Simd),
             _ => None,
         }
     }
@@ -252,7 +223,7 @@ impl Kernel {
                 if parsed.is_none() {
                     crate::config::report_warning(format!(
                         "{KERNEL_ENV}={value:?} is not a recognized kernel \
-                         (accepted: naive | blocked | simd); using the default"
+                         (accepted: naive | blocked); using the default"
                     ));
                 }
                 parsed
@@ -261,76 +232,37 @@ impl Kernel {
         })
     }
 
-    /// Is the process in fast mode (`DEEPSEQ_KERNEL=simd`)? In fast mode
-    /// the *serving* path runs the simd kernels while the tape/training
-    /// path stays on a bitwise kernel — see [`Kernel::global`].
-    pub fn fast_mode() -> bool {
-        Kernel::from_env() == Some(Kernel::Simd)
-    }
-
-    /// Does this kernel participate in the bitwise contract (results
-    /// bit-for-bit equal to [`Kernel::Naive`])? True for every variant
-    /// but [`Kernel::Simd`].
-    pub fn is_bitwise(self) -> bool {
-        self != Kernel::Simd
-    }
-
-    /// The process-wide default kernel used by the [`Matrix`] product
-    /// methods (and therefore the autograd tape and training):
-    /// `DEEPSEQ_KERNEL` if set to a bitwise kernel, otherwise
-    /// [`Kernel::Blocked`]. `DEEPSEQ_KERNEL=naive` puts the whole process
-    /// on the reference loops, which compute the same bits. `simd`
-    /// deliberately maps to [`Kernel::Blocked`] here — fast mode is a
-    /// serving contract, and training/gradchecks/determinism suites must
-    /// stay bitwise no matter what the environment says (pinned by
-    /// `crates/core/tests/simd_guard.rs`).
+    /// The process-wide default kernel: `DEEPSEQ_KERNEL` if set to a
+    /// recognized name, otherwise [`Kernel::Blocked`]. The [`Matrix`]
+    /// product methods (and therefore the autograd tape and training) and
+    /// the serve `Workspace` all dispatch through it;
+    /// `DEEPSEQ_KERNEL=naive` puts the whole process on the reference
+    /// loops, which compute the same bits.
     pub fn global() -> Kernel {
-        match Kernel::from_env() {
-            Some(Kernel::Simd) | None => Kernel::Blocked,
-            Some(kernel) => kernel,
-        }
-    }
-
-    /// The serving default: `DEEPSEQ_KERNEL` if set (including `simd` —
-    /// this is the entry point that honors fast mode), otherwise
-    /// [`Kernel::Blocked`], the fastest bitwise kernel on the tape-free
-    /// inference path (`deepseq-serve`).
-    pub fn for_serve() -> Kernel {
         Kernel::from_env().unwrap_or(Kernel::Blocked)
     }
 
-    /// The lower-case name (`"naive"` | `"blocked"` | `"simd"`).
+    /// The serving default, which is [`Kernel::global`]: serving and
+    /// training run the same kernel. Kept so that existing callers still
+    /// compile; new code calls [`Kernel::global`].
+    pub fn for_serve() -> Kernel {
+        Kernel::global()
+    }
+
+    /// The lower-case name (`"naive"` | `"blocked"`).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Naive => "naive",
             Kernel::Blocked => "blocked",
-            Kernel::Simd => "simd",
         }
     }
 
     /// The [`crate::trace::pack_gemm`] tag of a kernel, so GEMM spans
-    /// distinguish simd from scalar work in `/debug/trace`.
+    /// name the kernel that ran them in `/debug/trace`.
     fn trace_tag(self) -> u8 {
         match self {
             Kernel::Naive => 1,
             Kernel::Blocked => 2,
-            Kernel::Simd => 4,
-        }
-    }
-
-    /// The kernel that runs a product whose right-hand operand is
-    /// `k×n`: `self`, except that simd hands small right-hand operands to
-    /// the reference loops — the fused path packs `b` (`k·n` panel
-    /// writes) before any arithmetic, which those products never earn
-    /// back. Deliberately independent of the row count: higher layers
-    /// (the serve forward pass) partition *rows* of one logical product
-    /// across scratch chunks, and the kernel choice, and therefore the
-    /// bits, must not change with that partitioning (fast mode's
-    /// self-determinism contract).
-    fn dispatched(self, k: usize, n: usize) -> Kernel {
-        match self {
-            Kernel::Simd if k.saturating_mul(n) < 256 => Kernel::Naive,
-            other => other,
         }
     }
 
@@ -411,20 +343,15 @@ impl Kernel {
         if ka == 0 || n == 0 {
             return out;
         }
-        let kernel = self.dispatched(m, n);
         let _span = crate::trace::span_with(
             crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(ka, m, n, kernel.trace_tag()),
+            crate::trace::pack_gemm(ka, m, n, self.trace_tag()),
         );
         let ranges = par_ranges(pool, ka, m, n);
         let (a, b, o) = (a.data(), b.data(), out.data_mut());
-        match kernel {
+        match self {
             Kernel::Naive => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_naive_rows),
             Kernel::Blocked => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_blocked_rows),
-            Kernel::Simd => with_pack_scratch(|pack| {
-                simd::pack_b(b, m, n, pack);
-                run_trow_tasks(pool, ranges, a, pack, o, m, ka, n, simd::t_gemm_fused_rows);
-            }),
         }
         out
     }
@@ -451,24 +378,18 @@ impl Kernel {
         if m == 0 || nb == 0 {
             return out;
         }
-        let kernel = self.dispatched(k, nb);
         let _span = crate::trace::span_with(
             crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(m, k, nb, kernel.trace_tag()),
+            crate::trace::pack_gemm(m, k, nb, self.trace_tag()),
         );
         let ranges = par_ranges(pool, m, k, nb);
         let (a, b, o) = (a.data(), b.data(), out.data_mut());
-        match kernel {
+        match self {
             Kernel::Naive => run_row_tasks(pool, ranges, a, b, o, k, nb, gemm_bt_naive_rows),
             // Packed bᵀ turns `a × bᵀ` into the plain blocked product.
             Kernel::Blocked => with_pack_scratch(|pack| {
                 pack_transpose(b, nb, k, pack);
                 run_row_tasks(pool, ranges, a, pack, o, k, nb, gemm_blocked);
-            }),
-            // Panelized bᵀ turns `a × bᵀ` into the plain fused micro-kernel.
-            Kernel::Simd => with_pack_scratch(|pack| {
-                simd::pack_bt(b, k, nb, pack);
-                run_row_tasks(pool, ranges, a, pack, o, k, nb, simd::gemm_fused_rows);
             }),
         }
         out
@@ -583,19 +504,14 @@ impl Kernel {
         if m == 0 || n == 0 {
             return;
         }
-        let kernel = self.dispatched(k, n);
         let _span = crate::trace::span_with(
             crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(m, k, n, kernel.trace_tag()),
+            crate::trace::pack_gemm(m, k, n, self.trace_tag()),
         );
         let ranges = par_ranges(pool, m, k, n);
-        match kernel {
+        match self {
             Kernel::Naive => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_naive),
             Kernel::Blocked => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_blocked),
-            Kernel::Simd => with_pack_scratch(|pack| {
-                simd::pack_b(b, k, n, pack);
-                run_row_tasks(pool, ranges, a, pack, out, k, n, simd::gemm_fused_rows);
-            }),
         }
     }
 }
@@ -616,7 +532,7 @@ fn par_ranges(pool: &Pool, rows: usize, k: usize, n: usize) -> Vec<Range<usize>>
 
 /// Runs a row kernel over `ranges`, splitting `a` and `out` by rows and
 /// sharing `b` read-only. Single range → straight call on the caller.
-/// The kernel signature is `(a_rows, b_or_panels, out_rows, rows, k, n)`
+/// The kernel signature is `(a_rows, b, out_rows, rows, k, n)`
 /// where `a_rows`/`out_rows` hold exactly `rows` rows.
 #[allow(clippy::too_many_arguments)]
 fn run_row_tasks<F>(
@@ -650,7 +566,7 @@ fn run_row_tasks<F>(
 
 /// Runs a transpose row kernel over `ranges` of output rows (columns of
 /// `a`); `a` and `b` are shared read-only, `out` split by rows. The
-/// kernel signature is `(a, b_or_panels, out_rows, m, ka, n, i0, i1)` —
+/// kernel signature is `(a, b, out_rows, m, ka, n, i0, i1)` —
 /// computes output rows `i0..i1` (columns of `a`) into `out_rows`.
 #[allow(clippy::too_many_arguments)]
 fn run_trow_tasks<F>(
@@ -989,9 +905,7 @@ mod tests {
         let serial = Pool::new(1);
         for threads in [2, 4, 7] {
             let pool = Pool::new(threads);
-            // Simd belongs here too: fast mode is self-deterministic, so
-            // parallel must match serial bitwise for it as well.
-            for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+            for kernel in Kernel::ALL {
                 assert_eq!(
                     kernel.matmul_on(&pool, &a, &b),
                     kernel.matmul_on(&serial, &a, &b),
@@ -1061,7 +975,7 @@ mod tests {
 
     #[test]
     fn empty_shapes_are_handled() {
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+        for kernel in Kernel::ALL {
             let a = Matrix::zeros(0, 4);
             let b = Matrix::zeros(4, 3);
             assert_eq!(kernel.matmul(&a, &b).shape(), (0, 3));
@@ -1086,9 +1000,7 @@ mod tests {
         let h = filled(10, 3, 0.9);
         let u = filled(3, 4, 0.6);
         let bias = filled(1, 4, 0.1);
-        // Fused vs unfused is a *same-kernel* identity, so it must hold
-        // for simd too.
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+        for kernel in Kernel::ALL {
             let mut out = Matrix::default();
             let mut tmp = Matrix::default();
             kernel.matmul_bias_act(
@@ -1110,28 +1022,18 @@ mod tests {
 
     #[test]
     fn parse_and_names_roundtrip() {
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+        for kernel in Kernel::ALL {
             assert_eq!(Kernel::parse(kernel.name()), Some(kernel));
             assert_eq!(Kernel::parse(&kernel.name().to_uppercase()), Some(kernel));
         }
-        for retired in ["simd9000", "packed", "auto"] {
+        for retired in ["simd", "simd9000", "packed", "auto"] {
             assert_eq!(Kernel::parse(retired), None, "{retired}");
         }
     }
 
     #[test]
-    fn bitwise_classification_matches_contract() {
-        for kernel in Kernel::ALL {
-            assert!(kernel.is_bitwise(), "{}", kernel.name());
-        }
-        assert!(!Kernel::Simd.is_bitwise());
-        // Trace tags are distinct per concrete kernel and fit pack_gemm's
-        // four bits.
-        let tags: Vec<u8> = Kernel::ALL
-            .into_iter()
-            .chain([Kernel::Simd])
-            .map(|k| k.trace_tag())
-            .collect();
+    fn trace_tags_are_distinct_and_fit_four_bits() {
+        let tags = Kernel::ALL.map(Kernel::trace_tag);
         for (i, &t) in tags.iter().enumerate() {
             assert!(t > 0 && t <= 0xF);
             assert!(!tags[..i].contains(&t), "duplicate tag {t}");
@@ -1140,61 +1042,27 @@ mod tests {
 
     #[test]
     fn concurrent_packed_products_survive_help_stealing() {
-        // While a simd product is parked in `Pool::run`, the same thread
-        // may help-execute another task that also packs B panels. The
-        // pack scratch must not stay borrowed across the fan-out
+        // While a blocked `a × bᵀ` is parked in `Pool::run`, the same
+        // thread may help-execute another task that also packs its `bᵀ`.
+        // The pack scratch must not stay borrowed across the fan-out
         // (regression: `BorrowMutError` at the second borrow).
-        use crate::pool::Pool;
-        use std::sync::Arc;
         let serial = Pool::new(1);
         let a = filled(64, 128, 0.4);
-        let b = filled(128, 256, -0.2);
-        let reference = Kernel::Simd.matmul_on(&serial, &a, &b);
-        let pool = Arc::new(Pool::new(2));
+        let b = filled(256, 128, -0.2);
+        let flops = a.rows() * a.cols() * b.rows();
+        assert!(flops >= PAR_MIN_FLOPS, "the product must fan out");
+        let reference = Kernel::Blocked.matmul_t_on(&serial, &a, &b);
+        let pool = std::sync::Arc::new(Pool::new(2));
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
             .map(|_| {
-                let pool = Arc::clone(&pool);
+                let pool = std::sync::Arc::clone(&pool);
                 let (a, b, reference) = (&a, &b, &reference);
                 Box::new(move || {
-                    assert_eq!(&Kernel::Simd.matmul_on(&pool, a, b), reference);
+                    assert_eq!(&Kernel::Blocked.matmul_t_on(&pool, a, b), reference);
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
         pool.run(tasks);
-    }
-
-    #[test]
-    fn simd_cutoff_ignores_the_row_count() {
-        // Small right-hand operands stay on the reference loops whatever
-        // `m` is, so row partitioning at any layer cannot change the bits.
-        for m in [1, 4, 4096] {
-            let a = filled(m, 4, 0.3);
-            let b = filled(4, 4, -0.7);
-            assert_eq!(
-                Kernel::Simd.matmul(&a, &b),
-                Kernel::Naive.matmul(&a, &b),
-                "m={m}"
-            );
-        }
-        assert_eq!(Kernel::Simd.dispatched(4, 4), Kernel::Naive);
-        assert_eq!(Kernel::Simd.dispatched(16, 16), Kernel::Simd);
-        for kernel in Kernel::ALL {
-            assert_eq!(kernel.dispatched(1, 1), kernel);
-            assert_eq!(kernel.dispatched(512, 512), kernel);
-        }
-    }
-
-    #[test]
-    fn simd_is_exact_on_identity_products() {
-        // a × I touches every simd path (full panels, tail panels, row
-        // tails) with arithmetic that is exact under FMA too, so the
-        // result must be bitwise-equal to the reference even in fast
-        // mode.
-        for &(m, k) in &[(9, 12), (16, 16), (3, 40), (33, 7)] {
-            let a = filled(m, k, 0.9);
-            let eye = Matrix::eye(k);
-            assert_eq!(Kernel::Simd.matmul(&a, &eye), a, "{m}x{k}");
-        }
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! more:
 //!
 //! * [`Matrix`] — dense row-major `f32` matrices;
-//! * [`kernels`] — cache-blocked GEMM variants behind the [`Kernel`]
-//!   dispatch enum (selectable via `DEEPSEQ_KERNEL`), including the fused
-//!   gate op `act(x·W + h·U + b)` used by both training and serving, plus
-//!   the opt-in AVX2/FMA fast mode (`DEEPSEQ_KERNEL=simd`) governed by the
-//!   two-mode numerics contract documented in [`kernels`] and tested with
-//!   the [`numerics`] comparison primitives;
+//! * [`kernels`] — the reference and register-tiled GEMM variants behind
+//!   the [`Kernel`] dispatch enum (selectable via `DEEPSEQ_KERNEL`),
+//!   bitwise-equal to each other on finite inputs (the numerics contract
+//!   documented in [`kernels`]), including the fused gate op
+//!   `act(x·W + h·U + b)` used by both training and serving;
+//! * [`numerics`] — relative-error comparison primitives for the checks
+//!   that compare against different arithmetic (finite-difference
+//!   gradients);
 //! * [`pool`] — the persistent worker [`Pool`] (sized by `DEEPSEQ_THREADS`)
 //!   that large products, the serve path and the data-parallel training
 //!   loop fan out across, with results bitwise-identical at any thread

@@ -156,7 +156,7 @@ impl Matrix {
 
     /// Matrix product `self × other`, dispatched through the process-wide
     /// default [`Kernel::global`](crate::Kernel::global) (`blocked` unless
-    /// `DEEPSEQ_KERNEL` names another bitwise kernel — see
+    /// `DEEPSEQ_KERNEL` names `naive`, which computes the same bits — see
     /// [`crate::kernels`]).
     ///
     /// # Panics

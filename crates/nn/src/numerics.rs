@@ -1,51 +1,13 @@
-//! Floating-point comparison primitives for the two-mode numerics
-//! contract.
+//! Floating-point comparison primitives for checks against a numeric
+//! reference rather than a bit pattern.
 //!
-//! Bitwise mode needs no tooling — `assert_eq!` is the whole contract.
-//! Fast mode ([`Kernel::Simd`](crate::Kernel::Simd)) promises *bounded*
-//! divergence from the reference kernels, and these are the primitives
-//! the property suites (and serve-side equivalence tests) state those
-//! bounds with: relative error against a reference, and ULP distance —
-//! "how many representable floats apart" — which is the right unit for
-//! "almost the same rounding". The shared test harness in
-//! `crates/nn/tests/util` wraps these in assertion helpers; serve/core
-//! suites use them directly.
-
-/// Distance between two `f32`s in units-in-the-last-place: the number of
-/// representable values strictly between them (0 when bitwise-equal, and
-/// also 0 for `+0.0` vs `-0.0`, which are numerically identical).
-/// `u64::MAX` if either value is NaN — NaN is never "close" to anything.
-///
-/// Works across the zero crossing by mapping the IEEE-754 bit patterns
-/// onto a monotonic signed line first.
-pub fn ulp_distance(a: f32, b: f32) -> u64 {
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    // Order-preserving map of f32 onto i64: negatives mirror below zero.
-    fn ordered(x: f32) -> i64 {
-        let bits = x.to_bits();
-        if bits & 0x8000_0000 != 0 {
-            -((bits & 0x7FFF_FFFF) as i64)
-        } else {
-            bits as i64
-        }
-    }
-    (ordered(a) - ordered(b)).unsigned_abs()
-}
-
-/// The largest [`ulp_distance`] over two equal-length slices.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn max_ulp_distance(a: &[f32], b: &[f32]) -> u64 {
-    assert_eq!(a.len(), b.len(), "max_ulp_distance length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| ulp_distance(x, y))
-        .max()
-        .unwrap_or(0)
-}
+//! The kernels need no tooling: every kernel computes the reference
+//! kernel's exact bits, so `assert_eq!` is their whole contract (see
+//! [`crate::kernels`]). What remains are comparisons against *different
+//! arithmetic* — finite-difference gradient checks and algebraic
+//! identities that reassociate a sum — and these primitives state their
+//! tolerance as relative error against the reference. The shared test
+//! harness in `crates/nn/tests/util` wraps them in assertion helpers.
 
 /// Relative error of `got` against `want`, with the denominator clamped
 /// to at least 1 so tiny references don't blow the ratio up:
@@ -53,18 +15,6 @@ pub fn max_ulp_distance(a: &[f32], b: &[f32]) -> u64 {
 /// any `<= eps` comparison).
 pub fn rel_err(got: f32, want: f32) -> f32 {
     (got - want).abs() / want.abs().max(1.0)
-}
-
-/// The largest [`rel_err`] over two equal-length slices.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn max_rel_err(got: &[f32], want: &[f32]) -> f32 {
-    assert_eq!(got.len(), want.len(), "max_rel_err length mismatch");
-    got.iter()
-        .zip(want)
-        .map(|(&g, &w)| rel_err(g, w))
-        .fold(0.0, f32::max)
 }
 
 /// Is every element of `got` within relative error `eps` of `want`
@@ -97,22 +47,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ulp_distance_counts_representable_steps() {
-        assert_eq!(ulp_distance(1.0, 1.0), 0);
-        assert_eq!(ulp_distance(0.0, -0.0), 0);
-        assert_eq!(ulp_distance(1.0, f32::from_bits(1.0f32.to_bits() + 1)), 1);
-        assert_eq!(
-            ulp_distance(-1.0, f32::from_bits((-1.0f32).to_bits() + 1)),
-            1
-        );
-        // Crossing zero: one step either side of ±0.
-        let tiny = f32::from_bits(1); // smallest positive subnormal
-        assert_eq!(ulp_distance(tiny, -tiny), 2);
-        assert_eq!(ulp_distance(f32::NAN, 1.0), u64::MAX);
-        assert_eq!(ulp_distance(1.0, f32::NAN), u64::MAX);
-    }
-
-    #[test]
     fn rel_err_clamps_denominator() {
         assert_eq!(rel_err(1.0, 1.0), 0.0);
         assert!((rel_err(1.1, 1.0) - 0.1).abs() < 1e-6);
@@ -129,14 +63,5 @@ mod tests {
         assert!(err.contains("element 1"), "{err}");
         // NaN never passes.
         assert!(close_rel(&[f32::NAN], &[1.0], 1e9).is_err());
-    }
-
-    #[test]
-    fn max_helpers_scan_whole_slices() {
-        assert_eq!(max_ulp_distance(&[], &[]), 0);
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [1.0f32, f32::from_bits(2.0f32.to_bits() + 3), 3.0];
-        assert_eq!(max_ulp_distance(&a, &b), 3);
-        assert!((max_rel_err(&[1.0, 2.2], &[1.0, 2.0]) - 0.1).abs() < 1e-6);
     }
 }

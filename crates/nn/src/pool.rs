@@ -832,6 +832,44 @@ mod tests {
     }
 
     #[test]
+    fn inline_panic_unwinds_only_after_queued_borrows_finish() {
+        // The edge of the lifetime erasure in `run`: the queued tasks
+        // borrow `slots` from this frame, and the inline first task panics
+        // while they are still queued. The unwind must not leave `run`,
+        // which ends the borrow, before every queued write has landed.
+        let pool = Pool::new(2);
+        let mut slots = [0usize; 4];
+        let landed = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut tasks = vec![boxed(|| panic!("inline task"))];
+            for (i, slot) in slots.iter_mut().enumerate() {
+                let landed = &landed;
+                tasks.push(boxed(move || {
+                    std::thread::sleep(Duration::from_millis(20));
+                    *slot = i + 1;
+                    landed.fetch_add(1, Ordering::SeqCst);
+                }));
+            }
+            pool.run(tasks);
+        }));
+        // Counted as soon as the panic is caught: every queued write must
+        // have landed by then.
+        let landed_at_unwind = landed.load(Ordering::SeqCst);
+        assert!(outcome.is_err());
+        assert_eq!(landed_at_unwind, 4);
+        assert_eq!(slots, [1, 2, 3, 4]);
+        // The same pool serves a later `run`.
+        let mut later = [0usize; 3];
+        let tasks = later
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| boxed(move || *slot = 10 + i))
+            .collect();
+        pool.run(tasks);
+        assert_eq!(later, [10, 11, 12]);
+    }
+
+    #[test]
     fn pool_dropped_from_inside_a_worker_does_not_hang() {
         // A spawned job can hold the last `Arc<Pool>` (an engine outlived
         // by work it queued): releasing it runs `Pool::drop` on the

@@ -411,7 +411,7 @@ pub fn unpack_dims(detail: u64) -> (usize, usize, usize) {
 
 /// Pack a GEMM shape *and* the concrete kernel that computed it (as a
 /// [`kernel_tag_name`] tag in the four bits [`pack_dims`] leaves free), so
-/// `/debug/trace` can tell simd work from scalar work per span.
+/// `/debug/trace` names the kernel of each GEMM span.
 pub fn pack_gemm(m: usize, k: usize, n: usize, kernel_tag: u8) -> u64 {
     pack_dims(m, k, n) | ((kernel_tag as u64 & 0xF) << 60)
 }
@@ -429,7 +429,6 @@ pub fn kernel_tag_name(tag: u8) -> Option<&'static str> {
     match tag {
         1 => Some("naive"),
         2 => Some("blocked"),
-        4 => Some("simd"),
         _ => None,
     }
 }
@@ -792,7 +791,7 @@ mod tests {
 
     #[test]
     fn kernel_tags_ride_alongside_dims() {
-        for tag in 0..=4u8 {
+        for tag in 0..=15u8 {
             let detail = pack_gemm(7, 1234, (1 << 20) - 1, tag);
             assert_eq!(unpack_dims(detail), (7, 1234, (1 << 20) - 1));
             assert_eq!(unpack_kernel_tag(detail), tag);
@@ -800,8 +799,9 @@ mod tests {
         // Plain pack_dims details are untagged.
         assert_eq!(unpack_kernel_tag(pack_dims(3, 4, 5)), 0);
         assert_eq!(kernel_tag_name(0), None);
+        assert_eq!(kernel_tag_name(2), Some("blocked"));
         assert_eq!(kernel_tag_name(3), None);
-        assert_eq!(kernel_tag_name(4), Some("simd"));
+        assert_eq!(kernel_tag_name(4), None);
         assert_eq!(kernel_tag_name(15), None);
     }
 }

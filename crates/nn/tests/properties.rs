@@ -232,12 +232,11 @@ proptest! {
 
     #[test]
     fn kernels_agree_with_naive_to_zero_ulp(seed in any::<u64>()) {
-        // Every bitwise-mode kernel variant must reproduce the naive
-        // kernel's exact bit patterns — accumulation order is part of the
-        // kernel contract, so a kernel switch may never change results.
-        // Shapes sweep the degenerate cases (empty, 1×N, N×1) and
-        // blocked-aligned sizes. The fused fast path is held to its
-        // bounded-error contract in kernel_numerics.rs instead.
+        // Every kernel variant must reproduce the naive kernel's exact
+        // bit patterns — accumulation order is part of the kernel
+        // contract, so a kernel switch may never change results. Shapes
+        // sweep the degenerate cases (empty, 1×N, N×1) and blocked-aligned
+        // sizes.
         let (a, b) = gemm_operands(seed);
         let reference = Kernel::Naive.matmul(&a, &b);
         for kernel in Kernel::ALL {
@@ -280,13 +279,11 @@ proptest! {
         // must reproduce the single-threaded bit patterns at every thread
         // count, for every kernel and every product family, across shapes
         // including the degenerate (empty, 1×N, N×1) and parallel-scale
-        // cases of the shape generators. This self-determinism holds for
-        // `Simd` too — fast mode changes *which* bits, never their
-        // dependence on thread count.
+        // cases of the shape generators.
         let (a, b) = gemm_operands(seed);
         let (ta, t_b, bt_b) = transpose_operands(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
         let serial = Pool::new(1);
-        for kernel in Kernel::ALL.into_iter().chain([Kernel::Simd]) {
+        for kernel in Kernel::ALL {
             let m_ref = kernel.matmul_on(&serial, &a, &b);
             let t_ref = kernel.t_matmul_on(&serial, &ta, &t_b);
             let bt_ref = kernel.matmul_t_on(&serial, &ta, &bt_b);

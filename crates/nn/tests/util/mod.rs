@@ -1,37 +1,15 @@
-//! Shared harness for the nn integration suites: the numerics assertion
-//! helpers backing the two-mode contract, and the deterministic operand
-//! generators every kernel/gradcheck property draws from.
-//!
-//! Comparison primitives themselves live in `deepseq_nn::numerics` (they
-//! are part of the library's public contract surface); this module wraps
-//! them in panic-on-failure assertions and re-exports them so test files
-//! have a single import point. Each integration test binary compiles its
-//! own copy, so helpers unused by one binary are expected.
+//! Shared harness for the nn integration suites: the relative-error
+//! comparison of the gradient checks (`deepseq_nn::numerics::close_rel`,
+//! re-exported so test files have a single import point) and the
+//! deterministic operand generators every kernel/gradcheck property draws
+//! from. Each integration test binary compiles its own copy, so helpers
+//! unused by one binary are expected.
 
 #![allow(dead_code)]
 
 use deepseq_nn::Matrix;
 
-#[allow(unused_imports)] // each test binary uses a different subset
-pub use deepseq_nn::numerics::{close_rel, max_rel_err, max_ulp_distance, ulp_distance};
-
-/// Assert every element of `got` is within relative error `eps` of `want`
-/// (denominator clamped to 1; see [`deepseq_nn::numerics::rel_err`]).
-/// Panics with the first offending element, both values and the observed
-/// error.
-#[track_caller]
-pub fn assert_close_rel(got: &[f32], want: &[f32], eps: f32) {
-    if let Err(msg) = close_rel(got, want, eps) {
-        panic!("not close (eps {eps:e}): {msg}");
-    }
-}
-
-/// [`assert_close_rel`] over whole matrices, checking the shape first.
-#[track_caller]
-pub fn assert_matrices_close_rel(got: &Matrix, want: &Matrix, eps: f32) {
-    assert_eq!(got.shape(), want.shape(), "shape mismatch");
-    assert_close_rel(got.data(), want.data(), eps);
-}
+pub use deepseq_nn::numerics::close_rel;
 
 /// Contraction and output widths of the model's products: the blocked
 /// kernels' tile widths (32 at d = 32, 4 and 1 for narrow outputs) and

@@ -366,7 +366,7 @@ impl Engine {
     /// engine's pool.
     fn checkout(&self) -> Workspace {
         lock_recover(&self.workspaces).pop().unwrap_or_else(|| {
-            Workspace::with_pool(deepseq_nn::Kernel::for_serve(), Arc::clone(&self.pool))
+            Workspace::with_pool(deepseq_nn::Kernel::global(), Arc::clone(&self.pool))
         })
     }
 }

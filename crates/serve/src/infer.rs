@@ -326,11 +326,11 @@ pub enum CheckpointFormat {
 /// allocation. Keep one workspace per request-processing thread (the
 /// engine does); they are cheap when idle.
 ///
-/// The kernel defaults to [`Kernel::for_serve`] — `blocked`, unless
-/// `DEEPSEQ_KERNEL` overrides it; the bitwise kernels are bitwise-equal
-/// on finite inputs, so that choice is pure performance, while `simd`
-/// opts into fast-mode numerics. The pool defaults to [`Pool::global`] (sized by
-/// `DEEPSEQ_THREADS`); outputs are bitwise-identical at any thread count.
+/// The kernel defaults to [`Kernel::global`] — `blocked`, unless
+/// `DEEPSEQ_KERNEL` overrides it; the kernels are bitwise-equal on finite
+/// inputs, so that choice is pure performance. The pool defaults to
+/// [`Pool::global`] (sized by `DEEPSEQ_THREADS`); outputs are
+/// bitwise-identical at any thread count.
 /// Use [`Workspace::with_kernel`] / [`Workspace::with_pool`] to pin either
 /// explicitly (benchmarks and the thread-determinism property tests do).
 #[derive(Debug, Clone)]
@@ -342,10 +342,10 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// An empty workspace on the serving-default kernel and the global
-    /// pool; buffers grow on first use and are then reused.
+    /// An empty workspace on the process-wide default kernel and the
+    /// global pool; buffers grow on first use and are then reused.
     pub fn new() -> Self {
-        Workspace::with_kernel(Kernel::for_serve())
+        Workspace::with_kernel(Kernel::global())
     }
 
     /// An empty workspace pinned to a specific GEMM kernel (global pool).

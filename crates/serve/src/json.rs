@@ -321,7 +321,7 @@ mod tests {
                 200,
                 100,
                 3,
-                deepseq_nn::trace::pack_gemm(4, 5, 6, 4),
+                deepseq_nn::trace::pack_gemm(4, 5, 6, 2),
             ),
             rec(SpanKind::Serialize, 950, 20, 0, 0),
         ];
@@ -334,7 +334,7 @@ mod tests {
         let serialize = json.find("\"kind\":\"serialize\"").expect("serialize span");
         assert!(forward < gemm, "gemm should be inside forward: {json}");
         assert!(json.contains("\"dims\":[4,5,6]"), "{json}");
-        assert!(json.contains("\"kernel\":\"simd\""), "{json}");
+        assert!(json.contains("\"kernel\":\"blocked\""), "{json}");
         // Serialize is a direct child of request, after forward closes.
         assert!(serialize > gemm, "{json}");
         // Exactly one root.

@@ -15,10 +15,9 @@
 //!   checkpoint;
 //! * **blocked GEMM kernels** — every product of the forward pass
 //!   dispatches through the [`Kernel`](deepseq_nn::Kernel) carried by the
-//!   [`Workspace`] (serving default: `blocked`; override with the
-//!   `DEEPSEQ_KERNEL` environment variable). The bitwise kernels are
-//!   bitwise-equal on finite inputs, so choosing among them is pure
-//!   performance; `simd` opts into fast-mode numerics;
+//!   [`Workspace`] (default: `blocked`, as in training; override with the
+//!   `DEEPSEQ_KERNEL` environment variable). The kernels are bitwise-equal
+//!   on finite inputs, so choosing between them is pure performance;
 //! * **level parallelism** — big levels and large products fan out across
 //!   the shared worker [`Pool`](deepseq_nn::Pool) (sized by
 //!   `DEEPSEQ_THREADS`), with outputs bitwise-identical at any thread

@@ -1,10 +1,8 @@
 //! The acceptance gate of the serving subsystem: the tape-free forward pass
 //! must produce predictions **bitwise equal** to `DeepSeq::forward` on the
 //! same checkpoint — across every aggregator, every propagation scheme,
-//! random circuits, the empty circuit and the synthetic design suite. Under
-//! the opt-in fast mode (`DEEPSEQ_KERNEL=simd`) the same suite runs with the
-//! bounded-relative-error half of the two-mode numerics contract instead
-//! (see `util::matrices_match`).
+//! random circuits, the empty circuit and the synthetic design suite (see
+//! `util::matrices_match`).
 
 mod util;
 

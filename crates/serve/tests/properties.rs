@@ -265,33 +265,30 @@ proptest! {
     fn inference_bitwise_identical_across_thread_counts(aig in arb_wide_aig(), seed in any::<u64>()) {
         // The chunk boundary only decides *which* scratch a node's update
         // runs in, never the arithmetic: predictions and embedding must be
-        // bitwise equal across pools of 1, 2, 4 and 7 threads, for the
-        // serve-default blocked kernel and for `Simd` (fast mode changes
-        // which bits, never their dependence on thread count).
+        // bitwise equal across pools of 1, 2, 4 and 7 threads, on the
+        // serving default, the blocked kernel.
         let config = DeepSeqConfig { hidden_dim: 16, iterations: 2, ..DeepSeqConfig::default() };
         let model = DeepSeq::new(config);
         let frozen = InferenceModel::from_model(&model);
         let graph = CircuitGraph::build(&aig);
         let h0 = initial_states(&aig, &Workload::uniform(aig.num_pis(), 0.5), 16, seed);
-        for kernel in [Kernel::Blocked, Kernel::Simd] {
-            let mut ws = Workspace::with_pool(kernel, Arc::new(Pool::new(1)));
-            let reference = frozen.run(&graph, &h0, &mut ws);
-            for threads in [2usize, 4, 7] {
-                let mut ws = Workspace::with_pool(kernel, Arc::new(Pool::new(threads)));
-                let got = frozen.run(&graph, &h0, &mut ws);
-                for (tag, got_m, want_m) in [
-                    ("tr", &got.predictions.tr, &reference.predictions.tr),
-                    ("lg", &got.predictions.lg, &reference.predictions.lg),
-                    ("embedding", &got.embedding, &reference.embedding),
-                ] {
-                    prop_assert_eq!(got_m.shape(), want_m.shape());
-                    for (i, (x, y)) in got_m.data().iter().zip(want_m.data()).enumerate() {
-                        prop_assert_eq!(
-                            x.to_bits(), y.to_bits(),
-                            "{} {} t{} elem {}: {} vs {}",
-                            tag, kernel.name(), threads, i, x, y
-                        );
-                    }
+        let mut ws = Workspace::with_pool(Kernel::Blocked, Arc::new(Pool::new(1)));
+        let reference = frozen.run(&graph, &h0, &mut ws);
+        for threads in [2usize, 4, 7] {
+            let mut ws = Workspace::with_pool(Kernel::Blocked, Arc::new(Pool::new(threads)));
+            let got = frozen.run(&graph, &h0, &mut ws);
+            for (tag, got_m, want_m) in [
+                ("tr", &got.predictions.tr, &reference.predictions.tr),
+                ("lg", &got.predictions.lg, &reference.predictions.lg),
+                ("embedding", &got.embedding, &reference.embedding),
+            ] {
+                prop_assert_eq!(got_m.shape(), want_m.shape());
+                for (i, (x, y)) in got_m.data().iter().zip(want_m.data()).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(),
+                        "{} t{} elem {}: {} vs {}",
+                        tag, threads, i, x, y
+                    );
                 }
             }
         }
@@ -318,10 +315,7 @@ proptest! {
             let h0 = initial_states(aig, &Workload::uniform(aig.num_pis(), 0.5), 6, 1);
             expected.insert(i as u64, model.predict(&graph, &h0));
         }
-        // Two-mode-aware comparison: bitwise against the tape path in the
-        // default mode; within the documented forward bound under
-        // `DEEPSEQ_KERNEL=simd`, where the engine runs fused kernels but
-        // the tape path stays on the reference loops.
+        // Bitwise against the tape path.
         for response in &responses {
             let served = response.result.as_ref().expect("valid circuits serve");
             let want = &expected[&response.id];

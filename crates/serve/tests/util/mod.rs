@@ -1,6 +1,6 @@
 //! Shared helpers of the serve integration tests: a tiny blocking HTTP
-//! client, a deterministic circuit generator, and the two-mode-aware
-//! prediction comparison used by the equivalence suites.
+//! client, a deterministic circuit generator, and the bitwise prediction
+//! comparison used by the equivalence suites.
 
 // Each test binary compiles its own copy and uses a different subset.
 #![allow(dead_code)]
@@ -182,16 +182,9 @@ pub fn assert_prometheus_contract(text: &str) {
     }
 }
 
-/// The documented end-to-end fast-mode bound: under `DEEPSEQ_KERNEL=simd`
-/// a full serving forward pass stays within this relative error of the
-/// tape path (see docs/ARCHITECTURE.md, "Numerics contract"). Bitwise
-/// mode needs no bound — the paths are bit-equal.
-pub const FAST_MODE_FORWARD_EPS: f32 = 1e-4;
-
-/// Compare a serving-side output matrix against its tape-side reference
-/// under whichever half of the two-mode numerics contract is active:
-/// bitwise equality in bitwise mode (the default), relative error ≤
-/// [`FAST_MODE_FORWARD_EPS`] under `DEEPSEQ_KERNEL=simd`.
+/// Compare a serving-side output matrix against its tape-side reference.
+/// Both paths run the same arithmetic on the same kernels, so they must
+/// agree bit for bit (see docs/ARCHITECTURE.md, "Numerics contract").
 pub fn matrices_match(
     got: &deepseq_nn::Matrix,
     want: &deepseq_nn::Matrix,
@@ -204,14 +197,13 @@ pub fn matrices_match(
             want.shape()
         ));
     }
-    if deepseq_nn::Kernel::fast_mode() {
-        deepseq_nn::numerics::close_rel(got.data(), want.data(), FAST_MODE_FORWARD_EPS)
-            .map_err(|msg| format!("{what} (fast mode): {msg}"))
-    } else {
-        match deepseq_nn::numerics::max_ulp_distance(got.data(), want.data()) {
-            0 => Ok(()),
-            ulp => Err(format!("{what}: bitwise mode diverged (max {ulp} ULP)")),
-        }
+    let (got, want) = (got.data(), want.data());
+    match (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "{what}: element {i} differs bitwise: {:e} vs {:e}",
+            got[i], want[i]
+        )),
     }
 }
 

@@ -205,7 +205,9 @@ fn blocked_serving_forward_matches_tape_predict_bitwise() {
 
 #[test]
 fn serving_defaults_to_blocked() {
-    // An explicit `DEEPSEQ_KERNEL` wins (the CI fast-mode leg sets `simd`).
+    // An explicit `DEEPSEQ_KERNEL` wins (a CI leg sets `naive`), for
+    // training and serving alike.
     let expected = Kernel::from_env().unwrap_or(Kernel::Blocked);
-    assert_eq!(Kernel::for_serve(), expected);
+    assert_eq!(Kernel::global(), expected);
+    assert_eq!(Workspace::new().kernel(), expected);
 }

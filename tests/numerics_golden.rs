@@ -11,10 +11,10 @@
 //! on two small sequential circuits, and `f64::to_bits` of every epoch loss plus FNV-1a of the parameter
 //! bytes after a short training job on a 2-thread pool.
 //!
-//! The values hold under the bitwise kernels at any thread count
-//! (`DEEPSEQ_THREADS`) and under `DEEPSEQ_KERNEL=simd`, which the tape
-//! refuses (see `Kernel::global`). A change that alters them changes
-//! training numerics; re-record them only when that is the intent.
+//! The values hold on both kernels (the default `blocked` and
+//! `DEEPSEQ_KERNEL=naive`) at any thread count (`DEEPSEQ_THREADS`). A
+//! change that alters them changes training numerics; re-record them only
+//! when that is the intent.
 
 use deepseq::core::encoding::initial_states;
 use deepseq::core::{
