@@ -12,7 +12,11 @@
 //! bitwise kernels: the forward `x·W` of a 1- and an 8-row level, and the
 //! two backward products of an 8-row level, `dW = xᵀ·g`
 //! (`serve_kernel_<kernel>_tmatmul_8x68x32`) and `dx = g·Wᵀ`
-//! (`serve_kernel_<kernel>_matmult_8x32x68`).
+//! (`serve_kernel_<kernel>_matmult_8x32x68`). The backward pass adds each
+//! such term into a gradient in place: `serve_kernel_<kernel>_tmatmul_add_8x68x32`
+//! adds `xᵀ·g` into a 68×32 weight gradient, and
+//! `serve_kernel_<kernel>_matmul_add_8x32x68` adds `g × (Wᵀ)` (the tape's
+//! form, over a transpose made once per pass) into an 8×68 input gradient.
 //!
 //! All products are pinned to a 1-thread pool: these benches isolate
 //! kernel arithmetic, so their trajectory must not depend on the
@@ -87,6 +91,21 @@ fn bench_model_shapes(c: &mut Criterion) {
             |bch| bch.iter(|| kernel.matmul_t_on(&serial, &g, &w)),
         );
     }
+    // The same two terms added into their gradients. The sums grow by one
+    // term per iteration and stay far from overflow.
+    let wt = w.transpose();
+    for kernel in Kernel::ALL {
+        let mut dw = filled(68, 32, 0.2);
+        c.bench_function(
+            &format!("serve_kernel_{}_tmatmul_add_8x68x32", kernel.name()),
+            |bch| bch.iter(|| kernel.t_matmul_add_into_on(&serial, &x, &g, &mut dw)),
+        );
+        let mut dx = filled(8, 68, 0.2);
+        c.bench_function(
+            &format!("serve_kernel_{}_matmul_add_8x32x68", kernel.name()),
+            |bch| bch.iter(|| kernel.matmul_add_into_on(&serial, &g, &wt, &mut dx)),
+        );
+    }
 }
 
 fn bench_fused_gate(c: &mut Criterion) {
@@ -101,7 +120,6 @@ fn bench_fused_gate(c: &mut Criterion) {
     let serial = Pool::new(1);
     for kernel in Kernel::ALL {
         let mut out = Matrix::default();
-        let mut tmp = Matrix::default();
         c.bench_function(&format!("serve_fused_gate_{}_d{d}", kernel.name()), |bch| {
             bch.iter(|| {
                 kernel.matmul_bias_act_on(
@@ -112,7 +130,6 @@ fn bench_fused_gate(c: &mut Criterion) {
                     Some(&bias),
                     Act::Sigmoid,
                     &mut out,
-                    &mut tmp,
                 )
             })
         });

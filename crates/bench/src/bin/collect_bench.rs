@@ -10,6 +10,9 @@
 //!
 //! # rewrite the generated table in README.md from the snapshot
 //! cargo run -p deepseq-bench --bin collect_bench -- --readme [README.md]
+//!
+//! # fail when a gated ratio of the snapshot fell below half its base value
+//! cargo run -p deepseq-bench --bin collect_bench -- --compare BASE.json [--out BENCH_serve.json]
 //! ```
 //!
 //! Each matching benchmark's `estimates.json` is already a JSON object
@@ -28,6 +31,17 @@
 //! `--readme` replaces everything between the `<!-- bench-table:begin -->`
 //! and `<!-- bench-table:end -->` markers with a table generated from the
 //! snapshot; it touches nothing else in the file.
+//!
+//! `--compare BASE.json` is the regression gate of CI's bench smoke. It
+//! prints every compared ratio next to its BASE value, and exits nonzero,
+//! naming each offender, when a `kernel_speedup_*`,
+//! `tapefree_speedup_*` or `cone_speedup_*` ratio present in both the
+//! snapshot and BASE is below [`GATE_FRACTION`] of its BASE value, or when
+//! the two share no gated ratio at all. Each of
+//! those ratios divides two rows measured seconds apart in one process, so
+//! a shared runner's slow phases mostly cancel out; absolute rows do not.
+//! The `mt_speedup_*` and `train_speedup_*` ratios stay out: they describe
+//! the host's core count, not the code.
 
 use std::fs;
 use std::path::PathBuf;
@@ -38,11 +52,18 @@ const TABLE_BEGIN: &str = "<!-- bench-table:begin -->";
 /// Marker closing the generated README section.
 const TABLE_END: &str = "<!-- bench-table:end -->";
 
+/// Derived-ratio families `--compare` gates.
+const GATED_RATIOS: [&str; 3] = ["kernel_speedup_", "tapefree_speedup_", "cone_speedup_"];
+
+/// `--compare` fails a gated ratio below this fraction of its base value.
+const GATE_FRACTION: f64 = 0.5;
+
 fn main() -> ExitCode {
     let mut criterion_dir = PathBuf::from("target/criterion");
     let mut filter = String::from("serve_");
     let mut out_path = PathBuf::from("BENCH_serve.json");
     let mut readme_path: Option<PathBuf> = None;
+    let mut base_path: Option<PathBuf> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter().peekable();
@@ -60,6 +81,10 @@ fn main() -> ExitCode {
                 Some(v) => out_path = PathBuf::from(v),
                 None => return usage("--out needs a value"),
             },
+            "--compare" => match it.next() {
+                Some(v) => base_path = Some(PathBuf::from(v)),
+                None => return usage("--compare needs a value"),
+            },
             "--readme" => {
                 let next_is_value = it.peek().is_some_and(|v| !v.starts_with("--"));
                 readme_path = Some(if next_is_value {
@@ -72,6 +97,9 @@ fn main() -> ExitCode {
         }
     }
 
+    if let Some(base) = base_path {
+        return compare(&out_path, &base);
+    }
     if let Some(readme) = readme_path {
         return regenerate_readme(&out_path, &readme);
     }
@@ -287,6 +315,70 @@ fn regenerate_readme(snapshot: &PathBuf, readme: &PathBuf) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The regression gate: see the module docs.
+fn compare(snapshot: &PathBuf, base: &PathBuf) -> ExitCode {
+    let read = |path: &PathBuf| match fs::read_to_string(path) {
+        Ok(json) => Some(parse_derived(&json)),
+        Err(e) => {
+            eprintln!("error: cannot read {} ({e})", path.display());
+            None
+        }
+    };
+    let (Some(current), Some(base_ratios)) = (read(snapshot), read(base)) else {
+        return ExitCode::from(2);
+    };
+    let pairs = gated_pairs(&current, &base_ratios);
+    if pairs.is_empty() {
+        eprintln!(
+            "error: {} and {} share no gated ratio; nothing to compare",
+            snapshot.display(),
+            base.display()
+        );
+        return ExitCode::from(2);
+    }
+    // Every compared ratio, so a run shows how much headroom the gate has.
+    for &(name, now, was) in &pairs {
+        println!("{name}: {now:.3} (base {was:.3}, {:.2} of base)", now / was);
+    }
+    let offenders: Vec<_> = pairs
+        .iter()
+        .filter(|&&(_, now, was)| now < GATE_FRACTION * was)
+        .collect();
+    for (name, now, was) in &offenders {
+        eprintln!(
+            "error: {name} is {now:.3}, below {GATE_FRACTION} of its base {was:.3} (in {})",
+            base.display()
+        );
+    }
+    println!(
+        "compared {} gated ratios of {} against {}: {} below {GATE_FRACTION} of base",
+        pairs.len(),
+        snapshot.display(),
+        base.display(),
+        offenders.len()
+    );
+    if offenders.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
+}
+
+/// `(name, current, base)` of every gated ratio present in both lists.
+fn gated_pairs<'a>(
+    current: &'a [(String, f64)],
+    base: &[(String, f64)],
+) -> Vec<(&'a str, f64, f64)> {
+    current
+        .iter()
+        .filter(|(name, _)| GATED_RATIOS.iter().any(|prefix| name.starts_with(prefix)))
+        .filter_map(|(name, now)| {
+            let (_, was) = base.iter().find(|(b, _)| b == name)?;
+            Some((name.as_str(), *now, *was))
+        })
+        .collect()
+}
+
 /// Extracts `(id, mean)` pairs from the snapshot's `benches` section by
 /// scanning for the `"id"`/`"mean"` fields this tool itself wrote — no JSON
 /// dependency needed for a format we control end to end.
@@ -365,7 +457,53 @@ fn format_ns(ns: f64) -> String {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!(
-        "error: {msg}\nusage: collect_bench [--criterion-dir DIR] [--filter PREFIX] [--out FILE]\n       collect_bench --readme [README] [--out SNAPSHOT]"
+        "error: {msg}\nusage: collect_bench [--criterion-dir DIR] [--filter PREFIX] [--out FILE]\n       collect_bench --readme [README] [--out SNAPSHOT]\n       collect_bench --compare BASE [--out SNAPSHOT]"
     );
     ExitCode::from(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gate_pairs_only_gated_ratios_present_in_both() {
+        let ratios = |pairs: &[(&str, f64)]| -> Vec<(String, f64)> {
+            pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+        };
+        let base = ratios(&[
+            ("cone_speedup_blocks16", 9.0),
+            ("kernel_speedup_blocked_8x68x32", 3.8),
+            ("mt_speedup_gemm_t2_256x256x64", 1.8),
+            ("tapefree_kernel_speedup_blocked_ptc_d32_t4", 2.4),
+            ("tapefree_speedup_ptc_d32_t4", 1.2),
+        ]);
+        let current = ratios(&[
+            ("cone_speedup_blocks16", 1.1),
+            ("kernel_speedup_blocked_8x68x32", 1.9),
+            ("kernel_speedup_blocked_1x68x32", 0.1),
+            ("mt_speedup_gemm_t2_256x256x64", 0.1),
+            ("tapefree_kernel_speedup_blocked_ptc_d32_t4", 0.1),
+            ("tapefree_speedup_ptc_d32_t4", 0.7),
+        ]);
+        let pairs = gated_pairs(&current, &base);
+        // The host-describing `mt_` ratio, the ungated `tapefree_kernel_`
+        // one and the row missing from the base are not compared.
+        let names: Vec<&str> = pairs.iter().map(|p| p.0).collect();
+        assert_eq!(
+            names,
+            [
+                "cone_speedup_blocks16",
+                "kernel_speedup_blocked_8x68x32",
+                "tapefree_speedup_ptc_d32_t4"
+            ]
+        );
+        // 1.1 < 4.5 fails; 1.9 and 0.7 are at least half their base.
+        let below: Vec<&str> = pairs
+            .iter()
+            .filter(|&&(_, now, was)| now < GATE_FRACTION * was)
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(below, ["cone_speedup_blocks16"]);
+    }
 }

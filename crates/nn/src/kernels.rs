@@ -16,22 +16,36 @@
 //!   runs the same tiles; outputs narrower than 8 columns tile over rows
 //!   instead. On x86-64 CPUs with AVX2 the same body runs compiled for
 //!   AVX2 (no fused multiply-add), with the same bits (see
-//!   [`simd_accelerated`]). Default for training and serving.
+//!   [`simd_accelerated`]). A finished tile is added to its destination:
+//!   a product writes into a zeroed output, where `+0.0 + chain` is the
+//!   chain, and the add mode below adds into an existing matrix. Default
+//!   for training and serving.
 //!
 //! # The numerics contract
 //!
 //! Both variants accumulate each output element over `k` **in ascending
-//! order**, without fused multiply-add, so for finite inputs they produce
-//! bitwise-identical results (property-tested in
+//! order**, from zero, without fused multiply-add, so for finite inputs
+//! they produce bitwise-identical results (property-tested in
 //! `crates/nn/tests/properties.rs`). Picking between them is purely a
 //! performance decision, never a numerics decision, and every path of
 //! the process, the tape and training included, runs under the same
 //! contract. See docs/ARCHITECTURE.md, "Numerics contract".
 //!
+//! # Adding a product in place
+//!
+//! [`Kernel::matmul_add_into`] and [`Kernel::t_matmul_add_into`] add a
+//! product to an existing matrix with the bits of
+//! `dest.add_assign(&fresh_product)`: under `blocked`, each chain still
+//! starts from zero in a register and the finished chain is added to its
+//! destination element, so there is no temporary and no second pass over
+//! it; under `naive` they are exactly that composition. The tape's
+//! backward pass adds every product term of its gradients this way.
+//!
 //! The fused entry point [`Kernel::matmul_bias_act`] covers the GRU gate
-//! pattern `act(x·W + h·U + b)` in one call; it performs the identical
-//! floating-point sequence as the unfused ops it replaces (product, zip-add,
-//! broadcast bias, activation), so fusing is also numerics-neutral.
+//! pattern `act(x·W + h·U + b)` in one call, adding `h·U` into the output
+//! in place; it performs the identical floating-point sequence as the
+//! unfused ops it replaces (product, add of the second product, broadcast
+//! bias, activation), so fusing is also numerics-neutral.
 //!
 //! # Threading
 //!
@@ -300,25 +314,40 @@ impl Kernel {
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn matmul_into_on(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            a.cols(),
-            b.rows(),
-            "matmul {}x{} × {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        );
+        assert_matmul_dims(a, b);
         out.reset(a.rows(), b.cols());
-        self.gemm_acc(
-            pool,
-            a.data(),
-            b.data(),
-            out.data_mut(),
-            a.rows(),
-            a.cols(),
-            b.cols(),
+        self.gemm(pool, a, b, out.data_mut());
+    }
+
+    /// Adds `a × b` to `out` in place, with the bits of
+    /// `out.add_assign(&self.matmul(a, b))`: every output element's chain
+    /// over `k` starts from zero, and the finished chain is added to its
+    /// destination element. Under [`Kernel::Naive`], the reference, it is
+    /// that composition, so it allocates the product.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch, or if `out` is not `a.rows()×b.cols()`.
+    pub fn matmul_add_into(self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        self.matmul_add_into_on(Pool::global(), a, b, out);
+    }
+
+    /// [`Kernel::matmul_add_into`] on an explicit worker pool (rows
+    /// partitioned as in [`Kernel::matmul_into_on`]).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch, or if `out` is not `a.rows()×b.cols()`.
+    pub fn matmul_add_into_on(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        assert_matmul_dims(a, b);
+        assert_eq!(
+            out.shape(),
+            (a.rows(), b.cols()),
+            "matmul_add_into destination"
         );
+        match self {
+            // The reference: a fresh product, then one add per element.
+            Kernel::Naive => out.add_assign(&self.matmul_on(pool, a, b)),
+            Kernel::Blocked => self.gemm(pool, a, b, out.data_mut()),
+        }
     }
 
     /// `aᵀ × b` without materializing the transpose (tape backward pass).
@@ -338,22 +367,39 @@ impl Kernel {
     /// Panics if row counts differ.
     pub fn t_matmul_on(self, pool: &Pool, a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.rows(), b.rows(), "t_matmul row mismatch");
-        let (m, ka, n) = (a.rows(), a.cols(), b.cols());
-        let mut out = Matrix::zeros(ka, n);
-        if ka == 0 || n == 0 {
-            return out;
-        }
-        let _span = crate::trace::span_with(
-            crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(ka, m, n, self.trace_tag()),
-        );
-        let ranges = par_ranges(pool, ka, m, n);
-        let (a, b, o) = (a.data(), b.data(), out.data_mut());
-        match self {
-            Kernel::Naive => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_naive_rows),
-            Kernel::Blocked => run_trow_tasks(pool, ranges, a, b, o, m, ka, n, t_gemm_blocked_rows),
-        }
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        self.t_gemm(pool, a, b, out.data_mut());
         out
+    }
+
+    /// Adds `aᵀ × b` to `out` in place, with the bits of
+    /// `out.add_assign(&self.t_matmul(a, b))` (see
+    /// [`Kernel::matmul_add_into`]). The tape's weight gradients `xᵀ·g`
+    /// take this path.
+    ///
+    /// # Panics
+    /// Panics if row counts differ, or if `out` is not `a.cols()×b.cols()`.
+    pub fn t_matmul_add_into(self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        self.t_matmul_add_into_on(Pool::global(), a, b, out);
+    }
+
+    /// [`Kernel::t_matmul_add_into`] on an explicit worker pool (output
+    /// rows partitioned as in [`Kernel::t_matmul_on`]).
+    ///
+    /// # Panics
+    /// Panics if row counts differ, or if `out` is not `a.cols()×b.cols()`.
+    pub fn t_matmul_add_into_on(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        assert_eq!(a.rows(), b.rows(), "t_matmul row mismatch");
+        assert_eq!(
+            out.shape(),
+            (a.cols(), b.cols()),
+            "t_matmul_add_into destination"
+        );
+        match self {
+            // The reference: a fresh product, then one add per element.
+            Kernel::Naive => out.add_assign(&self.t_matmul_on(pool, a, b)),
+            Kernel::Blocked => self.t_gemm(pool, a, b, out.data_mut()),
+        }
     }
 
     /// `a × bᵀ` without materializing the transpose (tape backward pass).
@@ -396,20 +442,20 @@ impl Kernel {
     }
 
     /// Fused `out = act(x·w [+ h·u] [+ bias])` — the GRU gate pattern of the
-    /// Combine function (Eq. 8) and the additive-attention score (Eq. 5/6)
-    /// in one call.
+    /// Combine function (Eq. 8), the additive-attention score (Eq. 5/6)
+    /// and, with `second = None`, a dense layer of the readout heads, in
+    /// one call.
     ///
-    /// `tmp` is caller-owned scratch for the optional second product (the
-    /// serve `Workspace` threads its own buffer through); it is only touched
-    /// when `second` is `Some`. The floating-point sequence is exactly the
-    /// unfused one — product, zip-add of the fully formed second product,
-    /// broadcast bias, activation — so results are bitwise-identical to
-    /// composing [`Kernel::matmul_into`], [`Matrix::add_assign`],
-    /// [`Matrix::add_row_assign`] and [`Act::apply`] by hand.
+    /// The optional second product is added into `out` in place
+    /// ([`Kernel::matmul_add_into`]), so the call needs no scratch. The
+    /// floating-point sequence is exactly the unfused one — product, add of
+    /// the fully formed second product, broadcast bias, activation — so
+    /// results are bitwise-identical to composing [`Kernel::matmul_into`],
+    /// [`Matrix::add_assign`], [`Matrix::add_row_assign`] and
+    /// [`Act::apply`] by hand.
     ///
     /// # Panics
     /// Panics on any operand dimension mismatch.
-    #[allow(clippy::too_many_arguments)]
     pub fn matmul_bias_act(
         self,
         x: &Matrix,
@@ -418,9 +464,8 @@ impl Kernel {
         bias: Option<&Matrix>,
         act: Act,
         out: &mut Matrix,
-        tmp: &mut Matrix,
     ) {
-        self.matmul_bias_act_on(Pool::global(), x, w, second, bias, act, out, tmp);
+        self.matmul_bias_act_on(Pool::global(), x, w, second, bias, act, out);
     }
 
     /// [`Kernel::matmul_bias_act`] on an explicit worker pool (the products
@@ -438,12 +483,10 @@ impl Kernel {
         bias: Option<&Matrix>,
         act: Act,
         out: &mut Matrix,
-        tmp: &mut Matrix,
     ) {
         self.matmul_into_on(pool, x, w, out);
         if let Some((h, u)) = second {
-            self.matmul_into_on(pool, h, u, tmp);
-            out.add_assign(tmp);
+            self.matmul_add_into_on(pool, h, u, out);
         }
         if let Some(b) = bias {
             out.add_row_assign(b);
@@ -451,56 +494,13 @@ impl Kernel {
         act.apply(out.data_mut());
     }
 
-    /// Fused `out = act(x·w [+ bias])` — the dense-layer pattern of the
-    /// regressor heads (single product, no scratch needed). Identical to
-    /// [`Kernel::matmul_bias_act`] with `second = None`.
-    ///
-    /// # Panics
-    /// Panics on operand dimension mismatch.
-    pub fn linear_act(
-        self,
-        x: &Matrix,
-        w: &Matrix,
-        bias: Option<&Matrix>,
-        act: Act,
-        out: &mut Matrix,
-    ) {
-        self.linear_act_on(Pool::global(), x, w, bias, act, out);
-    }
-
-    /// [`Kernel::linear_act`] on an explicit worker pool.
-    ///
-    /// # Panics
-    /// Panics on operand dimension mismatch.
-    pub fn linear_act_on(
-        self,
-        pool: &Pool,
-        x: &Matrix,
-        w: &Matrix,
-        bias: Option<&Matrix>,
-        act: Act,
-        out: &mut Matrix,
-    ) {
-        self.matmul_into_on(pool, x, w, out);
-        if let Some(b) = bias {
-            out.add_row_assign(b);
-        }
-        act.apply(out.data_mut());
-    }
-
-    /// `out += a × b` on raw row-major slices, row-partitioned across the
-    /// pool when large enough.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_acc(
-        self,
-        pool: &Pool,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
+    /// Accumulates `a × b` into `out` (`a.rows()×b.cols()`), row-partitioned
+    /// across the pool when large enough. `Blocked` adds each finished
+    /// chain to its `out` element; `Naive` runs its chains from the `out`
+    /// values, which matches that only on a zeroed `out`, so its add mode
+    /// is the composition in [`Kernel::matmul_add_into_on`].
+    fn gemm(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut [f32]) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
         if m == 0 || n == 0 {
             return;
         }
@@ -509,11 +509,47 @@ impl Kernel {
             crate::trace::pack_gemm(m, k, n, self.trace_tag()),
         );
         let ranges = par_ranges(pool, m, k, n);
+        let (a, b) = (a.data(), b.data());
         match self {
             Kernel::Naive => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_naive),
             Kernel::Blocked => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_blocked),
         }
     }
+
+    /// Accumulates `aᵀ × b` into `out` (`a.cols()×b.cols()`), output rows
+    /// partitioned across the pool when large enough; `out` as in
+    /// [`Kernel::gemm`].
+    fn t_gemm(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut [f32]) {
+        let (m, ka, n) = (a.rows(), a.cols(), b.cols());
+        if ka == 0 || n == 0 {
+            return;
+        }
+        let _span = crate::trace::span_with(
+            crate::trace::SpanKind::Gemm,
+            crate::trace::pack_gemm(ka, m, n, self.trace_tag()),
+        );
+        let ranges = par_ranges(pool, ka, m, n);
+        let (a, b) = (a.data(), b.data());
+        match self {
+            Kernel::Naive => run_trow_tasks(pool, ranges, a, b, out, m, ka, n, t_gemm_naive_rows),
+            Kernel::Blocked => {
+                run_trow_tasks(pool, ranges, a, b, out, m, ka, n, t_gemm_blocked_rows)
+            }
+        }
+    }
+}
+
+/// Panics unless `a × b` is defined.
+fn assert_matmul_dims(a: &Matrix, b: &Matrix) {
+    assert_eq!(
+        a.cols(),
+        b.rows(),
+        "matmul {}x{} × {}x{}",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
 }
 
 /// Contiguous output-row ranges for one product: one `0..rows` range when
@@ -615,7 +651,7 @@ fn gemm_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
-/// Blocked `out += a × b` over a row chunk: the register-tiled
+/// Blocked `a × b` added into a row chunk: the register-tiled
 /// [`blocked_rows`] body with `a`'s rows as the tile rows.
 fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     blocked_rows(a, k, 1, b, out, m, k, n);
@@ -651,7 +687,7 @@ fn t_gemm_naive_rows(
     }
 }
 
-/// Blocked `aᵀ × b` over output rows `i0..i1`: the register-tiled
+/// Blocked `aᵀ × b` added into output rows `i0..i1`: the register-tiled
 /// [`blocked_rows`] body with `a`'s columns `i0..i1` as the tile rows and
 /// the `m` rows of `a` and `b` as the contraction.
 #[allow(clippy::too_many_arguments)]
@@ -697,17 +733,21 @@ fn pack_transpose(b: &[f32], nb: usize, k: usize, pack: &mut Vec<f32>) {
     }
 }
 
-/// The blocked kernels' body: `out += A × b` for `rows` output rows, where
-/// element `(i, p)` of `A` is `a[i·rs + p·ps]` (`rs = k, ps = 1` for `a`'s
+/// The blocked kernels' body: adds `A × b` into `rows` output rows.
+/// Element `(i, p)` of `A` is `a[i·rs + p·ps]` (`rs = k, ps = 1` for `a`'s
 /// rows, `rs = 1, ps = ka` for its columns), `b` is row-major `k × n` and
 /// `out` holds exactly `rows` rows of `n`.
 ///
 /// Each output element is one chain over ascending `p` that starts from
-/// its `out` value (zero: every product writes into a zeroed output) and
-/// takes a separate multiply and add per step — the reference
-/// kernels' arithmetic, so the bits match theirs on finite inputs. The
-/// tiles only decide how many such chains run at once, each with all its
-/// accumulators in registers for the whole contraction: one-row tiles
+/// zero in a register and takes a separate multiply and add per step — the
+/// reference kernels' arithmetic, so the bits match theirs on finite
+/// inputs. The finished chain is then added to its `out` element. A
+/// product writes into a zeroed output, and a chain that starts at `+0.0`
+/// never ends at `-0.0`, so `+0.0 + chain` is the chain itself; into an
+/// existing matrix the add gives the bits of adding a fresh product with
+/// [`Matrix::add_assign`].
+/// The tiles only decide how many such chains run at once, each with all
+/// its accumulators in registers for the whole contraction: one-row tiles
 /// 32, 16 and 8 columns wide cover each row from the left (at d = 32 one
 /// tile is a whole output row, 32 independent chains); the last
 /// `n mod 8` columns, and so every output narrower than 8 columns, tile
@@ -811,7 +851,8 @@ fn band<const R: usize, const W: usize>(
 }
 
 /// The `R × W` output tile at rows `i..i + R`, columns `j..j + W`, with
-/// its `R·W` accumulators in registers for the whole contraction.
+/// its `R·W` accumulators in registers for the whole contraction; each
+/// starts from zero and is added to its `out` element at the end.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile<const R: usize, const W: usize>(
@@ -825,9 +866,6 @@ fn tile<const R: usize, const W: usize>(
     j: usize,
 ) {
     let mut acc = [[0.0f32; W]; R];
-    for (r, acc) in acc.iter_mut().enumerate() {
-        acc.copy_from_slice(&out[(i + r) * n + j..][..W]);
-    }
     // Index loops over fixed-size arrays rather than iterator chains:
     // optimized, both compile to the same register tile (no bounds check
     // in the inner loop); unoptimized, as in test builds, these make fewer
@@ -843,7 +881,12 @@ fn tile<const R: usize, const W: usize>(
         }
     }
     for (r, acc) in acc.iter().enumerate() {
-        out[(i + r) * n + j..][..W].copy_from_slice(acc);
+        let dest: &mut [f32; W] = out[(i + r) * n + j..]
+            .first_chunk_mut()
+            .expect("tile in out");
+        for t in 0..W {
+            dest[t] += acc[t];
+        }
     }
 }
 
@@ -855,6 +898,17 @@ mod tests {
         Matrix::from_fn(rows, cols, |r, c| {
             ((r * cols + c) as f32).sin() * seed + (r as f32 - c as f32) * 0.01
         })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `dest` plus `product`, through [`Matrix::add_assign`].
+    fn added(dest: &Matrix, product: &Matrix) -> Matrix {
+        let mut sum = dest.clone();
+        sum.add_assign(product);
+        sum
     }
 
     #[test]
@@ -883,14 +937,34 @@ mod tests {
             let b = filled(k, n, -0.4);
             let t_a = filled(k, m, 0.3);
             let bt_b = filled(n, k, -0.9);
+            // Destinations of the add mode, with values of both signs.
+            let dest = filled(m, n, 1.3);
             for kernel in Kernel::ALL {
                 let shape = format!("{} {m}x{k}x{n}", kernel.name());
                 let naive = Kernel::Naive;
-                assert_eq!(kernel.matmul(&a, &b), naive.matmul(&a, &b), "{shape}");
-                let (got, want) = (kernel.t_matmul(&t_a, &b), naive.t_matmul(&t_a, &b));
-                assert_eq!(got, want, "t_matmul {shape}");
+                let product = kernel.matmul(&a, &b);
+                assert_eq!(bits(&product), bits(&naive.matmul(&a, &b)), "{shape}");
+                let t_product = kernel.t_matmul(&t_a, &b);
+                let want = naive.t_matmul(&t_a, &b);
+                assert_eq!(bits(&t_product), bits(&want), "t_matmul {shape}");
                 let (got, want) = (kernel.matmul_t(&a, &bt_b), naive.matmul_t(&a, &bt_b));
-                assert_eq!(got, want, "matmul_t {shape}");
+                assert_eq!(bits(&got), bits(&want), "matmul_t {shape}");
+
+                // The add mode gives the bits of the fresh product added
+                // with `add_assign`, and `Blocked` those of `Naive`.
+                let mut got = dest.clone();
+                kernel.matmul_add_into(&a, &b, &mut got);
+                assert_eq!(bits(&got), bits(&added(&dest, &product)), "add {shape}");
+                let mut want = dest.clone();
+                naive.matmul_add_into(&a, &b, &mut want);
+                assert_eq!(bits(&got), bits(&want), "add vs naive {shape}");
+                let mut got = dest.clone();
+                kernel.t_matmul_add_into(&t_a, &b, &mut got);
+                let t_want = added(&dest, &t_product);
+                assert_eq!(bits(&got), bits(&t_want), "t_matmul add {shape}");
+                let mut want = dest.clone();
+                naive.t_matmul_add_into(&t_a, &b, &mut want);
+                assert_eq!(bits(&got), bits(&want), "t_matmul add vs naive {shape}");
             }
         }
     }
@@ -959,13 +1033,16 @@ mod tests {
             for m in [1, 5, 8, 9] {
                 for k in [0, 1, 33] {
                     let b = filled(k, n, -0.4);
+                    // Into a destination of both signs.
+                    let dest = filled(m, n, 1.3);
                     // `a`'s rows (`a × b`) and its columns (`aᵀ × b`).
                     for (a, rs, ps) in [(filled(m, k, 0.7), k, 1), (filled(k, m, 0.3), 1, m)] {
-                        let mut want = vec![0.0; m * n];
-                        blocked_body(a.data(), rs, ps, b.data(), &mut want, m, k, n);
-                        let mut got = vec![0.0; m * n];
+                        let (a, b) = (a.data(), b.data());
+                        let mut want = dest.data().to_vec();
+                        blocked_body(a, rs, ps, b, &mut want, m, k, n);
+                        let mut got = dest.data().to_vec();
                         // SAFETY: the CPU executes AVX2, checked above.
-                        unsafe { blocked_rows_avx2(a.data(), rs, ps, b.data(), &mut got, m, k, n) };
+                        unsafe { blocked_rows_avx2(a, rs, ps, b, &mut got, m, k, n) };
                         assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} rs={rs}");
                     }
                 }
@@ -1002,16 +1079,7 @@ mod tests {
         let bias = filled(1, 4, 0.1);
         for kernel in Kernel::ALL {
             let mut out = Matrix::default();
-            let mut tmp = Matrix::default();
-            kernel.matmul_bias_act(
-                &x,
-                &w,
-                Some((&h, &u)),
-                Some(&bias),
-                Act::Sigmoid,
-                &mut out,
-                &mut tmp,
-            );
+            kernel.matmul_bias_act(&x, &w, Some((&h, &u)), Some(&bias), Act::Sigmoid, &mut out);
             let mut expect = kernel.matmul(&x, &w);
             expect.add_assign(&kernel.matmul(&h, &u));
             expect.add_row_assign(&bias);

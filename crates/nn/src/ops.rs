@@ -194,10 +194,11 @@ pub fn mean_pool(hidden: &Matrix) -> Matrix {
 /// parameter leaves of `params`, so [`Tape::backward`] reaches them.
 ///
 /// Each weight is recorded as one leaf, on its first use, and every later
-/// use reads that leaf. [`Tape::backward`] then sums all uses' gradients
-/// into the leaf in reverse use order, the order in which one leaf per
-/// use would reach [`GradStore`](crate::GradStore) — the same bits, one
-/// copy of each weight per pass.
+/// use reads that leaf. [`Tape::backward`] then adds all uses' gradient
+/// terms into the leaf's gradient in place, in reverse use order, the
+/// order in which one leaf per use would reach
+/// [`GradStore`](crate::GradStore) — the same bits, one copy of each
+/// weight per pass.
 ///
 /// With [`TapeOps::with_nodes`], the node state is a row map (node → tape
 /// value and row) that [`TapeOps::commit`] and [`TapeOps::copy_rows`]
@@ -398,6 +399,58 @@ mod tests {
         for id in [w, b] {
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got.get(id).unwrap()), bits(want.get(id).unwrap()));
+        }
+    }
+
+    #[test]
+    fn in_place_sums_match_per_use_leaves() {
+        // A GRU cell over three levels, recorded twice. Through one
+        // `TapeOps`, each weight is one leaf, so the backward pass adds
+        // every use's product term into that leaf's gradient in place. With
+        // a fresh `TapeOps` per level, each use has its own leaf: each term
+        // is a fresh product and `GradStore` does the sum. The inputs `x`
+        // and `h0` are one leaf on both tapes; each sums its terms in place.
+        use crate::layers::GruCell;
+        use rand::SeedableRng;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut params = Params::new();
+        let cell = GruCell::new(&mut params, "gru", 6, 4, &mut rng);
+        let x = params.register(
+            "x",
+            Matrix::from_fn(5, 6, |r, c| ((r * 6 + c) as f32).sin()),
+        );
+        let h0 = params.register(
+            "h0",
+            Matrix::from_fn(5, 4, |r, c| ((r + 3 * c) as f32).cos()),
+        );
+        let target = Matrix::from_fn(5, 4, |r, c| 0.1 * (r as f32 - c as f32));
+        let levels = 3;
+        let grads = |leaf_per_use: bool| {
+            let mut tape = Tape::new();
+            let mut ops = TapeOps::new(&mut tape, &params);
+            let (xv, mut h) = (ops.param(x), ops.param(h0));
+            for _ in 0..levels {
+                if leaf_per_use {
+                    ops = TapeOps::new(ops.tape, &params);
+                }
+                h = cell.forward(&mut ops, xv, h);
+            }
+            let loss = ops.tape.l1_loss(h, &target);
+            (tape.len(), tape.backward(loss))
+        };
+        let ((shared_len, shared), (per_use_len, per_use)) = (grads(false), grads(true));
+        // The nine weights and biases are recorded again per level.
+        assert_eq!(per_use_len, shared_len + 9 * (levels - 1));
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (id, name, _) in params.iter() {
+            let (got, want) = (shared.get(id), per_use.get(id));
+            let (got, want) = (got.expect(name), want.expect(name));
+            assert!(
+                got.data().iter().any(|&v| v != 0.0),
+                "{name} has a gradient"
+            );
+            assert_eq!(bits(got), bits(want), "{name}");
         }
     }
 

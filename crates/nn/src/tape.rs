@@ -279,7 +279,6 @@ impl Tape {
         act: Act,
     ) -> VarId {
         let mut out = Matrix::default();
-        let mut tmp = Matrix::default();
         Kernel::global().matmul_bias_act(
             self.value(x),
             self.value(w),
@@ -287,7 +286,6 @@ impl Tape {
             b.map(|bv| self.value(bv)),
             act,
             &mut out,
-            &mut tmp,
         );
         self.push(Op::FusedGate { x, w, h, u, b, act }, out, None)
     }
@@ -370,6 +368,15 @@ impl Tape {
     /// Runs the backward pass from a `1×1` loss and returns parameter
     /// gradients.
     ///
+    /// Every product term of a rule (`g·Wᵀ`, `xᵀ·g`, …) is added into its
+    /// operand's gradient in place ([`Kernel::matmul_add_into`],
+    /// [`Kernel::t_matmul_add_into`]); a gradient not yet reached starts
+    /// zero-filled. That gives the bits of forming each term as a fresh
+    /// product and adding it with [`Matrix::add_assign`] (or moving it into
+    /// an empty slot: a product's chain starts at `+0.0`, so it never ends
+    /// at `-0.0`). Products read node values only, never gradients, so each
+    /// term is added as soon as it is formed, in the rule's operand order.
+    ///
     /// # Panics
     /// Panics if `loss` is not `1×1`.
     pub fn backward(&self, loss: VarId) -> GradStore {
@@ -382,6 +389,7 @@ impl Tape {
         grads[loss.0] = Some(Matrix::full(1, 1, 1.0));
         let mut store = GradStore::new();
         let mut transposes = HashMap::new();
+        let kernel = Kernel::global();
 
         for idx in (0..self.nodes.len()).rev() {
             let grad = match grads[idx].take() {
@@ -395,10 +403,10 @@ impl Tape {
             match &node.op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
-                    let da = self.times_transpose(&mut transposes, &grad, *b);
-                    let db = self.nodes[a.0].value.t_matmul(&grad);
-                    accumulate(&mut grads, *a, da);
-                    accumulate(&mut grads, *b, db);
+                    let da = self.slot(&mut grads, *a);
+                    self.add_times_transpose(kernel, &mut transposes, &grad, *b, da);
+                    let db = self.slot(&mut grads, *b);
+                    kernel.t_matmul_add_into(&self.nodes[a.0].value, &grad, db);
                 }
                 Op::Add(a, b) => {
                     accumulate(&mut grads, *a, grad.clone());
@@ -415,12 +423,7 @@ impl Tape {
                     accumulate(&mut grads, *b, db);
                 }
                 Op::AddRow(a, row) => {
-                    let mut drow = Matrix::zeros(1, grad.cols());
-                    for r in 0..grad.rows() {
-                        for c in 0..grad.cols() {
-                            drow.set(0, c, drow.get(0, c) + grad.get(r, c));
-                        }
-                    }
+                    let drow = column_sums(&grad);
                     accumulate(&mut grads, *a, grad);
                     accumulate(&mut grads, *row, drow);
                 }
@@ -453,9 +456,7 @@ impl Tape {
                 }
                 Op::GatherRows(sources) => {
                     for (i, &(var, row)) in sources.iter().enumerate() {
-                        let shape = self.nodes[var.0].value.shape();
-                        let entry =
-                            grads[var.0].get_or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+                        let entry = self.slot(&mut grads, var);
                         for (o, &g) in entry.row_mut(row).iter_mut().zip(grad.row(i)) {
                             *o += g;
                         }
@@ -485,16 +486,12 @@ impl Tape {
                 }
                 Op::MulCol(a, col) => {
                     let av = &self.nodes[a.0].value;
-                    let cv = &self.nodes[col.0].value;
-                    let da =
-                        Matrix::from_fn(av.rows(), av.cols(), |r, c| grad.get(r, c) * cv.get(r, 0));
+                    let mut da = Matrix::default();
+                    ops::mul_col_into(&grad, &self.nodes[col.0].value, &mut da);
                     let mut dcol = Matrix::zeros(av.rows(), 1);
-                    for r in 0..av.rows() {
-                        let mut acc = 0.0;
-                        for c in 0..av.cols() {
-                            acc += grad.get(r, c) * av.get(r, c);
-                        }
-                        dcol.set(r, 0, acc);
+                    for (r, d) in dcol.data_mut().iter_mut().enumerate() {
+                        let pairs = grad.row(r).iter().zip(av.row(r));
+                        *d = pairs.fold(0.0, |acc, (&g, &x)| acc + g * x);
                     }
                     accumulate(&mut grads, *a, da);
                     accumulate(&mut grads, *col, dcol);
@@ -510,22 +507,16 @@ impl Tape {
                         Act::Tanh => grad.zip(y, |g, y| g * (1.0 - y * y)),
                         Act::Relu => grad.zip(y, |g, y| if y > 0.0 { g } else { 0.0 }),
                     };
-                    let dx = self.times_transpose(&mut transposes, &g, *w);
-                    let dw = self.nodes[x.0].value.t_matmul(&g);
-                    let dh = self.times_transpose(&mut transposes, &g, *u);
-                    let du = self.nodes[h.0].value.t_matmul(&g);
-                    accumulate(&mut grads, *x, dx);
-                    accumulate(&mut grads, *w, dw);
-                    accumulate(&mut grads, *h, dh);
-                    accumulate(&mut grads, *u, du);
+                    let dx = self.slot(&mut grads, *x);
+                    self.add_times_transpose(kernel, &mut transposes, &g, *w, dx);
+                    let dw = self.slot(&mut grads, *w);
+                    kernel.t_matmul_add_into(&self.nodes[x.0].value, &g, dw);
+                    let dh = self.slot(&mut grads, *h);
+                    self.add_times_transpose(kernel, &mut transposes, &g, *u, dh);
+                    let du = self.slot(&mut grads, *u);
+                    kernel.t_matmul_add_into(&self.nodes[h.0].value, &g, du);
                     if let Some(b) = b {
-                        let mut db = Matrix::zeros(1, g.cols());
-                        for r in 0..g.rows() {
-                            for c in 0..g.cols() {
-                                db.set(0, c, db.get(0, c) + g.get(r, c));
-                            }
-                        }
-                        accumulate(&mut grads, *b, db);
+                        accumulate(&mut grads, *b, column_sums(&g));
                     }
                 }
                 Op::L1Loss {
@@ -560,22 +551,44 @@ impl Tape {
         store
     }
 
-    /// `g · value(v)ᵀ` with the bits of [`Matrix::matmul_t`], through a
-    /// transpose of `v` made on its first use in this backward pass and
-    /// kept in `transposes`: a weight leaf that every level reads (one
-    /// leaf per weight under [`TapeOps`](crate::TapeOps)) is transposed
-    /// once per pass instead of once per use.
-    fn times_transpose(
+    /// The gradient of `var`, zero-filled on first use, for terms added
+    /// into it in place.
+    fn slot<'g>(&self, grads: &'g mut [Option<Matrix>], var: VarId) -> &'g mut Matrix {
+        let (rows, cols) = self.nodes[var.0].value.shape();
+        grads[var.0].get_or_insert_with(|| Matrix::zeros(rows, cols))
+    }
+
+    /// Adds `g · value(v)ᵀ` to `dest` on `kernel`, with the bits of adding
+    /// [`Matrix::matmul_t`], through a transpose of `v` made on its first
+    /// use in this backward pass and kept in `transposes`: a weight leaf
+    /// that every level reads (one leaf per weight under
+    /// [`TapeOps`](crate::TapeOps)) is transposed once per pass instead of
+    /// once per use.
+    fn add_times_transpose(
         &self,
+        kernel: Kernel,
         transposes: &mut HashMap<VarId, Matrix>,
         g: &Matrix,
         v: VarId,
-    ) -> Matrix {
+        dest: &mut Matrix,
+    ) {
         let vt = transposes
             .entry(v)
             .or_insert_with(|| self.nodes[v.0].value.transpose());
-        g.matmul(vt)
+        kernel.matmul_add_into(g, vt, dest);
     }
+}
+
+/// The `1×c` column sums of `g`, each summed over ascending rows from zero
+/// (the bias gradient of a broadcast row add).
+fn column_sums(g: &Matrix) -> Matrix {
+    let mut sums = Matrix::zeros(1, g.cols());
+    for r in 0..g.rows() {
+        for (s, &v) in sums.data_mut().iter_mut().zip(g.row(r)) {
+            *s += v;
+        }
+    }
+    sums
 }
 
 fn accumulate(grads: &mut [Option<Matrix>], var: VarId, grad: Matrix) {

@@ -321,10 +321,7 @@ proptest! {
             act.apply(reference.data_mut());
             for kernel in Kernel::ALL {
                 let mut out = Matrix::default();
-                let mut tmp = Matrix::default();
-                kernel.matmul_bias_act(
-                    &x, &w, Some((&h, &u)), Some(&bias), act, &mut out, &mut tmp,
-                );
+                kernel.matmul_bias_act(&x, &w, Some((&h, &u)), Some(&bias), act, &mut out);
                 prop_assert_eq!(out.shape(), reference.shape());
                 let res = close_rel(out.data(), reference.data(), 1e-5);
                 prop_assert!(res.is_ok(), "{} {:?}: {:?}", kernel.name(), act, res);

@@ -323,8 +323,10 @@ pub enum CheckpointFormat {
 /// The workspace owns one scratch arena per level chunk (the first also
 /// serves the readout) so large levels can fan out without allocation;
 /// every op reshapes its slot with [`Matrix::reset`], which reuses the
-/// allocation. Keep one workspace per request-processing thread (the
-/// engine does); they are cheap when idle.
+/// allocation. The one exception is the `naive` reference kernel, whose
+/// add mode forms a fused gate's second product in a fresh matrix (see
+/// [`Kernel::matmul_add_into`]). Keep one workspace per request-processing
+/// thread (the engine does); they are cheap when idle.
 ///
 /// The kernel defaults to [`Kernel::global`] — `blocked`, unless
 /// `DEEPSEQ_KERNEL` overrides it; the kernels are bitwise-equal on finite
@@ -386,16 +388,17 @@ impl Default for Workspace {
     }
 }
 
-/// One scratch arena: value slots filled in op order. Every level step
-/// runs the same op sequence, so slot `i` is reshaped into by the same op
-/// each time and, after the first request of a given size, a chunk runs
-/// with near-zero allocator traffic.
+/// One scratch arena: value slots filled in op order, one per op. Every
+/// level step runs the same op sequence, so slot `i` is reshaped into by
+/// the same op each time and, after the first request of a given size, a
+/// chunk runs with near-zero allocator traffic. Each op writes only its
+/// own slot; a fused gate adds its second product into it in place
+/// ([`Kernel::matmul_bias_act_on`]), except under the `naive` reference,
+/// which allocates that product before adding it.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     slots: Vec<Matrix>,
     used: usize,
-    /// The fused gate's second-product buffer.
-    tmp: Matrix,
     /// The slot holding the last level step's new rows.
     output: usize,
 }
@@ -421,21 +424,21 @@ struct Eval<'a> {
 }
 
 impl Eval<'_> {
-    /// Evaluates `f(weights, earlier slots, out, tmp)` into the next slot.
-    fn push(&mut self, f: impl FnOnce(&Params, &[Matrix], &mut Matrix, &mut Matrix)) -> usize {
+    /// Evaluates `f(weights, earlier slots, out)` into the next slot.
+    fn push(&mut self, f: impl FnOnce(&Params, &[Matrix], &mut Matrix)) -> usize {
         let s = &mut *self.scratch;
         if s.used == s.slots.len() {
             s.slots.push(Matrix::default());
         }
         let (done, rest) = s.slots.split_at_mut(s.used);
-        f(self.params, done, &mut rest[0], &mut s.tmp);
+        f(self.params, done, &mut rest[0]);
         s.used += 1;
         s.used - 1
     }
 
     /// Stacks rows `rows` of `src` into the next slot.
     fn gather(&mut self, src: &Matrix, rows: impl ExactSizeIterator<Item = usize>) -> usize {
-        self.push(|_, _, out, _| {
+        self.push(|_, _, out| {
             out.reset(rows.len(), src.cols());
             for (i, r) in rows.enumerate() {
                 out.row_mut(i).copy_from_slice(src.row(r));
@@ -465,34 +468,34 @@ impl Ops for Eval<'_> {
         act: Act,
     ) -> usize {
         let (kernel, pool) = (self.kernel, self.pool);
-        self.push(|p, s, out, tmp| {
+        self.push(|p, s, out| {
             let second = Some((&s[h], p.get(u)));
             let bias = b.map(|b| p.get(b));
-            kernel.matmul_bias_act_on(pool, &s[x], p.get(w), second, bias, act, out, tmp);
+            kernel.matmul_bias_act_on(pool, &s[x], p.get(w), second, bias, act, out);
         })
     }
 
     fn linear(&mut self, x: usize, w: ParamId, b: ParamId, act: Act) -> usize {
         let (kernel, pool) = (self.kernel, self.pool);
-        self.push(|p, s, out, _| {
-            kernel.linear_act_on(pool, &s[x], p.get(w), Some(p.get(b)), act, out);
+        self.push(|p, s, out| {
+            kernel.matmul_bias_act_on(pool, &s[x], p.get(w), None, Some(p.get(b)), act, out);
         })
     }
 
     fn segment_softmax(&mut self, scores: usize, segments: &[usize], num_segments: usize) -> usize {
-        self.push(|_, s, out, _| segment_softmax_into(&s[scores], segments, num_segments, out))
+        self.push(|_, s, out| segment_softmax_into(&s[scores], segments, num_segments, out))
     }
 
     fn segment_sum(&mut self, src: usize, segments: &[usize], num_segments: usize) -> usize {
-        self.push(|_, s, out, _| segment_sum_into(&s[src], segments, num_segments, out))
+        self.push(|_, s, out| segment_sum_into(&s[src], segments, num_segments, out))
     }
 
     fn mul_col(&mut self, a: usize, col: usize) -> usize {
-        self.push(|_, s, out, _| mul_col_into(&s[a], &s[col], out))
+        self.push(|_, s, out| mul_col_into(&s[a], &s[col], out))
     }
 
     fn mul(&mut self, a: usize, b: usize) -> usize {
-        self.push(|_, s, out, _| {
+        self.push(|_, s, out| {
             assert_eq!(s[a].shape(), s[b].shape(), "mul shape mismatch");
             out.reset(s[a].rows(), s[a].cols());
             for ((o, &x), &y) in out.data_mut().iter_mut().zip(s[a].data()).zip(s[b].data()) {
@@ -502,11 +505,11 @@ impl Ops for Eval<'_> {
     }
 
     fn concat_cols(&mut self, a: usize, b: usize) -> usize {
-        self.push(|_, s, out, _| concat_cols_into(&s[a], &s[b], out))
+        self.push(|_, s, out| concat_cols_into(&s[a], &s[b], out))
     }
 
     fn sigmoid(&mut self, a: usize) -> usize {
-        self.push(|_, s, out, _| {
+        self.push(|_, s, out| {
             out.reset(s[a].rows(), s[a].cols());
             out.data_mut().copy_from_slice(s[a].data());
             Act::Sigmoid.apply(out.data_mut());
@@ -514,7 +517,7 @@ impl Ops for Eval<'_> {
     }
 
     fn gru_blend(&mut self, z: usize, n: usize, h: usize) -> usize {
-        self.push(|_, s, out, _| {
+        self.push(|_, s, out| {
             out.reset(s[z].rows(), s[z].cols());
             let inputs = s[z].data().iter().zip(s[n].data()).zip(s[h].data());
             for (o, ((&z, &n), &h)) in out.data_mut().iter_mut().zip(inputs) {

@@ -1,7 +1,8 @@
 //! Smoke test of the GEMM kernel contract through the facade: the default
 //! kernel `blocked` reproduces the reference `naive` kernel bit for bit on
 //! the product shapes one `eco` edit runs and on the backward products
-//! training runs (d = 32), on 1- and 2-thread pools; a tape-free forward
+//! training runs (d = 32), fresh and added into a gradient in place, on 1-
+//! and 2-thread pools; a tape-free forward
 //! pass on it is bit-equal to the tape's `DeepSeq::predict` for every
 //! configuration on 1-, 2- and 4-thread pools, including levels wide
 //! enough to be split into chunks; and serving defaults to it.
@@ -10,6 +11,7 @@ use std::sync::Arc;
 
 use deepseq::core::encoding::initial_states;
 use deepseq::core::{Aggregator, CircuitGraph, DeepSeq, DeepSeqConfig, PropagationScheme};
+use deepseq::nn::kernels::PAR_MIN_FLOPS;
 use deepseq::nn::{Act, Kernel, Matrix, Pool};
 use deepseq::serve::{InferenceModel, Workspace};
 use deepseq::sim::Workload;
@@ -29,6 +31,20 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix, ctx: &str) {
     assert_eq!(bits(got), bits(want), "{ctx}");
 }
 
+/// `dest` with `a × b` added in place.
+fn add_into(kernel: Kernel, pool: &Pool, a: &Matrix, b: &Matrix, dest: &Matrix) -> Matrix {
+    let mut out = dest.clone();
+    kernel.matmul_add_into_on(pool, a, b, &mut out);
+    out
+}
+
+/// `dest` with `aᵀ × b` added in place.
+fn t_add_into(kernel: Kernel, pool: &Pool, a: &Matrix, b: &Matrix, dest: &Matrix) -> Matrix {
+    let mut out = dest.clone();
+    kernel.t_matmul_add_into_on(pool, a, b, &mut out);
+    out
+}
+
 /// `act(x·w + h·u [+ bias])` through the fused entry point.
 #[allow(clippy::too_many_arguments)]
 fn gate(
@@ -41,8 +57,8 @@ fn gate(
     bias: Option<&Matrix>,
     act: Act,
 ) -> Matrix {
-    let (mut out, mut tmp) = (Matrix::default(), Matrix::default());
-    kernel.matmul_bias_act_on(pool, x, w, Some((h, u)), bias, act, &mut out, &mut tmp);
+    let mut out = Matrix::default();
+    kernel.matmul_bias_act_on(pool, x, w, Some((h, u)), bias, act, &mut out);
     out
 }
 
@@ -78,10 +94,11 @@ fn blocked_matches_naive_bitwise_on_eco_shapes() {
             );
             // Readout head layer over all 416 nodes: 416×32·32×32.
             let mut head = Matrix::default();
-            kernel.linear_act_on(
+            kernel.matmul_bias_act_on(
                 &pool,
                 &filled(416, d, 1.0),
                 &filled(d, d, 1.1),
+                None,
                 Some(&filled(1, d, 1.2)),
                 Act::Relu,
                 &mut head,
@@ -116,8 +133,17 @@ fn blocked_matches_naive_bitwise_on_training_backward_shapes() {
                 let (q, w1) = (filled(rows, d, 0.6), filled(d, 1, 0.7));
                 let (key, w2) = (filled(rows, d, 0.8), filled(d, 1, 0.9));
                 let gs = filled(rows, 1, 1.0);
+                // Gradients the backward pass adds into: values of both
+                // signs, as after earlier terms.
+                let (dx, dw, du) = (
+                    filled(rows, input_dim, 1.1),
+                    filled(input_dim, d, 1.2),
+                    filled(d, d, 1.3),
+                );
+                let wt = w.transpose();
                 // The tape runs `g·Wᵀ` as `g × (Wᵀ)` over one transpose
-                // per weight and pass; both forms must match naive.
+                // per weight and pass, added into the gradient in place;
+                // every form must match naive.
                 [
                     ("gate dx = g·Wᵀ", kernel.matmul_t_on(&pool, &g, &w)),
                     (
@@ -139,6 +165,9 @@ fn blocked_matches_naive_bitwise_on_training_backward_shapes() {
                     ("score dw1 = qᵀ·g", kernel.t_matmul_on(&pool, &q, &gs)),
                     ("score dk = g·w2ᵀ", kernel.matmul_t_on(&pool, &gs, &w2)),
                     ("score dw2 = kᵀ·g", kernel.t_matmul_on(&pool, &key, &gs)),
+                    ("gate dx += g×(Wᵀ)", add_into(kernel, &pool, &g, &wt, &dx)),
+                    ("gate dW += xᵀ·g", t_add_into(kernel, &pool, &x, &g, &dw)),
+                    ("gate dU += hᵀ·g", t_add_into(kernel, &pool, &h, &g, &du)),
                 ]
             };
             let reference = run(Kernel::Naive);
@@ -147,6 +176,35 @@ fn blocked_matches_naive_bitwise_on_training_backward_shapes() {
                 assert_bits_eq(got, want, &ctx);
             }
         }
+    }
+
+    // A 96-row level: both add-into products fan out across the pool's
+    // rows, so the row-partitioned add path runs.
+    let (rows, pool) = (96, Pool::new(2));
+    let (x, g, w) = (
+        filled(rows, input_dim, 0.1),
+        filled(rows, d, 0.5),
+        filled(input_dim, d, 0.2),
+    );
+    assert!(
+        rows * d * input_dim >= PAR_MIN_FLOPS,
+        "the products must fan out"
+    );
+    let (dx, dw) = (filled(rows, input_dim, 1.1), filled(input_dim, d, 1.2));
+    let wt = w.transpose();
+    for (what, got, want) in [
+        (
+            "gate dx += g×(Wᵀ)",
+            add_into(Kernel::Blocked, &pool, &g, &wt, &dx),
+            add_into(Kernel::Naive, &pool, &g, &wt, &dx),
+        ),
+        (
+            "gate dW += xᵀ·g",
+            t_add_into(Kernel::Blocked, &pool, &x, &g, &dw),
+            t_add_into(Kernel::Naive, &pool, &x, &g, &dw),
+        ),
+    ] {
+        assert_bits_eq(&got, &want, &format!("{what}, {rows} rows on 2 threads"));
     }
 }
 
