@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the serving subsystem: the autograd-tape forward
-//! pass vs. the tape-free [`InferenceModel`] vs. the cone memo's
+//! pass (and, for training, its backward pass) vs. the tape-free
+//! [`InferenceModel`] vs. the cone memo's
 //! whole-hit path, on the synthetic design suite and a training-scale
 //! random circuit. These back the PR-2 acceptance criterion (tape-free
 //! measurably faster than tape; cache hit faster still) and feed the
@@ -23,7 +24,7 @@ use deepseq_core::{CircuitGraph, DeepSeq, DeepSeqConfig};
 use deepseq_data::designs::ptc;
 use deepseq_data::random::{random_circuit, CircuitSpec};
 use deepseq_netlist::{lower_to_aig, parse_aiger, write_aiger, SeqAig};
-use deepseq_nn::{Kernel, Matrix, Pool};
+use deepseq_nn::{Kernel, Matrix, Pool, Tape};
 use deepseq_serve::json::response_to_json;
 use deepseq_serve::{Engine, EngineOptions, InferenceModel, ServeRequest, Workspace};
 use deepseq_sim::Workload;
@@ -74,6 +75,21 @@ fn bench_tape_forward(c: &mut Criterion) {
     for f in fixtures() {
         c.bench_function(&format!("serve_tape_forward_{}", f.tag), |b| {
             b.iter(|| f.model.predict(&f.graph, &f.h0))
+        });
+    }
+}
+
+/// The training tape's backward pass: one forward pass and its L1 loss on
+/// the `tr` head are recorded once, outside the timed loop, which times
+/// `Tape::backward` alone (it reads the tape and leaves it as it is).
+fn bench_tape_backward(c: &mut Criterion) {
+    for f in fixtures() {
+        let mut tape = Tape::new();
+        let vars = f.model.forward(&mut tape, &f.graph, &f.h0);
+        let target = Matrix::full(f.graph.num_nodes, 2, 0.5);
+        let loss = tape.l1_loss(vars.tr, &target);
+        c.bench_function(&format!("serve_tape_backward_{}", f.tag), |b| {
+            b.iter(|| tape.backward(loss))
         });
     }
 }
@@ -263,7 +279,7 @@ fn bench_text_edge(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_tape_forward, bench_tapefree_per_kernel, bench_cache_hit, bench_cone_reuse,
-        bench_text_edge
+    targets = bench_tape_forward, bench_tape_backward, bench_tapefree_per_kernel, bench_cache_hit,
+        bench_cone_reuse, bench_text_edge
 }
 criterion_main!(benches);

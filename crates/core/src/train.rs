@@ -12,8 +12,9 @@
 //! ([`Pool::global`], sized by `DEEPSEQ_THREADS`): within each optimizer
 //! step, the per-sample forward/backward tape passes are independent (the
 //! parameters are frozen until the step), so they fan out across the pool
-//! at sample granularity — each worker task owns a private reusable
-//! [`Tape`] and produces one [`GradStore`] per sample. The per-sample
+//! at sample granularity — each worker task owns a private [`Tape`], kept
+//! across optimizer steps and reset before each sample, and produces one
+//! [`GradStore`] per sample. The per-sample
 //! losses and gradients are then reduced **in ascending sample order**,
 //! which makes every ADAM step, loss value and [`EpochStats`] row bitwise
 //! identical at any thread count (the per-sample passes themselves are
@@ -187,8 +188,8 @@ pub fn train(model: &mut DeepSeq, samples: &[TrainSample], opts: &TrainOptions) 
 /// independent), splits it into groups of
 /// [`TrainOptions::samples_per_step`] samples and, per group: fans the
 /// per-sample forward/backward tape passes across `pool` at sample
-/// granularity (contiguous chunks, one reusable private [`Tape`] per
-/// task, one [`GradStore`] per sample), then reduces the losses and
+/// granularity (contiguous chunks, one private [`Tape`] per task, reused
+/// across steps, one [`GradStore`] per sample), then reduces the losses and
 /// gradients **in ascending group order** and applies one ADAM step on the
 /// mean gradient. The fixed-order reduction is what keeps every step —
 /// and therefore every [`EpochStats`] row and the final parameter bytes —
@@ -205,17 +206,20 @@ pub fn train_on(
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut history = Vec::with_capacity(opts.epochs);
     let group_size = opts.samples_per_step.max(1);
+    // One tape per task chunk, kept for the whole run: each is reset, not
+    // rebuilt, before it records a sample.
+    let mut tapes: Vec<Tape> = Vec::new();
     for epoch in 0..opts.epochs {
         let _epoch_span = trace::span_with(trace::SpanKind::TrainEpoch, epoch as u64);
         order.shuffle(&mut rng);
         let mut total_loss = 0.0f64;
         for group in order.chunks(group_size) {
             let _step_span = trace::span_with(trace::SpanKind::TrainStep, group.len() as u64);
-            // Fan the group's samples across the pool; each task owns one
-            // reusable tape (reset between samples) and the passes come
-            // back in group order whatever the pool size.
+            // Fan the group's samples across the pool; each task records
+            // on its own tape and the passes come back in group order
+            // whatever the pool size.
             let model_ref: &DeepSeq = model;
-            let passes = pool.ordered_map(group.len(), 1, Tape::new, |tape, j| {
+            let passes = pool.ordered_map_with(&mut tapes, group.len(), 1, Tape::new, |tape, j| {
                 sample_pass(model_ref, &samples[group[j]], opts, tape)
             });
             // Ordered reduction: losses and gradients are summed in group

@@ -428,14 +428,13 @@ impl Kernel {
             crate::trace::SpanKind::Gemm,
             crate::trace::pack_gemm(m, k, nb, self.trace_tag()),
         );
-        let ranges = par_ranges(pool, m, k, nb);
         let (a, b, o) = (a.data(), b.data(), out.data_mut());
         match self {
-            Kernel::Naive => run_row_tasks(pool, ranges, a, b, o, k, nb, gemm_bt_naive_rows),
+            Kernel::Naive => run_row_tasks(pool, a, b, o, m, k, nb, gemm_bt_naive_rows),
             // Packed bᵀ turns `a × bᵀ` into the plain blocked product.
             Kernel::Blocked => with_pack_scratch(|pack| {
                 pack_transpose(b, nb, k, pack);
-                run_row_tasks(pool, ranges, a, pack, o, k, nb, gemm_blocked);
+                run_row_tasks(pool, a, pack, o, m, k, nb, gemm_blocked);
             }),
         }
         out
@@ -508,11 +507,10 @@ impl Kernel {
             crate::trace::SpanKind::Gemm,
             crate::trace::pack_gemm(m, k, n, self.trace_tag()),
         );
-        let ranges = par_ranges(pool, m, k, n);
         let (a, b) = (a.data(), b.data());
         match self {
-            Kernel::Naive => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_naive),
-            Kernel::Blocked => run_row_tasks(pool, ranges, a, b, out, k, n, gemm_blocked),
+            Kernel::Naive => run_row_tasks(pool, a, b, out, m, k, n, gemm_naive),
+            Kernel::Blocked => run_row_tasks(pool, a, b, out, m, k, n, gemm_blocked),
         }
     }
 
@@ -528,13 +526,10 @@ impl Kernel {
             crate::trace::SpanKind::Gemm,
             crate::trace::pack_gemm(ka, m, n, self.trace_tag()),
         );
-        let ranges = par_ranges(pool, ka, m, n);
         let (a, b) = (a.data(), b.data());
         match self {
-            Kernel::Naive => run_trow_tasks(pool, ranges, a, b, out, m, ka, n, t_gemm_naive_rows),
-            Kernel::Blocked => {
-                run_trow_tasks(pool, ranges, a, b, out, m, ka, n, t_gemm_blocked_rows)
-            }
+            Kernel::Naive => run_trow_tasks(pool, a, b, out, m, ka, n, t_gemm_naive_rows),
+            Kernel::Blocked => run_trow_tasks(pool, a, b, out, m, ka, n, t_gemm_blocked_rows),
         }
     }
 }
@@ -552,42 +547,42 @@ fn assert_matmul_dims(a: &Matrix, b: &Matrix) {
     );
 }
 
-/// Contiguous output-row ranges for one product: one `0..rows` range when
-/// the product is too small to pay for fan-out (or the pool has no
-/// workers), otherwise up to `pool.threads()` chunks of at least
-/// [`PAR_MIN_ROWS`] rows.
-fn par_ranges(pool: &Pool, rows: usize, k: usize, n: usize) -> Vec<Range<usize>> {
+/// The output-row chunks one product fans out over: `None` when it stays
+/// on the calling thread, because it is below [`PAR_MIN_FLOPS`], the pool
+/// has one thread or the rows make a single chunk; otherwise up to
+/// `pool.threads()` chunks of at least [`PAR_MIN_ROWS`] rows. Most of the
+/// model's products are small, so this decides before it allocates.
+fn par_ranges(pool: &Pool, rows: usize, k: usize, n: usize) -> Option<Vec<Range<usize>>> {
     let flops = rows.saturating_mul(k).saturating_mul(n);
-    let max_chunks = if flops >= PAR_MIN_FLOPS {
-        pool.threads()
-    } else {
-        1
-    };
-    chunk_ranges_or_whole(rows, max_chunks, PAR_MIN_ROWS)
+    if flops < PAR_MIN_FLOPS || pool.threads() == 1 {
+        return None;
+    }
+    let ranges = chunk_ranges_or_whole(rows, pool.threads(), PAR_MIN_ROWS);
+    (ranges.len() > 1).then_some(ranges)
 }
 
-/// Runs a row kernel over `ranges`, splitting `a` and `out` by rows and
-/// sharing `b` read-only. Single range → straight call on the caller.
-/// The kernel signature is `(a_rows, b, out_rows, rows, k, n)`
-/// where `a_rows`/`out_rows` hold exactly `rows` rows.
+/// Runs a row kernel over the `rows` rows of `a` and `out`, sharing `b`
+/// read-only: straight on the caller, or split by rows across the pool
+/// when [`par_ranges`] fans the product out. The kernel signature is
+/// `(a_rows, b, out_rows, rows, k, n)` where `a_rows`/`out_rows` hold
+/// exactly `rows` rows.
 #[allow(clippy::too_many_arguments)]
 fn run_row_tasks<F>(
     pool: &Pool,
-    ranges: Vec<Range<usize>>,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
+    rows: usize,
     k: usize,
     n: usize,
     f: F,
 ) where
     F: Fn(&[f32], &[f32], &mut [f32], usize, usize, usize) + Copy + Send + Sync,
 {
-    if ranges.len() == 1 {
-        let r = ranges.into_iter().next().expect("one range");
-        f(&a[r.start * k..r.end * k], b, out, r.len(), k, n);
+    let Some(ranges) = par_ranges(pool, rows, k, n) else {
+        f(a, b, out, rows, k, n);
         return;
-    }
+    };
     let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
     let mut rest = out;
     for r in ranges {
@@ -600,14 +595,14 @@ fn run_row_tasks<F>(
     pool.run(tasks);
 }
 
-/// Runs a transpose row kernel over `ranges` of output rows (columns of
-/// `a`); `a` and `b` are shared read-only, `out` split by rows. The
-/// kernel signature is `(a, b, out_rows, m, ka, n, i0, i1)` —
+/// Runs a transpose row kernel over the `ka` output rows (columns of `a`),
+/// straight on the caller or split across the pool as in
+/// [`run_row_tasks`]; `a` and `b` are shared read-only, `out` split by
+/// rows. The kernel signature is `(a, b, out_rows, m, ka, n, i0, i1)` —
 /// computes output rows `i0..i1` (columns of `a`) into `out_rows`.
 #[allow(clippy::too_many_arguments)]
 fn run_trow_tasks<F>(
     pool: &Pool,
-    ranges: Vec<Range<usize>>,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -618,11 +613,10 @@ fn run_trow_tasks<F>(
 ) where
     F: Fn(&[f32], &[f32], &mut [f32], usize, usize, usize, usize, usize) + Copy + Send + Sync,
 {
-    if ranges.len() == 1 {
-        let r = ranges.into_iter().next().expect("one range");
-        f(a, b, out, m, ka, n, r.start, r.end);
+    let Some(ranges) = par_ranges(pool, ka, m, n) else {
+        f(a, b, out, m, ka, n, 0, ka);
         return;
-    }
+    };
     let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
     let mut rest = out;
     for r in ranges {

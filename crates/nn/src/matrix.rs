@@ -124,6 +124,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The row-major data buffer, for reuse as another matrix's storage.
+    pub(crate) fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Element at `(r, c)`.
     ///
     /// # Panics

@@ -113,18 +113,36 @@ pub fn segment_softmax_into(
     );
     // Per-segment max for numerical stability.
     let mut seg_max = vec![f32::NEG_INFINITY; num_segments];
-    for (i, &seg) in segments.iter().enumerate() {
-        seg_max[seg] = seg_max[seg].max(scores.get(i, 0));
+    for (&seg, &s) in segments.iter().zip(scores.data()) {
+        seg_max[seg] = seg_max[seg].max(s);
     }
     let mut seg_total = vec![0.0f32; num_segments];
     out.reset(segments.len(), 1);
-    for (i, &seg) in segments.iter().enumerate() {
-        let e = (scores.get(i, 0) - seg_max[seg]).exp();
-        out.set(i, 0, e);
+    let rows = out.data_mut().iter_mut().zip(segments);
+    for ((o, &seg), &s) in rows.zip(scores.data()) {
+        let e = (s - seg_max[seg]).exp();
+        *o = e;
         seg_total[seg] += e;
     }
-    for (i, &seg) in segments.iter().enumerate() {
-        out.set(i, 0, out.get(i, 0) / seg_total[seg]);
+    for (o, &seg) in out.data_mut().iter_mut().zip(segments) {
+        *o /= seg_total[seg];
+    }
+}
+
+/// Writes the GRU state update `(1 - z) ⊙ n + z ⊙ h` into `out`, each
+/// element as `(-z + 1) · n + z · h`: the bits of the chain
+/// `affine(z, -1, 1)`, `mul`, `mul`, `add` (multiplying by `-1` is exactly
+/// negation). [`Tape::gru_blend`] and the serving workspace both call it.
+///
+/// # Panics
+/// Panics unless `z`, `n` and `h` share one shape.
+pub fn gru_blend_into(z: &Matrix, n: &Matrix, h: &Matrix, out: &mut Matrix) {
+    assert_eq!(z.shape(), n.shape(), "gru_blend shape mismatch");
+    assert_eq!(z.shape(), h.shape(), "gru_blend shape mismatch");
+    out.reset(z.rows(), z.cols());
+    let inputs = z.data().iter().zip(n.data()).zip(h.data());
+    for (o, ((&z, &n), &h)) in out.data_mut().iter_mut().zip(inputs) {
+        *o = (-z + 1.0) * n + z * h;
     }
 }
 
@@ -199,6 +217,11 @@ pub fn mean_pool(hidden: &Matrix) -> Matrix {
 /// order in which one leaf per use would reach
 /// [`GradStore`](crate::GradStore) — the same bits, one copy of each
 /// weight per pass.
+///
+/// Every layer op is one tape node: a GRU gate or attention score
+/// ([`Tape::fused_gate`]), a dense layer ([`Tape::linear`]) and the GRU
+/// blend ([`Tape::gru_blend`]), each computed the way the serving backend
+/// computes it and each with the bits of its unfused chain.
 ///
 /// With [`TapeOps::with_nodes`], the node state is a row map (node → tape
 /// value and row) that [`TapeOps::commit`] and [`TapeOps::copy_rows`]
@@ -307,14 +330,7 @@ impl Ops for TapeOps<'_> {
     fn linear(&mut self, x: VarId, w: ParamId, b: ParamId, act: Act) -> VarId {
         let w = self.param(w);
         let b = self.param(b);
-        let xw = self.tape.matmul(x, w);
-        let y = self.tape.add_row(xw, b);
-        match act {
-            Act::Identity => y,
-            Act::Sigmoid => self.tape.sigmoid(y),
-            Act::Tanh => self.tape.tanh(y),
-            Act::Relu => self.tape.relu(y),
-        }
+        self.tape.linear(x, w, b, act)
     }
 
     fn segment_softmax(&mut self, scores: VarId, segments: &[usize], _: usize) -> VarId {
@@ -342,10 +358,7 @@ impl Ops for TapeOps<'_> {
     }
 
     fn gru_blend(&mut self, z: VarId, n: VarId, h: VarId) -> VarId {
-        let one_minus_z = self.tape.affine(z, -1.0, 1.0);
-        let a = self.tape.mul(one_minus_z, n);
-        let b = self.tape.mul(z, h);
-        self.tape.add(a, b)
+        self.tape.gru_blend(z, n, h)
     }
 }
 
@@ -356,7 +369,8 @@ mod tests {
     #[test]
     fn each_weight_is_recorded_once_per_pass() {
         // A three-level chain through one dense layer, recorded through
-        // `TapeOps` and by hand with a fresh leaf per use.
+        // `TapeOps` and by hand as `matmul`, `add_row`, `tanh` with a fresh
+        // leaf per use.
         let mut params = Params::new();
         let w = params.register(
             "w",
@@ -389,12 +403,14 @@ mod tests {
         }
         let per_use_loss = per_use.l1_loss(y, &target);
 
-        // Level one records the two leaves and three ops; later levels
-        // only their three ops.
-        assert_eq!(per_level, [start + 5, start + 8, start + 11]);
-        assert_eq!(per_use.len(), tape.len() + 2 * (levels - 1));
+        // Level one records the two leaves and the layer's one fused
+        // node; later levels only their node. The hand-made chain records
+        // two leaves and three ops per level.
+        assert_eq!(per_level, [start + 3, start + 4, start + 5]);
+        assert_eq!(per_use.len(), tape.len() + 2 * (levels - 1) + 2 * levels);
         // One leaf sums every use's gradient in the order per-use leaves
-        // reach the store, so the sums match bit for bit.
+        // reach the store, and the fused layer gives its chain's terms, so
+        // the sums match bit for bit.
         let (got, want) = (tape.backward(loss), per_use.backward(per_use_loss));
         for id in [w, b] {
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -82,15 +82,17 @@ impl Adam {
                 .entry(id)
                 .or_insert_with(|| Matrix::zeros(rows, cols));
             let value = params.get_mut(id);
-            for i in 0..rows * cols {
-                let g = grad.data()[i] * grads_scale;
-                let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.data()[i] + (1.0 - self.beta2) * g * g;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            let entries = value.data_mut().iter_mut().zip(grad.data()).zip(moments);
+            for ((p, &g), (m, v)) in entries {
+                let g = g * grads_scale;
+                let mi = self.beta1 * *m + (1.0 - self.beta1) * g;
+                let vi = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                *m = mi;
+                *v = vi;
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
-                value.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }
     }

@@ -828,13 +828,26 @@ impl GradStore {
 
     /// Adds `grad` into the stored gradient of `id`.
     pub fn accumulate(&mut self, id: ParamId, grad: &Matrix) {
-        if self.grads.len() <= id.0 {
-            self.grads.resize_with(id.0 + 1, || None);
-        }
-        match &mut self.grads[id.0] {
+        match self.entry(id) {
             Some(existing) => existing.add_assign(grad),
             slot @ None => *slot = Some(grad.clone()),
         }
+    }
+
+    /// [`GradStore::accumulate`] of an owned gradient, which an empty entry
+    /// takes as it is.
+    pub(crate) fn accumulate_owned(&mut self, id: ParamId, grad: Matrix) {
+        match self.entry(id) {
+            Some(existing) => existing.add_assign(&grad),
+            slot @ None => *slot = Some(grad),
+        }
+    }
+
+    fn entry(&mut self, id: ParamId) -> &mut Option<Matrix> {
+        if self.grads.len() <= id.0 {
+            self.grads.resize_with(id.0 + 1, || None);
+        }
+        &mut self.grads[id.0]
     }
 
     /// Adds every gradient of `other` into this store (element-wise, in

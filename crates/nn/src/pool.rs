@@ -504,11 +504,10 @@ impl Pool {
     ///
     /// Indices are split into contiguous chunks (at most one per pool
     /// thread, at least `min_per_chunk` each, via [`chunk_ranges_or_whole`]);
-    /// each chunk becomes one task that first builds a private `scratch`
-    /// with `init` and then reuses it across its indices — this is how the
-    /// training loop hands every worker one reusable tape. Each result is
-    /// written into its own index slot, so completion order never affects
-    /// the returned vector; on a 1-thread pool everything runs inline in
+    /// each chunk becomes one task with a private `scratch`, built by
+    /// `init`, that it reuses across its indices. Each result is written
+    /// into its own index slot, so completion order never affects the
+    /// returned vector; on a 1-thread pool everything runs inline in
     /// ascending order. Chunk boundaries are therefore a pure
     /// load-balancing choice whenever `f` is a pure function of `i` — the
     /// ordered-reduction building block the deterministic data-parallel
@@ -521,24 +520,48 @@ impl Pool {
         f: F,
     ) -> Vec<T>
     where
+        S: Send,
         T: Send,
-        I: Fn() -> S + Sync,
+        I: Fn() -> S,
         F: Fn(&mut S, usize) -> T + Sync,
     {
+        self.ordered_map_with(&mut Vec::new(), total, min_per_chunk, init, f)
+    }
+
+    /// [`Pool::ordered_map`] with scratch that outlives the call: chunk `c`
+    /// runs on `scratch[c]`, and `scratch` grows by `init` to the number of
+    /// chunks. The training loop keeps its tapes here across optimizer
+    /// steps, so a reset tape, not a new one, records each sample.
+    pub fn ordered_map_with<S, T, I, F>(
+        &self,
+        scratch: &mut Vec<S>,
+        total: usize,
+        min_per_chunk: usize,
+        init: I,
+        f: F,
+    ) -> Vec<T>
+    where
+        S: Send,
+        T: Send,
+        I: Fn() -> S,
+        F: Fn(&mut S, usize) -> T + Sync,
+    {
+        let ranges = chunk_ranges_or_whole(total, self.threads(), min_per_chunk);
+        if scratch.len() < ranges.len() {
+            scratch.resize_with(ranges.len(), init);
+        }
         let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
         slots.resize_with(total, || None);
         {
-            let init = &init;
             let f = &f;
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
             let mut slots_rest: &mut [Option<T>] = &mut slots;
-            for range in chunk_ranges_or_whole(total, self.threads(), min_per_chunk) {
+            for (range, state) in ranges.into_iter().zip(scratch.iter_mut()) {
                 let (chunk, rest) = slots_rest.split_at_mut(range.len());
                 slots_rest = rest;
                 tasks.push(Box::new(move || {
-                    let mut scratch = init();
                     for (slot, i) in chunk.iter_mut().zip(range) {
-                        *slot = Some(f(&mut scratch, i));
+                        *slot = Some(f(state, i));
                     }
                 }));
             }
@@ -922,6 +945,28 @@ mod tests {
         }
         // Empty input yields an empty vector.
         assert!(Pool::new(4).ordered_map(0, 1, || (), |(), i| i).is_empty());
+    }
+
+    #[test]
+    fn ordered_map_with_keeps_scratch_across_calls() {
+        for threads in [1usize, 2, 4] {
+            let pool = Pool::new(threads);
+            let mut scratch = Vec::new();
+            let count = |count: &mut usize, i: usize| {
+                *count += 1;
+                i
+            };
+            let first = pool.ordered_map_with(&mut scratch, 40, 1, || 0usize, count);
+            let chunks = scratch.len();
+            assert!((1..=threads).contains(&chunks), "threads={threads}");
+            // The second call builds no scratch and counts on from the
+            // first one's.
+            let second = pool.ordered_map_with(&mut scratch, 40, 1, || unreachable!(), count);
+            assert_eq!(first, (0..40).collect::<Vec<_>>());
+            assert_eq!(first, second);
+            assert_eq!(scratch.len(), chunks);
+            assert_eq!(scratch.iter().sum::<usize>(), 80, "threads={threads}");
+        }
     }
 
     #[test]

@@ -60,13 +60,20 @@ enum Op {
         segments: Vec<usize>,
     },
     MulCol(VarId, VarId),
+    /// `act(x·w [+ h·u] [+ b])`: a GRU gate or an attention score with
+    /// the second product, a dense layer without it.
     FusedGate {
         x: VarId,
         w: VarId,
-        h: VarId,
-        u: VarId,
+        second: Option<(VarId, VarId)>,
         b: Option<VarId>,
         act: Act,
+    },
+    /// `(1 - z) ⊙ n + z ⊙ h`.
+    GruBlend {
+        z: VarId,
+        n: VarId,
+        h: VarId,
     },
     L1Loss {
         pred: VarId,
@@ -76,14 +83,52 @@ enum Op {
     AddScalars(Vec<VarId>),
 }
 
+impl Op {
+    /// True if `f` holds for any operand.
+    fn any_operand(&self, mut f: impl FnMut(VarId) -> bool) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRow(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::MulCol(a, b) => f(*a) || f(*b),
+            Op::Affine(a, _) | Op::Sigmoid(a) | Op::Tanh(a) | Op::Relu(a) => f(*a),
+            Op::SegmentSum { src, .. } | Op::SegmentSoftmax { src, .. } => f(*src),
+            Op::GatherRows(sources) => sources.iter().any(|&(v, _)| f(v)),
+            Op::FusedGate {
+                x, w, second, b, ..
+            } => {
+                f(*x) || f(*w) || second.is_some_and(|(h, u)| f(h) || f(u)) || b.is_some_and(&mut f)
+            }
+            Op::GruBlend { z, n, h } => f(*z) || f(*n) || f(*h),
+            Op::L1Loss { pred, .. } => f(*pred),
+            Op::AddScalars(scalars) => scalars.iter().any(|&s| f(s)),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     op: Op,
     value: Matrix,
     param: Option<ParamId>,
+    /// True if a parameter is reachable from this value: only such values
+    /// get a gradient in [`Tape::backward`].
+    needs_grad: bool,
 }
 
 /// A recorded computation (see the [module documentation](self)).
+///
+/// Each recorded value notes whether any parameter is reachable from it.
+/// Inputs ([`Tape::input`]) and every value computed from inputs alone
+/// (gathers of a circuit's initial states or node features) get no
+/// gradient, so the backward pass forms no product, row or buffer for
+/// them. Layer ops record one node each: [`Tape::fused_gate`],
+/// [`Tape::linear`] and [`Tape::gru_blend`] store one matrix where their
+/// unfused chains store three to five, with the same bits.
 #[derive(Debug, Clone, Default)]
 pub struct Tape {
     nodes: Vec<Node>,
@@ -106,9 +151,9 @@ impl Tape {
     }
 
     /// Discards the recorded computation but keeps the node buffer's
-    /// allocation, so one tape can be reused across many samples (the
-    /// data-parallel training loop hands each worker a private tape and
-    /// resets it between samples instead of reallocating).
+    /// allocation, so one tape can be reused across many samples: the
+    /// training loop keeps one tape per worker task across optimizer steps
+    /// and resets it before each sample instead of reallocating.
     pub fn reset(&mut self) {
         self.nodes.clear();
     }
@@ -119,8 +164,14 @@ impl Tape {
     }
 
     fn push(&mut self, op: Op, value: Matrix, param: Option<ParamId>) -> VarId {
+        let needs_grad = param.is_some() || op.any_operand(|v| self.nodes[v.0].needs_grad);
         let id = VarId(self.nodes.len());
-        self.nodes.push(Node { op, value, param });
+        self.nodes.push(Node {
+            op,
+            value,
+            param,
+            needs_grad,
+        });
         id
     }
 
@@ -164,11 +215,8 @@ impl Tape {
     /// # Panics
     /// Panics if `row` is not `1×c`.
     pub fn add_row(&mut self, a: VarId, row: VarId) -> VarId {
-        let (n, c) = self.value(a).shape();
-        assert_eq!(self.value(row).shape(), (1, c), "add_row needs 1x{c}");
-        let rv = self.value(row).clone();
-        let av = self.value(a);
-        let value = Matrix::from_fn(n, c, |r, col| av.get(r, col) + rv.get(0, col));
+        let mut value = self.value(a).clone();
+        value.add_row_assign(self.value(row));
         self.push(Op::AddRow(a, row), value, None)
     }
 
@@ -213,12 +261,13 @@ impl Tape {
     pub fn gather_rows(&mut self, sources: Vec<(VarId, usize)>) -> VarId {
         assert!(!sources.is_empty(), "gather_rows needs at least one row");
         let c = self.value(sources[0].0).cols();
-        let mut value = Matrix::zeros(sources.len(), c);
-        for (i, &(var, row)) in sources.iter().enumerate() {
+        let mut data = Vec::with_capacity(sources.len() * c);
+        for &(var, row) in &sources {
             let src = self.value(var);
             assert_eq!(src.cols(), c, "gather_rows column mismatch");
-            value.row_mut(i).copy_from_slice(src.row(row));
+            data.extend_from_slice(src.row(row));
         }
+        let value = Matrix::from_vec(sources.len(), c, data);
         self.push(Op::GatherRows(sources), value, None)
     }
 
@@ -278,16 +327,60 @@ impl Tape {
         b: Option<VarId>,
         act: Act,
     ) -> VarId {
+        self.fused(x, w, Some((h, u)), b, act)
+    }
+
+    /// Fused `act(x·w + b)` — one dense layer — as a single tape node, with
+    /// the bits of `matmul`, `add_row` and the activation op recorded one by
+    /// one. The value comes from the fused kernel entry point without a
+    /// second product, as the serving backend computes the readout heads.
+    ///
+    /// # Panics
+    /// Panics on operand dimension mismatches.
+    pub fn linear(&mut self, x: VarId, w: VarId, b: VarId, act: Act) -> VarId {
+        self.fused(x, w, None, Some(b), act)
+    }
+
+    /// Records `act(x·w [+ h·u] [+ b])`, valued by the fused kernel entry
+    /// point.
+    fn fused(
+        &mut self,
+        x: VarId,
+        w: VarId,
+        second: Option<(VarId, VarId)>,
+        b: Option<VarId>,
+        act: Act,
+    ) -> VarId {
         let mut out = Matrix::default();
         Kernel::global().matmul_bias_act(
             self.value(x),
             self.value(w),
-            Some((self.value(h), self.value(u))),
-            b.map(|bv| self.value(bv)),
+            second.map(|(h, u)| (self.value(h), self.value(u))),
+            b.map(|b| self.value(b)),
             act,
             &mut out,
         );
-        self.push(Op::FusedGate { x, w, h, u, b, act }, out, None)
+        let op = Op::FusedGate {
+            x,
+            w,
+            second,
+            b,
+            act,
+        };
+        self.push(op, out, None)
+    }
+
+    /// The GRU state update `(1 - z) ⊙ n + z ⊙ h` as a single tape node,
+    /// with the bits of the chain `affine(z, -1, 1)`, `mul`, `mul`, `add`
+    /// in value ([`ops::gru_blend_into`], which serving calls too) and in
+    /// every gradient.
+    ///
+    /// # Panics
+    /// Panics unless the three operands share one shape.
+    pub fn gru_blend(&mut self, z: VarId, n: VarId, h: VarId) -> VarId {
+        let mut value = Matrix::default();
+        ops::gru_blend_into(self.value(z), self.value(n), self.value(h), &mut value);
+        self.push(Op::GruBlend { z, n, h }, value, None)
     }
 
     /// Mean absolute error against a constant target, as a `1×1` scalar
@@ -368,14 +461,26 @@ impl Tape {
     /// Runs the backward pass from a `1×1` loss and returns parameter
     /// gradients.
     ///
-    /// Every product term of a rule (`g·Wᵀ`, `xᵀ·g`, …) is added into its
-    /// operand's gradient in place ([`Kernel::matmul_add_into`],
-    /// [`Kernel::t_matmul_add_into`]); a gradient not yet reached starts
-    /// zero-filled. That gives the bits of forming each term as a fresh
-    /// product and adding it with [`Matrix::add_assign`] (or moving it into
-    /// an empty slot: a product's chain starts at `+0.0`, so it never ends
-    /// at `-0.0`). Products read node values only, never gradients, so each
-    /// term is added as soon as it is formed, in the rule's operand order.
+    /// Every rule writes its terms straight into its operands' gradients,
+    /// in the rule's operand order:
+    /// - An element-wise term (`Add` … `Relu`, the blend, concatenation,
+    ///   segment ops, `MulCol`, the bias column sums, the loss) is stored
+    ///   into a gradient that is still empty and added with `+=` to a
+    ///   filled one. Zero-filling and then adding would turn a `-0.0` term
+    ///   into `+0.0`.
+    /// - A product term (`g·Wᵀ`, `xᵀ·g`, …) is added in place
+    ///   ([`Kernel::matmul_add_into`], [`Kernel::t_matmul_add_into`]) into
+    ///   a gradient zero-filled on first use. That is safe for products
+    ///   only: a product's chain starts at `+0.0`, so it never ends at
+    ///   `-0.0`, and `+0.0 + chain` is the chain. Gathered rows are added
+    ///   into a zero-filled gradient too, as they always were.
+    ///
+    /// Terms read node values only, never gradients, so the bits are those
+    /// of forming each term as a fresh matrix and adding it. Values that no
+    /// parameter reaches get no gradient and no terms. Once a node's rule
+    /// has run, its gradient buffer serves the next empty gradient, and a
+    /// fused gate's activation derivative reuses one buffer for the whole
+    /// pass.
     ///
     /// # Panics
     /// Panics if `loss` is not `1×1`.
@@ -385,139 +490,160 @@ impl Tape {
             (1, 1),
             "backward needs a scalar loss"
         );
-        let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Matrix::full(1, 1, 1.0));
+        let mut grads = Grads {
+            nodes: &self.nodes,
+            slots: vec![None; self.nodes.len()],
+            free: Vec::new(),
+        };
+        grads.slots[loss.0] = Some(Matrix::full(1, 1, 1.0));
         let mut store = GradStore::new();
         let mut transposes = HashMap::new();
         let kernel = Kernel::global();
+        // The activation derivative of a fused gate, and column sums or
+        // per-segment dot products, each reused by every rule of the pass.
+        let mut dact = Matrix::default();
+        let mut sums = Vec::new();
 
-        for idx in (0..self.nodes.len()).rev() {
-            let grad = match grads[idx].take() {
-                Some(g) => g,
-                None => continue,
+        for (idx, node) in self.nodes.iter().enumerate().rev() {
+            let Some(grad) = grads.slots[idx].take() else {
+                continue;
             };
-            let node = &self.nodes[idx];
-            if let Some(pid) = node.param {
-                store.accumulate(pid, &grad);
-            }
+            let g = grad.data();
             match &node.op {
-                Op::Leaf => {}
+                Op::Leaf => {
+                    // Only parameter leaves need a gradient.
+                    if let Some(pid) = node.param {
+                        store.accumulate_owned(pid, grad);
+                    }
+                    continue;
+                }
                 Op::MatMul(a, b) => {
-                    let da = self.slot(&mut grads, *a);
-                    self.add_times_transpose(kernel, &mut transposes, &grad, *b, da);
-                    let db = self.slot(&mut grads, *b);
-                    kernel.t_matmul_add_into(&self.nodes[a.0].value, &grad, db);
+                    if let Some(da) = grads.zeroed(*a) {
+                        self.add_times_transpose(kernel, &mut transposes, &grad, *b, da);
+                    }
+                    if let Some(db) = grads.zeroed(*b) {
+                        kernel.t_matmul_add_into(&self.nodes[a.0].value, &grad, db);
+                    }
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, grad.clone());
-                    accumulate(&mut grads, *b, grad);
+                    grads.term(*a, g.iter().copied());
+                    grads.term(*b, g.iter().copied());
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, *b, grad.map(|x| -x));
-                    accumulate(&mut grads, *a, grad);
+                    grads.term(*b, g.iter().map(|x| -x));
+                    grads.term(*a, g.iter().copied());
                 }
                 Op::Mul(a, b) => {
-                    let da = grad.zip(&self.nodes[b.0].value, |g, y| g * y);
-                    let db = grad.zip(&self.nodes[a.0].value, |g, x| g * x);
-                    accumulate(&mut grads, *a, da);
-                    accumulate(&mut grads, *b, db);
+                    let (av, bv) = (self.nodes[a.0].value.data(), self.nodes[b.0].value.data());
+                    grads.term(*a, g.iter().zip(bv).map(|(g, y)| g * y));
+                    grads.term(*b, g.iter().zip(av).map(|(g, x)| g * x));
                 }
                 Op::AddRow(a, row) => {
-                    let drow = column_sums(&grad);
-                    accumulate(&mut grads, *a, grad);
-                    accumulate(&mut grads, *row, drow);
+                    grads.term(*a, g.iter().copied());
+                    column_sums_into(&grad, &mut sums);
+                    grads.term(*row, sums.iter().copied());
                 }
                 Op::Affine(a, alpha) => {
-                    accumulate(&mut grads, *a, grad.map(|g| alpha * g));
+                    grads.term(*a, g.iter().map(|g| alpha * g));
                 }
                 Op::Sigmoid(a) => {
-                    let dx = grad.zip(&node.value, |g, y| g * y * (1.0 - y));
-                    accumulate(&mut grads, *a, dx);
+                    let y = node.value.data();
+                    grads.term(*a, g.iter().zip(y).map(|(g, y)| g * y * (1.0 - y)));
                 }
                 Op::Tanh(a) => {
-                    let dx = grad.zip(&node.value, |g, y| g * (1.0 - y * y));
-                    accumulate(&mut grads, *a, dx);
+                    let y = node.value.data();
+                    grads.term(*a, g.iter().zip(y).map(|(g, y)| g * (1.0 - y * y)));
                 }
                 Op::Relu(a) => {
-                    let dx = grad.zip(&self.nodes[a.0].value, |g, x| if x > 0.0 { g } else { 0.0 });
-                    accumulate(&mut grads, *a, dx);
+                    let x = self.nodes[a.0].value.data();
+                    let relu = |(&g, &x): (&f32, &f32)| if x > 0.0 { g } else { 0.0 };
+                    grads.term(*a, g.iter().zip(x).map(relu));
                 }
                 Op::ConcatCols(a, b) => {
                     let ca = self.nodes[a.0].value.cols();
-                    let n = grad.rows();
-                    let mut da = Matrix::zeros(n, ca);
-                    let mut db = Matrix::zeros(n, grad.cols() - ca);
-                    for r in 0..n {
-                        da.row_mut(r).copy_from_slice(&grad.row(r)[..ca]);
-                        db.row_mut(r).copy_from_slice(&grad.row(r)[ca..]);
-                    }
-                    accumulate(&mut grads, *a, da);
-                    accumulate(&mut grads, *b, db);
+                    let rows = || (0..grad.rows()).map(|r| grad.row(r));
+                    grads.term_rows(*a, rows().map(|row| &row[..ca]));
+                    grads.term_rows(*b, rows().map(|row| &row[ca..]));
                 }
                 Op::GatherRows(sources) => {
                     for (i, &(var, row)) in sources.iter().enumerate() {
-                        let entry = self.slot(&mut grads, var);
-                        for (o, &g) in entry.row_mut(row).iter_mut().zip(grad.row(i)) {
-                            *o += g;
+                        if let Some(entry) = grads.zeroed(var) {
+                            for (o, &g) in entry.row_mut(row).iter_mut().zip(grad.row(i)) {
+                                *o += g;
+                            }
                         }
                     }
                 }
                 Op::SegmentSum { src, segments } => {
-                    let shape = self.nodes[src.0].value.shape();
-                    let mut dsrc = Matrix::zeros(shape.0, shape.1);
-                    for (i, &seg) in segments.iter().enumerate() {
-                        dsrc.row_mut(i).copy_from_slice(grad.row(seg));
-                    }
-                    accumulate(&mut grads, *src, dsrc);
+                    grads.term_rows(*src, segments.iter().map(|&seg| grad.row(seg)));
                 }
                 Op::SegmentSoftmax { src, segments } => {
                     // ds_i = y_i * (g_i - Σ_{j in seg} y_j g_j)
-                    let y = &node.value;
+                    let y = node.value.data();
                     let num_segments = segments.iter().copied().max().map_or(0, |s| s + 1);
-                    let mut seg_dot = vec![0.0f32; num_segments];
-                    for (i, &seg) in segments.iter().enumerate() {
-                        seg_dot[seg] += y.get(i, 0) * grad.get(i, 0);
+                    sums.clear();
+                    sums.resize(num_segments, 0.0);
+                    for ((&seg, &y), &g) in segments.iter().zip(y).zip(g) {
+                        sums[seg] += y * g;
                     }
-                    let mut dsrc = Matrix::zeros(y.rows(), 1);
-                    for (i, &seg) in segments.iter().enumerate() {
-                        dsrc.set(i, 0, y.get(i, 0) * (grad.get(i, 0) - seg_dot[seg]));
-                    }
-                    accumulate(&mut grads, *src, dsrc);
+                    let terms = segments.iter().zip(y).zip(g);
+                    grads.term(*src, terms.map(|((&seg, &y), &g)| y * (g - sums[seg])));
                 }
                 Op::MulCol(a, col) => {
-                    let av = &self.nodes[a.0].value;
-                    let mut da = Matrix::default();
-                    ops::mul_col_into(&grad, &self.nodes[col.0].value, &mut da);
-                    let mut dcol = Matrix::zeros(av.rows(), 1);
-                    for (r, d) in dcol.data_mut().iter_mut().enumerate() {
+                    let (av, cv) = (&self.nodes[a.0].value, self.nodes[col.0].value.data());
+                    let rows = 0..grad.rows();
+                    let scaled = rows.clone().flat_map(|r| {
+                        let s = cv[r];
+                        grad.row(r).iter().map(move |&v| v * s)
+                    });
+                    grads.term(*a, scaled);
+                    let dots = rows.map(|r| {
                         let pairs = grad.row(r).iter().zip(av.row(r));
-                        *d = pairs.fold(0.0, |acc, (&g, &x)| acc + g * x);
-                    }
-                    accumulate(&mut grads, *a, da);
-                    accumulate(&mut grads, *col, dcol);
+                        pairs.fold(0.0, |acc, (&g, &x)| acc + g * x)
+                    });
+                    grads.term(*col, dots);
                 }
-                Op::FusedGate { x, w, h, u, b, act } => {
+                Op::FusedGate {
+                    x,
+                    w,
+                    second,
+                    b,
+                    act,
+                } => {
                     // Same chain rule as the unfused sequence: activation
-                    // derivative from the stored output, then the two matmul
+                    // derivative from the stored output, then the matmul
                     // backward pairs and the bias row-sum.
-                    let y = &node.value;
-                    let g = match act {
-                        Act::Identity => grad.clone(),
-                        Act::Sigmoid => grad.zip(y, |g, y| g * y * (1.0 - y)),
-                        Act::Tanh => grad.zip(y, |g, y| g * (1.0 - y * y)),
-                        Act::Relu => grad.zip(y, |g, y| if y > 0.0 { g } else { 0.0 }),
-                    };
-                    let dx = self.slot(&mut grads, *x);
-                    self.add_times_transpose(kernel, &mut transposes, &g, *w, dx);
-                    let dw = self.slot(&mut grads, *w);
-                    kernel.t_matmul_add_into(&self.nodes[x.0].value, &g, dw);
-                    let dh = self.slot(&mut grads, *h);
-                    self.add_times_transpose(kernel, &mut transposes, &g, *u, dh);
-                    let du = self.slot(&mut grads, *u);
-                    kernel.t_matmul_add_into(&self.nodes[h.0].value, &g, du);
-                    if let Some(b) = b {
-                        accumulate(&mut grads, *b, column_sums(&g));
+                    let g = activation_grad(*act, &grad, &node.value, &mut dact);
+                    if let Some(dx) = grads.zeroed(*x) {
+                        self.add_times_transpose(kernel, &mut transposes, g, *w, dx);
                     }
+                    if let Some(dw) = grads.zeroed(*w) {
+                        kernel.t_matmul_add_into(&self.nodes[x.0].value, g, dw);
+                    }
+                    if let Some((h, u)) = second {
+                        if let Some(dh) = grads.zeroed(*h) {
+                            self.add_times_transpose(kernel, &mut transposes, g, *u, dh);
+                        }
+                        if let Some(du) = grads.zeroed(*u) {
+                            kernel.t_matmul_add_into(&self.nodes[h.0].value, g, du);
+                        }
+                    }
+                    if let Some(b) = b {
+                        column_sums_into(g, &mut sums);
+                        grads.term(*b, sums.iter().copied());
+                    }
+                }
+                Op::GruBlend { z, n, h } => {
+                    // The terms of the chain `affine(z, -1, 1)`, `mul`,
+                    // `mul`, `add`, in the order it emits them (its
+                    // products with `-1` are exactly negations).
+                    let zv = self.nodes[z.0].value.data();
+                    let nv = self.nodes[n.0].value.data();
+                    let hv = self.nodes[h.0].value.data();
+                    grads.term(*z, g.iter().zip(hv).map(|(g, h)| g * h));
+                    grads.term(*h, g.iter().zip(zv).map(|(g, z)| g * z));
+                    grads.term(*n, g.iter().zip(zv).map(|(g, z)| g * (-z + 1.0)));
+                    grads.term(*z, g.iter().zip(nv).map(|(g, n)| -(g * n)));
                 }
                 Op::L1Loss {
                     pred,
@@ -526,36 +652,30 @@ impl Tape {
                 } => {
                     let pv = &self.nodes[pred.0].value;
                     let (n, c) = pv.shape();
+                    let weight = |r: usize| row_weights.as_ref().map_or(1.0, |w| w[r]);
                     let mut weight_sum = 0.0f64;
                     for r in 0..n {
-                        let w = row_weights.as_ref().map_or(1.0, |w| w[r]) as f64;
-                        weight_sum += w * c as f64;
+                        weight_sum += weight(r) as f64 * c as f64;
                     }
                     if weight_sum > 0.0 {
                         let g0 = grad.get(0, 0) / weight_sum as f32;
-                        let dpred = Matrix::from_fn(n, c, |r, col| {
-                            let w = row_weights.as_ref().map_or(1.0, |w| w[r]);
-                            let d = pv.get(r, col) - target.get(r, col);
-                            g0 * w * d.signum()
+                        let dpred = (0..n).flat_map(|r| {
+                            let w = weight(r);
+                            let pairs = pv.row(r).iter().zip(target.row(r));
+                            pairs.map(move |(&p, &t)| g0 * w * (p - t).signum())
                         });
-                        accumulate(&mut grads, *pred, dpred);
+                        grads.term(*pred, dpred);
                     }
                 }
                 Op::AddScalars(scalars) => {
                     for &s in scalars {
-                        accumulate(&mut grads, s, grad.clone());
+                        grads.term(s, g.iter().copied());
                     }
                 }
             }
+            grads.recycle(grad);
         }
         store
-    }
-
-    /// The gradient of `var`, zero-filled on first use, for terms added
-    /// into it in place.
-    fn slot<'g>(&self, grads: &'g mut [Option<Matrix>], var: VarId) -> &'g mut Matrix {
-        let (rows, cols) = self.nodes[var.0].value.shape();
-        grads[var.0].get_or_insert_with(|| Matrix::zeros(rows, cols))
     }
 
     /// Adds `g · value(v)ᵀ` to `dest` on `kernel`, with the bits of adding
@@ -579,22 +699,119 @@ impl Tape {
     }
 }
 
-/// The `1×c` column sums of `g`, each summed over ascending rows from zero
-/// (the bias gradient of a broadcast row add).
-fn column_sums(g: &Matrix) -> Matrix {
-    let mut sums = Matrix::zeros(1, g.cols());
-    for r in 0..g.rows() {
-        for (s, &v) in sums.data_mut().iter_mut().zip(g.row(r)) {
-            *s += v;
-        }
-    }
-    sums
+/// The gradients of one backward pass: a slot per node, filled only for
+/// values that a parameter is reachable from, and the buffers of spent
+/// gradients, which serve the next empty slots.
+struct Grads<'t> {
+    nodes: &'t [Node],
+    slots: Vec<Option<Matrix>>,
+    free: Vec<Vec<f32>>,
 }
 
-fn accumulate(grads: &mut [Option<Matrix>], var: VarId, grad: Matrix) {
-    match &mut grads[var.0] {
-        Some(existing) => existing.add_assign(&grad),
-        slot @ None => *slot = Some(grad),
+impl Grads<'_> {
+    /// Emits one term, element by element in row-major order, into the
+    /// gradient of `var`: stored into an empty gradient, added with `+=`
+    /// to a filled one. A value no parameter reaches takes no term.
+    fn term(&mut self, var: VarId, terms: impl Iterator<Item = f32>) {
+        let node = &self.nodes[var.0];
+        if !node.needs_grad {
+            return;
+        }
+        match &mut self.slots[var.0] {
+            Some(grad) => {
+                for (g, t) in grad.data_mut().iter_mut().zip(terms) {
+                    *g += t;
+                }
+            }
+            slot @ None => {
+                let mut data = self.free.pop().unwrap_or_default();
+                data.clear();
+                data.extend(terms);
+                let (rows, cols) = node.value.shape();
+                *slot = Some(Matrix::from_vec(rows, cols, data));
+            }
+        }
+    }
+
+    /// [`Grads::term`] with the term given row by row.
+    fn term_rows<'r>(&mut self, var: VarId, rows: impl Iterator<Item = &'r [f32]>) {
+        let node = &self.nodes[var.0];
+        if !node.needs_grad {
+            return;
+        }
+        match &mut self.slots[var.0] {
+            Some(grad) => {
+                for (r, row) in rows.enumerate() {
+                    for (g, &t) in grad.row_mut(r).iter_mut().zip(row) {
+                        *g += t;
+                    }
+                }
+            }
+            slot @ None => {
+                let mut data = self.free.pop().unwrap_or_default();
+                data.clear();
+                for row in rows {
+                    data.extend_from_slice(row);
+                }
+                let (rows, cols) = node.value.shape();
+                *slot = Some(Matrix::from_vec(rows, cols, data));
+            }
+        }
+    }
+
+    /// The gradient of `var`, zero-filled on first use, for terms added
+    /// into it in place (products and gathered rows); `None` for a value
+    /// no parameter reaches.
+    fn zeroed(&mut self, var: VarId) -> Option<&mut Matrix> {
+        let node = &self.nodes[var.0];
+        if !node.needs_grad {
+            return None;
+        }
+        let free = &mut self.free;
+        Some(self.slots[var.0].get_or_insert_with(|| {
+            let (rows, cols) = node.value.shape();
+            let mut data = free.pop().unwrap_or_default();
+            data.clear();
+            data.resize(rows * cols, 0.0);
+            Matrix::from_vec(rows, cols, data)
+        }))
+    }
+
+    /// Hands a spent gradient's buffer to the next empty slot.
+    fn recycle(&mut self, grad: Matrix) {
+        self.free.push(grad.into_data());
+    }
+}
+
+/// `g ⊙ act'(y)`, from the activation's output `y`: `g` itself under
+/// [`Act::Identity`], otherwise written into `out`.
+fn activation_grad<'m>(act: Act, g: &'m Matrix, y: &Matrix, out: &'m mut Matrix) -> &'m Matrix {
+    match act {
+        Act::Identity => return g,
+        Act::Sigmoid => zip_into(out, g, y, |g, y| g * y * (1.0 - y)),
+        Act::Tanh => zip_into(out, g, y, |g, y| g * (1.0 - y * y)),
+        Act::Relu => zip_into(out, g, y, |g, y| if y > 0.0 { g } else { 0.0 }),
+    }
+    out
+}
+
+/// Writes `f(a, b)` element-wise into `out`, reusing its buffer.
+fn zip_into(out: &mut Matrix, a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) {
+    let mut data = std::mem::take(out).into_data();
+    data.clear();
+    data.extend(a.data().iter().zip(b.data()).map(|(&a, &b)| f(a, b)));
+    *out = Matrix::from_vec(a.rows(), a.cols(), data);
+}
+
+/// Writes the column sums of `g` into `sums`, each summed over ascending
+/// rows from zero (the bias gradient of a broadcast row add).
+fn column_sums_into(g: &Matrix, sums: &mut Vec<f32>) {
+    sums.clear();
+    sums.resize(g.cols(), 0.0);
+    for r in 0..g.rows() {
+        for (s, &v) in sums.iter_mut().zip(g.row(r)) {
+            *s += v;
+        }
     }
 }
 
@@ -835,6 +1052,74 @@ mod tests {
         let grads = tape.backward(loss);
         assert!(grads.get(w).is_some());
         assert!(grads.get(unused).is_none());
+    }
+
+    #[test]
+    fn one_node_layer_ops_match_their_chains_bitwise() {
+        // `linear` and `gru_blend` record one node each; their chains are
+        // `matmul`, `add_row`, activation and `affine(z, -1, 1)`, `mul`,
+        // `mul`, `add`. Every operand is a parameter, so every gradient
+        // reaches the store. The tape runs the process's kernel; the
+        // suite's `DEEPSEQ_KERNEL=naive` run covers the reference loops.
+        let fill = |rows, cols, seed: f32| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * cols + c) as f32 * 0.37 + seed).sin()
+            })
+        };
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Row 0 has weight zero and a target far below the output, so its
+        // upstream gradient is `g0 · 0 · signum(+) = +0.0`, and `h ← g·z`
+        // is a `-0.0` term into `h`'s empty gradient wherever `z < 0`.
+        let weights = vec![0.0, 1.0, 2.0, 0.5];
+        let target = Matrix::from_fn(4, 5, |r, c| if r == 0 { -10.0 } else { 0.1 * c as f32 });
+        for act in [Act::Identity, Act::Sigmoid, Act::Tanh, Act::Relu] {
+            let mut params = Params::new();
+            let x = params.register("x", fill(4, 3, 0.1));
+            let w = params.register("w", fill(3, 5, 0.2));
+            let b = params.register("b", fill(1, 5, 0.3));
+            let z = params.register("z", fill(4, 5, 3.0));
+            let h = params.register("h", fill(4, 5, 0.5));
+            assert!(params.get(z).row(0).iter().any(|&v| v < 0.0));
+            let record = |one_node: bool| {
+                let mut tape = Tape::new();
+                let [xv, wv, bv, zv, hv] = [x, w, b, z, h].map(|id| tape.param(&params, id));
+                let (y, out) = if one_node {
+                    let y = tape.linear(xv, wv, bv, act);
+                    (y, tape.gru_blend(zv, y, hv))
+                } else {
+                    let xw = tape.matmul(xv, wv);
+                    let pre = tape.add_row(xw, bv);
+                    let y = match act {
+                        Act::Identity => pre,
+                        Act::Sigmoid => tape.sigmoid(pre),
+                        Act::Tanh => tape.tanh(pre),
+                        Act::Relu => tape.relu(pre),
+                    };
+                    let one_minus_z = tape.affine(zv, -1.0, 1.0);
+                    let kept = tape.mul(one_minus_z, y);
+                    let carried = tape.mul(zv, hv);
+                    (y, tape.add(kept, carried))
+                };
+                let loss = tape.l1_loss_weighted(out, &target, weights.clone());
+                let grads = tape.backward(loss);
+                (bits(tape.value(y)), bits(tape.value(out)), grads)
+            };
+            let ((y, out, got), (chain_y, chain_out, want)) = (record(true), record(false));
+            assert_eq!(y, chain_y, "{act:?} linear value");
+            assert_eq!(out, chain_out, "{act:?} blend value");
+            for (id, name, _) in params.iter() {
+                let (got, want) = (got.get(id).expect(name), want.get(id).expect(name));
+                assert_eq!(bits(got), bits(want), "{act:?} gradient of {name}");
+            }
+            let dh = got.get(h).expect("h");
+            for (c, &zc) in params.get(z).row(0).iter().enumerate() {
+                assert_eq!(
+                    dh.get(0, c).to_bits(),
+                    (0.0 * zc).to_bits(),
+                    "{act:?} dh[0][{c}]"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! `Relu`-activated fused gate) generate inputs bounded away from the kink
 //! so the numeric derivative is meaningful.
 //!
-//! Two properties run a layer twice through one `TapeOps`, whose second
-//! use reads the weight leaves of the first.
+//! The one-node layer ops (`linear` under all four activations,
+//! `gru_blend`) get their own properties. Two more run a layer twice
+//! through one `TapeOps`, whose second use reads the weight leaves of the
+//! first.
 //!
 //! The deterministic per-op unit checks live in `crates/nn/src/tape.rs`;
 //! this file is the randomized sweep the training subsystem's correctness
@@ -336,6 +338,62 @@ proptest! {
             let y = tape.fused_gate(xv, wv, hv, uv, None, Act::Tanh);
             tape.l1_loss(y, &t)
         }, 8e-2);
+        prop_assert!(ok.is_ok(), "{:?}", ok);
+    }
+
+    #[test]
+    fn grad_linear_all_acts(seed in any::<u64>()) {
+        // `Tape::linear`, one node for `act(x·w + b)`, under each
+        // activation. Operands are scaled to [-0.3, 0.3] and the bias is
+        // pushed to |b| ∈ [1.0, 2.0], as for the Relu fused gate, so no
+        // pre-activation comes near Relu's kink during the FD probes.
+        let mut rng = SeedRng(seed | 1);
+        let (m, k, d) = (rng.dim(), rng.dim(), rng.dim());
+        let small = |rng: &mut SeedRng, r: usize, c: usize| {
+            Matrix::from_fn(r, c, |_, _| rng.smooth_value() * 0.3)
+        };
+        let x0 = small(&mut rng, m, k);
+        let w0 = small(&mut rng, k, d);
+        let b0 = Matrix::from_fn(1, d, |_, _| {
+            let v = 1.0 + rng.next(1001) as f32 * 1e-3;
+            if rng.next(2) == 0 { v } else { -v }
+        });
+        let t = shifted_target(&mut rng, m, d, 8.0);
+        for act in [Act::Identity, Act::Sigmoid, Act::Tanh, Act::Relu] {
+            let mut params = Params::new();
+            let x = params.register("x", x0.clone());
+            let w = params.register("w", w0.clone());
+            let b = params.register("b", b0.clone());
+            let t = t.clone();
+            let ok = check_gradients(&mut params, move |tape, p| {
+                let xv = tape.param(p, x);
+                let wv = tape.param(p, w);
+                let bv = tape.param(p, b);
+                let y = tape.linear(xv, wv, bv, act);
+                tape.l1_loss(y, &t)
+            }, 8e-2);
+            prop_assert!(ok.is_ok(), "{act:?}: {:?}", ok);
+        }
+    }
+
+    #[test]
+    fn grad_gru_blend(seed in any::<u64>()) {
+        // `Tape::gru_blend`, one node for `(1 - z) ⊙ n + z ⊙ h`; all three
+        // operands are parameters.
+        let mut rng = SeedRng(seed | 1);
+        let (m, d) = (rng.dim(), rng.dim());
+        let t = shifted_target(&mut rng, m, d, 6.0);
+        let mut params = Params::new();
+        let z = params.register("z", rng.matrix(m, d));
+        let n = params.register("n", rng.matrix(m, d));
+        let h = params.register("h", rng.matrix(m, d));
+        let ok = check_gradients(&mut params, move |tape, p| {
+            let zv = tape.param(p, z);
+            let nv = tape.param(p, n);
+            let hv = tape.param(p, h);
+            let y = tape.gru_blend(zv, nv, hv);
+            tape.l1_loss(y, &t)
+        }, 5e-2);
         prop_assert!(ok.is_ok(), "{:?}", ok);
     }
 

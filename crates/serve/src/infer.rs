@@ -35,7 +35,8 @@ use deepseq_core::{
     CircuitGraph, DeepSeq, DeepSeqConfig, DirectionLayer, LevelBatch, Predictions, Step,
 };
 use deepseq_nn::ops::{
-    concat_cols_into, mean_pool, mul_col_into, segment_softmax_into, segment_sum_into,
+    concat_cols_into, gru_blend_into, mean_pool, mul_col_into, segment_softmax_into,
+    segment_sum_into,
 };
 use deepseq_nn::pool::chunk_ranges_or_whole;
 use deepseq_nn::trace;
@@ -517,15 +518,7 @@ impl Ops for Eval<'_> {
     }
 
     fn gru_blend(&mut self, z: usize, n: usize, h: usize) -> usize {
-        self.push(|_, s, out| {
-            out.reset(s[z].rows(), s[z].cols());
-            let inputs = s[z].data().iter().zip(s[n].data()).zip(s[h].data());
-            for (o, ((&z, &n), &h)) in out.data_mut().iter_mut().zip(inputs) {
-                // The tape's expression tree, affine(z, -1, 1) ⊙ n + z ⊙ h
-                // (negation is exactly the tape's `-1 · z`).
-                *o = (-z + 1.0) * n + z * h;
-            }
-        })
+        self.push(|_, s, out| gru_blend_into(&s[z], &s[n], &s[h], out))
     }
 }
 

@@ -39,11 +39,16 @@ fn drain_completes_in_flight_requests_and_accepts_no_new_connections() {
         .collect();
 
     // Wait (in-process, no extra connections) until all four requests are
-    // past the drain gate: one in flight, three queued.
+    // past the drain gate: in flight, queued, or already answered — a
+    // request can finish before the last client reaches the gate. A
+    // request moves from queued to in flight to answered, and the server
+    // releases its slot before it counts the status, so reading the later
+    // stages first never counts a request twice.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let admitted =
-            metrics.in_flight.load(Ordering::Relaxed) + metrics.queue_depth.load(Ordering::Relaxed);
+        let answered = metrics.responses_2xx.load(Ordering::Relaxed);
+        let in_flight = metrics.in_flight.load(Ordering::Relaxed);
+        let admitted = answered + in_flight + metrics.queue_depth.load(Ordering::Relaxed);
         if admitted == 4 {
             break;
         }
