@@ -1,9 +1,11 @@
 //! Internal probe: fine-tuning strength vs. power-estimation error on one
 //! design. Used to calibrate the default scale; not part of the evaluation.
 //!
-//! Run: `cargo run --release -p deepseq-bench --bin probe_ft [design] [workloads] [epochs] [lr]`
+//! Run: `cargo run --release -p deepseq-bench --bin probe_ft [design] [workloads] [epochs] [lr] [pretrained]`
+//! (`pretrained` starts from the bench crate's cached pre-trained model at
+//! the current scale, training it first when no cache exists).
 
-use deepseq_bench::Scale;
+use deepseq_bench::{build_samples, pretrained_deepseq, Scale};
 use deepseq_core::train::{train, TrainOptions};
 use deepseq_core::DeepSeq;
 use deepseq_data::designs::design_by_name;
@@ -39,13 +41,8 @@ fn main() {
     println!("label generation: {:.1}s", t0.elapsed().as_secs_f64());
 
     let mut model = if args.get(5).map(String::as_str) == Some("pretrained") {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/deepseq_cache/pretrained_h24_t3_c160_e40.txt"
-        );
-        let text = std::fs::read_to_string(path).expect("cached checkpoint");
-        println!("starting from pretrained checkpoint");
-        DeepSeq::from_checkpoint(&text).expect("valid checkpoint")
+        println!("starting from the pre-trained checkpoint");
+        pretrained_deepseq(&scale, &build_samples(&scale, scale.hidden).0)
     } else {
         DeepSeq::new(scale.config(
             deepseq_core::Aggregator::DualAttention,

@@ -208,17 +208,18 @@ fn cache_path(scale: &Scale) -> PathBuf {
     .join("deepseq_cache");
     let _ = fs::create_dir_all(&dir);
     dir.join(format!(
-        "pretrained_h{}_t{}_c{}_e{}.txt",
+        "pretrained_h{}_t{}_c{}_e{}.dsqm",
         scale.hidden, scale.iterations, scale.circuits, scale.epochs
     ))
 }
 
 /// Returns a pre-trained DeepSeq model at this scale, training (and caching
-/// a checkpoint under `target/deepseq_cache/`) on first use.
+/// a `DSQM` checkpoint under `target/deepseq_cache/`) on first use. A cache
+/// file that does not decode is retrained and rewritten.
 pub fn pretrained_deepseq(scale: &Scale, samples: &[TrainSample]) -> DeepSeq {
     let path = cache_path(scale);
-    if let Ok(text) = fs::read_to_string(&path) {
-        if let Ok(model) = DeepSeq::from_checkpoint(&text) {
+    if let Ok(bytes) = fs::read(&path) {
+        if let Ok(model) = DeepSeq::from_binary_checkpoint(&bytes) {
             eprintln!(
                 "[deepseq-bench] loaded cached checkpoint {}",
                 path.display()
@@ -239,7 +240,7 @@ pub fn pretrained_deepseq(scale: &Scale, samples: &[TrainSample]) -> DeepSeq {
         scale.epochs,
         start.elapsed().as_secs_f64()
     );
-    let _ = fs::write(&path, model.save_to_string());
+    let _ = deepseq_nn::write_atomic(&path, &model.save_binary());
     model
 }
 

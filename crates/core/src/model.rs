@@ -10,6 +10,7 @@
 //! tape in [`DeepSeq::forward`], in reused scratch buffers (levels chunked
 //! across a pool) in the serving crate's `InferenceModel`.
 
+use std::fmt::Write as _;
 use std::ops::Range;
 
 use deepseq_netlist::aig::NUM_NODE_TYPES;
@@ -269,27 +270,44 @@ impl DeepSeq {
         mean_pool(tape.value(vars.hidden))
     }
 
-    /// Serializes configuration + weights to a self-contained string.
-    pub fn save_to_string(&self) -> String {
+    /// Renders configuration + weights as a text checkpoint, for
+    /// `deepseq-serve convert` only: a `deepseq-model v1` header line, then
+    /// a `deepseq-params v1` body of `param <name> <rows> <cols>` lines,
+    /// each followed by its rows of shortest round-tripping decimals, so
+    /// [`DeepSeq::from_text`] restores the same bits.
+    pub fn to_text(&self) -> String {
         let c = &self.config;
         let mut out = format!(
-            "deepseq-model v1 hidden={} iters={} agg={} scheme={} seed={}\n",
+            "deepseq-model v1 hidden={} iters={} agg={} scheme={} seed={}\ndeepseq-params v1\n",
             c.hidden_dim,
             c.iterations,
             aggregator_tag(c.aggregator),
             scheme_tag(c.scheme),
             c.seed
         );
-        out.push_str(&self.params.save_to_string());
+        for (_, name, value) in self.params.iter() {
+            let _ = writeln!(out, "param {name} {} {}", value.rows(), value.cols());
+            for r in 0..value.rows() {
+                let row: Vec<String> = value.row(r).iter().map(|v| format!("{v:e}")).collect();
+                out.push_str(&row.join(" "));
+                out.push('\n');
+            }
+        }
         out
     }
 
-    /// Restores a model saved by [`DeepSeq::save_to_string`].
+    /// Restores a model from [`DeepSeq::to_text`] output, which must end
+    /// with a newline (so no strict prefix of a checkpoint loads) and give
+    /// each parameter once. The model it gives is then decoded as `DSQM`,
+    /// under the loading rule of [`DeepSeq::from_binary_checkpoint`].
     ///
     /// # Errors
-    /// Returns [`ParamsError`] on malformed input.
-    pub fn from_checkpoint(text: &str) -> Result<Self, ParamsError> {
-        let (header, rest) = text.split_once('\n').ok_or(ParamsError::BadHeader)?;
+    /// [`ParamsError::BadHeader`] / [`ParamsError::Parse`] /
+    /// [`ParamsError::UnexpectedEof`] / [`ParamsError::Corrupt`] for text
+    /// that is not one whole checkpoint, and the errors of
+    /// [`DeepSeq::from_binary_checkpoint`].
+    pub fn from_text(text: &str) -> Result<Self, ParamsError> {
+        let (header, body) = text.split_once('\n').ok_or(ParamsError::BadHeader)?;
         let mut fields = header.split_whitespace();
         if fields.next() != Some("deepseq-model") || fields.next() != Some("v1") {
             return Err(ParamsError::BadHeader);
@@ -298,9 +316,10 @@ impl DeepSeq {
         for field in fields {
             let (key, value) = field.split_once('=').ok_or(ParamsError::BadHeader)?;
             match key {
-                "hidden" => config.hidden_dim = parse_usize(value)?,
-                "iters" => config.iterations = parse_usize(value)?,
-                "seed" => config.seed = parse_usize(value)? as u64,
+                // `DSQM` stores both as `u32`.
+                "hidden" => config.hidden_dim = parse_header_value::<u32>(value)? as usize,
+                "iters" => config.iterations = parse_header_value::<u32>(value)? as usize,
+                "seed" => config.seed = parse_header_value(value)?,
                 "agg" => {
                     config.aggregator = match value {
                         "convsum" => Aggregator::ConvSum,
@@ -320,46 +339,76 @@ impl DeepSeq {
                 _ => return Err(ParamsError::BadHeader),
             }
         }
-        validate_config_bounds(config.hidden_dim, config.iterations)?;
-        let mut model = DeepSeq::new(config);
-        model.params.load_from_string(rest)?;
-        Ok(model)
+        if !body.ends_with('\n') {
+            return Err(ParamsError::UnexpectedEof);
+        }
+        // The parameters as the text gives them, in its order.
+        let mut given = Params::new();
+        let mut lines = body.lines().zip(2..); // line 1 is the model header
+        match lines.next() {
+            Some((line, _)) if line.trim() == "deepseq-params v1" => {}
+            _ => return Err(ParamsError::BadHeader),
+        }
+        let parse_error = |line, msg| ParamsError::Parse { line, msg };
+        while let Some((line, lineno)) = lines.next() {
+            let mut parts = line.split_whitespace();
+            let (Some("param"), Some(name), Some(Ok(rows)), Some(Ok(cols)), None) = (
+                parts.next(),
+                parts.next(),
+                parts.next().map(str::parse::<usize>),
+                parts.next().map(str::parse::<usize>),
+                parts.next(),
+            ) else {
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let msg = "expected `param <name> <rows> <cols>`".to_string();
+                return Err(parse_error(lineno, msg));
+            };
+            if given.find(name).is_some() {
+                return Err(ParamsError::Corrupt {
+                    msg: format!("parameter `{name}` given twice"),
+                });
+            }
+            let mut values = Vec::new();
+            for _ in 0..rows {
+                let (row, lineno) = lines.next().ok_or(ParamsError::UnexpectedEof)?;
+                for tok in row.split_whitespace() {
+                    let bad = || parse_error(lineno, format!("bad float `{tok}`"));
+                    values.push(tok.parse().map_err(|_| bad())?);
+                }
+            }
+            if Some(values.len()) != rows.checked_mul(cols) {
+                let msg = format!("expected {rows}x{cols} values, got {}", values.len());
+                return Err(parse_error(lineno, msg));
+            }
+            given.register(name, Matrix::from_vec(rows, cols, values));
+        }
+        DeepSeq::from_binary_checkpoint(&encode_dsqm(&config, &given))
     }
 
     /// Serializes configuration + weights to the binary checkpoint format:
     /// a `DSQM` model header (version, config fields, little-endian)
-    /// followed by the [`Params::save_binary`] blob. Binary checkpoints are
-    /// ~4× smaller than the text format and load without float parsing —
-    /// this is the format the serving subsystem (`deepseq-serve`) ships.
-    /// The byte-level layout is specified for third-party loaders in
+    /// followed by the [`Params::save_binary`] blob. This is the format
+    /// every load path reads; the serving subsystem (`deepseq-serve`) ships
+    /// it. The byte-level layout is specified for third-party loaders in
     /// `docs/CHECKPOINTS.md` at the repository root.
     pub fn save_binary(&self) -> Vec<u8> {
-        let c = &self.config;
-        let params = self.params.save_binary();
-        let mut out = Vec::with_capacity(MODEL_HEADER_LEN + params.len() + 4);
-        out.extend_from_slice(&MODEL_MAGIC);
-        out.extend_from_slice(&MODEL_VERSION.to_le_bytes());
-        out.extend_from_slice(&(c.hidden_dim as u32).to_le_bytes());
-        out.extend_from_slice(&(c.iterations as u32).to_le_bytes());
-        out.push(aggregator_byte(c.aggregator));
-        out.push(scheme_byte(c.scheme));
-        out.extend_from_slice(&c.seed.to_le_bytes());
-        out.extend_from_slice(&params);
-        // v2: CRC-32 trailer over the whole blob (the embedded DSQP blob
-        // also carries its own — the outer one covers the model header).
-        append_crc_trailer(&mut out);
-        out
+        encode_dsqm(&self.config, &self.params)
     }
 
-    /// Restores a model saved by [`DeepSeq::save_binary`].
+    /// Restores a model saved by [`DeepSeq::save_binary`]. The loading
+    /// rule: the header must describe a model that fits in the bytes after
+    /// it, and the parameters must name each of its weights exactly once.
     ///
     /// # Errors
-    /// Returns [`ParamsError::BadMagic`] for non-checkpoint bytes,
-    /// [`ParamsError::UnsupportedVersion`] for any version but 2,
-    /// [`ParamsError::ChecksumMismatch`] when the v2 CRC-32 trailer
+    /// Returns [`ParamsError::BadMagic`] for non-checkpoint bytes (text
+    /// included), [`ParamsError::UnsupportedVersion`] for any version but
+    /// 2, [`ParamsError::ChecksumMismatch`] when the v2 CRC-32 trailer
     /// disagrees with the body, [`ParamsError::Truncated`] /
-    /// [`ParamsError::Corrupt`] for damaged payloads. Trailer-less v1
-    /// checkpoints are [`ParamsError::UnsupportedVersion`].
+    /// [`ParamsError::Corrupt`] for damaged payloads and the
+    /// [`Params::load_binary`] errors. Trailer-less v1 checkpoints are
+    /// [`ParamsError::UnsupportedVersion`].
     pub fn from_binary_checkpoint(bytes: &[u8]) -> Result<Self, ParamsError> {
         // Peek the header version, then verify and strip the v2 CRC
         // trailer before trusting any of the body.
@@ -397,7 +446,7 @@ impl DeepSeq {
             }
         };
         let seed = r.u64()?;
-        validate_config_bounds(hidden_dim, iterations)?;
+        validate_config(hidden_dim, iterations, r.remaining())?;
         let config = DeepSeqConfig {
             hidden_dim,
             iterations,
@@ -409,6 +458,25 @@ impl DeepSeq {
         model.params.load_binary(r.rest())?;
         Ok(model)
     }
+}
+
+/// The `DSQM` bytes of a model with configuration `c` and weights
+/// `params` (see [`DeepSeq::save_binary`]).
+fn encode_dsqm(c: &DeepSeqConfig, params: &Params) -> Vec<u8> {
+    let params = params.save_binary();
+    let mut out = Vec::with_capacity(MODEL_HEADER_LEN + params.len() + 4);
+    out.extend_from_slice(&MODEL_MAGIC);
+    out.extend_from_slice(&MODEL_VERSION.to_le_bytes());
+    out.extend_from_slice(&(c.hidden_dim as u32).to_le_bytes());
+    out.extend_from_slice(&(c.iterations as u32).to_le_bytes());
+    out.push(aggregator_byte(c.aggregator));
+    out.push(scheme_byte(c.scheme));
+    out.extend_from_slice(&c.seed.to_le_bytes());
+    out.extend_from_slice(&params);
+    // v2: CRC-32 trailer over the whole blob (the embedded DSQP blob
+    // also carries its own — the outer one covers the model header).
+    append_crc_trailer(&mut out);
+    out
 }
 
 /// Magic bytes opening every binary *model* checkpoint (the parameter blob
@@ -431,7 +499,19 @@ pub const MAX_CHECKPOINT_HIDDEN_DIM: usize = 1 << 14;
 /// Largest iteration count a checkpoint header may claim.
 pub const MAX_CHECKPOINT_ITERATIONS: usize = 1 << 20;
 
-fn validate_config_bounds(hidden_dim: usize, iterations: usize) -> Result<(), ParamsError> {
+/// `d×d` matrices every configuration registers: the `U` weights of the
+/// three gates of both GRUs and the two hidden layers of both heads.
+const SQUARE_MATRICES: u64 = 10;
+
+/// Checks a `DSQM` header before `DeepSeq::new` allocates its model: the
+/// configuration must be within bounds, and its `d×d` matrices alone, at
+/// four bytes per weight, must fit in the `available` bytes of parameters
+/// that follow the header.
+fn validate_config(
+    hidden_dim: usize,
+    iterations: usize,
+    available: usize,
+) -> Result<(), ParamsError> {
     if hidden_dim == 0 || hidden_dim > MAX_CHECKPOINT_HIDDEN_DIM {
         return Err(ParamsError::Corrupt {
             msg: format!("hidden dim {hidden_dim} outside 1..={MAX_CHECKPOINT_HIDDEN_DIM}"),
@@ -440,6 +520,15 @@ fn validate_config_bounds(hidden_dim: usize, iterations: usize) -> Result<(), Pa
     if iterations > MAX_CHECKPOINT_ITERATIONS {
         return Err(ParamsError::Corrupt {
             msg: format!("iteration count {iterations} exceeds {MAX_CHECKPOINT_ITERATIONS}"),
+        });
+    }
+    let needed = SQUARE_MATRICES * 4 * (hidden_dim as u64).pow(2);
+    if (available as u64) < needed {
+        return Err(ParamsError::Corrupt {
+            msg: format!(
+                "hidden dim {hidden_dim} needs at least {needed} bytes of parameters, \
+                 {available} follow the header"
+            ),
         });
     }
     Ok(())
@@ -477,7 +566,7 @@ fn scheme_tag(s: PropagationScheme) -> &'static str {
     }
 }
 
-fn parse_usize(s: &str) -> Result<usize, ParamsError> {
+fn parse_header_value<T: std::str::FromStr>(s: &str) -> Result<T, ParamsError> {
     s.parse().map_err(|_| ParamsError::BadHeader)
 }
 
@@ -595,17 +684,160 @@ mod tests {
         let graph = CircuitGraph::build(&aig);
         let h0 = crate::encoding::initial_states(&aig, &Workload::uniform(2, 0.5), 8, 3);
         let before = model.predict(&graph, &h0);
-        let text = model.save_to_string();
-        let restored = DeepSeq::from_checkpoint(&text).unwrap();
+        let text = model.to_text();
+        let restored = DeepSeq::from_text(&text).unwrap();
         let after = restored.predict(&graph, &h0);
         assert_eq!(before, after);
         assert_eq!(restored.config(), model.config());
+        assert_eq!(
+            restored.params().save_binary(),
+            model.params().save_binary()
+        );
     }
 
     #[test]
     fn checkpoint_rejects_garbage() {
-        assert!(DeepSeq::from_checkpoint("nonsense").is_err());
-        assert!(DeepSeq::from_checkpoint("deepseq-model v2 hidden=8\nx").is_err());
+        assert!(DeepSeq::from_text("nonsense").is_err());
+        assert!(DeepSeq::from_text("deepseq-model v2 hidden=8\nx").is_err());
+    }
+
+    fn tiny_model() -> DeepSeq {
+        DeepSeq::new(DeepSeqConfig {
+            hidden_dim: 3,
+            ..small_config(Aggregator::DualAttention, PropagationScheme::Custom)
+        })
+    }
+
+    #[test]
+    fn text_rejects_bad_header() {
+        let text = tiny_model().to_text();
+        let (model_line, body) = text.split_once('\n').unwrap();
+        for bad in [
+            "nope\n".to_string(),
+            format!(
+                "{model_line}\nnope\n{}",
+                &body[body.find('\n').unwrap() + 1..]
+            ),
+            text.replace("agg=dual", "agg=max"),
+        ] {
+            assert_eq!(DeepSeq::from_text(&bad).err(), Some(ParamsError::BadHeader));
+        }
+    }
+
+    #[test]
+    fn text_rejects_unknown_param() {
+        let text = tiny_model()
+            .to_text()
+            .replace("param fwd.gru.uz ", "param ghost ");
+        assert_eq!(
+            DeepSeq::from_text(&text).err(),
+            Some(ParamsError::UnknownParam("ghost".into()))
+        );
+    }
+
+    #[test]
+    fn text_rejects_shape_mismatch() {
+        // `fwd.gru.bz` given as 1×2 instead of 1×3, values and all.
+        let text = tiny_model().to_text();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let at = lines
+            .iter()
+            .position(|&l| l == "param fwd.gru.bz 1 3")
+            .unwrap();
+        let row: Vec<&str> = lines[at + 1].split(' ').take(2).collect();
+        let row = row.join(" ");
+        lines[at] = "param fwd.gru.bz 1 2";
+        lines[at + 1] = &row;
+        assert_eq!(
+            DeepSeq::from_text(&(lines.join("\n") + "\n")).err(),
+            Some(ParamsError::ShapeMismatch {
+                name: "fwd.gru.bz".into(),
+                expected: (1, 3),
+                actual: (1, 2),
+            })
+        );
+    }
+
+    #[test]
+    fn text_rejects_every_strict_prefix_and_duplicated_params() {
+        let model = DeepSeq::new(DeepSeqConfig {
+            hidden_dim: 4,
+            ..small_config(Aggregator::DualAttention, PropagationScheme::Custom)
+        });
+        let text = model.to_text();
+        assert!(DeepSeq::from_text(&text).is_ok());
+        for cut in 0..text.len() {
+            assert!(
+                DeepSeq::from_text(&text[..cut]).is_err(),
+                "prefix of {cut} of {} bytes loaded",
+                text.len()
+            );
+        }
+        // The first parameter block, given a second time at the end.
+        let first = text.find("param ").unwrap();
+        let second = first + 1 + text[first + 1..].find("param ").unwrap();
+        let twice = format!("{text}{}", &text[first..second]);
+        assert!(matches!(
+            DeepSeq::from_text(&twice),
+            Err(ParamsError::Corrupt { msg }) if msg.contains("given twice")
+        ));
+    }
+
+    /// A CRC-valid `DSQM` of `model`'s header around `params`.
+    fn dsqm_with_params(model: &DeepSeq, params: &Params) -> Vec<u8> {
+        let mut bytes = model.save_binary()[..MODEL_HEADER_LEN].to_vec();
+        bytes.extend_from_slice(&params.save_binary());
+        append_crc_trailer(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn binary_checkpoint_rejects_a_missing_param() {
+        let model = tiny_model();
+        assert!(DeepSeq::from_binary_checkpoint(&dsqm_with_params(&model, model.params())).is_ok());
+        let mut partial = Params::new();
+        let last = model.params().len() - 1;
+        for (_, name, value) in model.params().iter().take(last) {
+            partial.register(name, value.clone());
+        }
+        let missing = model.params().name(deepseq_nn::ParamId(last)).to_string();
+        assert_eq!(
+            DeepSeq::from_binary_checkpoint(&dsqm_with_params(&model, &partial)).err(),
+            Some(ParamsError::MissingParam(missing))
+        );
+    }
+
+    #[test]
+    fn every_configuration_fits_the_header_bound() {
+        // The bound rejects headers by their `d×d` matrices alone; every
+        // aggregator and scheme must register at least that many.
+        for aggregator in [
+            Aggregator::ConvSum,
+            Aggregator::Attention,
+            Aggregator::DualAttention,
+        ] {
+            for scheme in [
+                PropagationScheme::DagConv,
+                PropagationScheme::DagRec,
+                PropagationScheme::Custom,
+            ] {
+                for hidden_dim in [2, 5] {
+                    let config = DeepSeqConfig {
+                        hidden_dim,
+                        ..small_config(aggregator, scheme)
+                    };
+                    let model = DeepSeq::new(config);
+                    let squares = model
+                        .params()
+                        .iter()
+                        .filter(|(_, _, m)| m.shape() == (hidden_dim, hidden_dim))
+                        .count();
+                    assert!(squares as u64 >= SQUARE_MATRICES, "{config:?}: {squares}");
+                    assert!(DeepSeq::from_binary_checkpoint(&model.save_binary()).is_ok());
+                    assert!(DeepSeq::from_text(&model.to_text()).is_ok());
+                }
+            }
+        }
     }
 
     #[test]
@@ -621,7 +853,7 @@ mod tests {
         assert_eq!(restored.config(), model.config());
         assert_eq!(before, restored.predict(&graph, &h0));
         // Binary and text restores agree exactly.
-        let from_text = DeepSeq::from_checkpoint(&model.save_to_string()).unwrap();
+        let from_text = DeepSeq::from_text(&model.to_text()).unwrap();
         assert_eq!(before, from_text.predict(&graph, &h0));
     }
 
@@ -630,7 +862,7 @@ mod tests {
         // A header claiming an enormous hidden dim must yield a typed error
         // before `DeepSeq::new` tries to allocate d×d weight matrices.
         let text = "deepseq-model v1 hidden=4294967295\ndeepseq-params v1\n";
-        assert!(DeepSeq::from_checkpoint(text).is_err());
+        assert!(DeepSeq::from_text(text).is_err());
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MODEL_MAGIC);
         bytes.extend_from_slice(&MODEL_VERSION.to_le_bytes());
@@ -643,7 +875,7 @@ mod tests {
         assert!(DeepSeq::from_binary_checkpoint(&bytes).is_err());
         // Zero hidden dim is nonsense too.
         let zero = "deepseq-model v1 hidden=0\ndeepseq-params v1\n";
-        assert!(DeepSeq::from_checkpoint(zero).is_err());
+        assert!(DeepSeq::from_text(zero).is_err());
     }
 
     #[test]

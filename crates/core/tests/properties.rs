@@ -157,8 +157,61 @@ proptest! {
         let w = Workload::uniform(aig.num_pis(), 0.5);
         let h0 = initial_states(&aig, &w, hidden, 2);
         let before = model.predict(&graph, &h0);
-        let restored = DeepSeq::from_checkpoint(&model.save_to_string()).unwrap();
+        let restored = DeepSeq::from_text(&model.to_text()).unwrap();
         let after = restored.predict(&graph, &h0);
         prop_assert_eq!(before, after);
+    }
+
+    #[test]
+    fn text_and_binary_checkpoints_restore_identical_values(
+        hidden in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let mut model = DeepSeq::new(DeepSeqConfig {
+            hidden_dim: hidden,
+            iterations: 1,
+            ..DeepSeqConfig::default()
+        });
+        fill_with_value_mix(&mut model, seed);
+        let via_text = DeepSeq::from_text(&model.to_text()).expect("text load");
+        let via_binary = DeepSeq::from_binary_checkpoint(&model.save_binary()).expect("binary load");
+        let bits = |m: &DeepSeq, name: &str| -> Vec<u32> {
+            let id = m.params().find(name).expect("name survives");
+            m.params().get(id).data().iter().map(|v| v.to_bits()).collect()
+        };
+        for (_, name, _) in model.params().iter() {
+            let t = bits(&via_text, name);
+            prop_assert_eq!(&t, &bits(&via_binary, name), "{}: text and binary restores diverge", name);
+            prop_assert_eq!(&bits(&model, name), &t, "{}: text restore is lossy", name);
+        }
+    }
+}
+
+/// Overwrites every weight of `model` with a seeded mix of exact, tiny,
+/// negative (`-0.0` included) and arbitrary finite values.
+fn fill_with_value_mix(model: &mut DeepSeq, seed: u64) {
+    let mut state = seed | 1;
+    let mut next = move |bound: usize| -> usize {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as usize % bound.max(1)
+    };
+    let params = model.params_mut();
+    let ids: Vec<_> = params.iter().map(|(id, _, _)| id).collect();
+    for id in ids {
+        let m = params.get_mut(id);
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                let v = match next(5) {
+                    0 => 0.0,
+                    1 => -(r as f32) - c as f32,
+                    2 => 1.0 / (1 + next(1000)) as f32,
+                    3 => f32::from_bits(next(u32::MAX as usize) as u32 & 0x7F7F_FFFF),
+                    _ => next(1000) as f32 * 1e-3,
+                };
+                m.set(r, c, v);
+            }
+        }
     }
 }

@@ -39,8 +39,8 @@
 //!   (the paper's Combine function, Eq. 8) and [`AdditiveAttention`]
 //!   (the scoring used by Eq. 5/6), generic over [`Ops`];
 //! * [`Adam`] — the optimizer used throughout the paper (lr `1e-4`);
-//! * [`Params`] / [`GradStore`] — named parameter store with text and
-//!   binary checkpoint formats (no serialization dependencies); the
+//! * [`Params`] / [`GradStore`] — named parameter store with its `DSQP`
+//!   binary checkpoint format (no serialization dependencies); the
 //!   gradient store is dense and id-ordered, so reductions over it are
 //!   deterministic — the primitive behind bitwise-reproducible
 //!   data-parallel training.

@@ -1,23 +1,15 @@
-//! Named parameter store with self-contained text and binary checkpoint
-//! formats.
+//! Named parameter store and its checkpoint format.
 //!
 //! Models register their weights here and receive [`ParamId`]s; the autograd
 //! [`Tape`](crate::tape::Tape) accumulates gradients into a [`GradStore`]
 //! keyed by the same ids, and [`Adam`](crate::optim::Adam) applies updates.
-//! Checkpoints come in two interchangeable formats, neither requiring a
-//! serialization framework dependency:
-//!
-//! * **text** (`deepseq-params v1`): name, shape and values as decimal
-//!   floats, one matrix row per line — human-readable and diff-friendly;
-//! * **binary** (`DSQP` magic, version 2): little-endian `f32` payloads
-//!   behind a length-prefixed name/shape header per parameter — compact and
-//!   fast to load, used by the serving subsystem (`deepseq-serve`). The
-//!   byte-level layout is specified for third-party loaders in
-//!   `docs/CHECKPOINTS.md` at the repository root.
-//!
-//! Both round-trip losslessly (Rust's float formatting prints the shortest
-//! exactly-round-tripping decimal), so [`Params::save_to_string`] and
-//! [`Params::save_binary`] restore bit-identical weights.
+//! A store is checkpointed as `DSQP` (version 2): little-endian `f32`
+//! payloads behind a length-prefixed name/shape header per parameter and a
+//! CRC-32 trailer, written by [`Params::save_binary`] and read back
+//! bit-exactly by [`Params::load_binary`]. A load names every registered
+//! parameter exactly once. The byte-level layout is specified for
+//! third-party loaders in `docs/CHECKPOINTS.md` at the repository root;
+//! `deepseq-core` embeds the blob in its `DSQM` model checkpoint.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -131,89 +123,6 @@ impl Params {
             .iter()
             .enumerate()
             .map(|(i, v)| (ParamId(i), self.names[i].as_str(), v))
-    }
-
-    /// Serializes all parameters to the text checkpoint format.
-    pub fn save_to_string(&self) -> String {
-        let mut out = String::new();
-        out.push_str("deepseq-params v1\n");
-        for (_, name, value) in self.iter() {
-            out.push_str(&format!(
-                "param {} {} {}\n",
-                name,
-                value.rows(),
-                value.cols()
-            ));
-            for r in 0..value.rows() {
-                let row: Vec<String> = value.row(r).iter().map(|v| format!("{v:e}")).collect();
-                out.push_str(&row.join(" "));
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Loads values *into* already-registered parameters by name. Parameters
-    /// present in the store but missing from the checkpoint are left
-    /// untouched; unknown names in the checkpoint are an error.
-    ///
-    /// # Errors
-    /// Returns [`ParamsError`] on format violations, shape mismatches or
-    /// unknown parameter names.
-    pub fn load_from_string(&mut self, text: &str) -> Result<(), ParamsError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, header)) if header.trim() == "deepseq-params v1" => {}
-            _ => return Err(ParamsError::BadHeader),
-        }
-        while let Some((lineno, line)) = lines.next() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("param") {
-                return Err(ParamsError::Parse {
-                    line: lineno + 1,
-                    msg: "expected `param <name> <rows> <cols>`".into(),
-                });
-            }
-            let name = parts.next().ok_or(ParamsError::Parse {
-                line: lineno + 1,
-                msg: "missing name".into(),
-            })?;
-            let rows: usize = parse_field(parts.next(), lineno)?;
-            let cols: usize = parse_field(parts.next(), lineno)?;
-            let id = self
-                .find(name)
-                .ok_or_else(|| ParamsError::UnknownParam(name.to_string()))?;
-            if self.get(id).shape() != (rows, cols) {
-                return Err(ParamsError::ShapeMismatch {
-                    name: name.to_string(),
-                    expected: self.get(id).shape(),
-                    actual: (rows, cols),
-                });
-            }
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..rows {
-                let (lineno, row_line) = lines.next().ok_or(ParamsError::UnexpectedEof)?;
-                for tok in row_line.split_whitespace() {
-                    let v: f32 = tok.parse().map_err(|_| ParamsError::Parse {
-                        line: lineno + 1,
-                        msg: format!("bad float `{tok}`"),
-                    })?;
-                    data.push(v);
-                }
-            }
-            if data.len() != rows * cols {
-                return Err(ParamsError::Parse {
-                    line: lineno + 1,
-                    msg: format!("expected {} values, got {}", rows * cols, data.len()),
-                });
-            }
-            *self.get_mut(id) = Matrix::from_vec(rows, cols, data);
-        }
-        Ok(())
     }
 }
 
@@ -537,18 +446,20 @@ impl Params {
     }
 
     /// Loads a binary checkpoint written by [`Params::save_binary`] *into*
-    /// already-registered parameters by name, mirroring the semantics of
-    /// [`Params::load_from_string`]: parameters missing from the checkpoint
-    /// stay untouched; unknown names are an error.
+    /// already-registered parameters by name. The checkpoint must name
+    /// every registered parameter exactly once, with its registered shape.
+    /// On error the store may hold some of the checkpoint's values.
     ///
     /// # Errors
     /// Returns [`ParamsError::BadMagic`] / [`ParamsError::UnsupportedVersion`]
     /// on a foreign or future header, [`ParamsError::ChecksumMismatch`] when
     /// the v2 CRC-32 trailer disagrees with the body,
-    /// [`ParamsError::Truncated`] when the payload ends early, and the usual
-    /// [`ParamsError::UnknownParam`] / [`ParamsError::ShapeMismatch`] on
-    /// content mismatches. Trailer-less v1 checkpoints are
-    /// [`ParamsError::UnsupportedVersion`]; re-save them with a v2 writer.
+    /// [`ParamsError::Truncated`] when the payload ends early, and
+    /// [`ParamsError::UnknownParam`] / [`ParamsError::ShapeMismatch`] /
+    /// [`ParamsError::MissingParam`] (or [`ParamsError::Corrupt`] for a
+    /// name given twice) when the checkpoint does not describe this store.
+    /// Trailer-less v1 checkpoints are [`ParamsError::UnsupportedVersion`];
+    /// re-save them with a v2 writer.
     pub fn load_binary(&mut self, bytes: &[u8]) -> Result<(), ParamsError> {
         if crate::fault::should_inject(crate::fault::FaultPoint::CheckpointRead) {
             return Err(ParamsError::Corrupt {
@@ -570,22 +481,21 @@ impl Params {
         let _version = r.u16()?;
         let _reserved = r.u16()?;
         let count = r.u32()? as usize;
+        let mut loaded = vec![false; self.len()];
         for _ in 0..count {
             let name_len = r.u32()? as usize;
             let name_bytes = r.bytes(name_len)?;
-            let name = std::str::from_utf8(name_bytes)
-                .map_err(|_| ParamsError::Corrupt {
-                    msg: "parameter name is not UTF-8".into(),
-                })?
-                .to_string();
+            let name = std::str::from_utf8(name_bytes).map_err(|_| ParamsError::Corrupt {
+                msg: "parameter name is not UTF-8".into(),
+            })?;
             let rows = r.u32()? as usize;
             let cols = r.u32()? as usize;
             let n = rows.checked_mul(cols).ok_or(ParamsError::Corrupt {
                 msg: format!("overflowing shape {rows}x{cols}"),
             })?;
             // Bound the claimed payload against the actual remaining bytes
-            // *before* allocating — an untrusted shape field must produce a
-            // typed error, never an allocation panic.
+            // first — an untrusted shape field must produce a typed error
+            // before anything is looked up or written.
             let byte_len = n.checked_mul(4).ok_or(ParamsError::Corrupt {
                 msg: format!("overflowing shape {rows}x{cols}"),
             })?;
@@ -595,28 +505,40 @@ impl Params {
                     needed: byte_len,
                 });
             }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(f32::from_le_bytes(r.take::<4>()?));
-            }
             let id = self
-                .find(&name)
-                .ok_or(ParamsError::UnknownParam(name.clone()))?;
+                .find(name)
+                .ok_or_else(|| ParamsError::UnknownParam(name.to_string()))?;
+            if std::mem::replace(&mut loaded[id.0], true) {
+                return Err(ParamsError::Corrupt {
+                    msg: format!("parameter `{name}` given twice"),
+                });
+            }
             if self.get(id).shape() != (rows, cols) {
                 return Err(ParamsError::ShapeMismatch {
-                    name,
+                    name: name.to_string(),
                     expected: self.get(id).shape(),
                     actual: (rows, cols),
                 });
             }
-            *self.get_mut(id) = Matrix::from_vec(rows, cols, data);
+            let payload = r.bytes(byte_len)?;
+            for (v, le) in self
+                .get_mut(id)
+                .data_mut()
+                .iter_mut()
+                .zip(payload.chunks_exact(4))
+            {
+                *v = f32::from_le_bytes([le[0], le[1], le[2], le[3]]);
+            }
         }
         if !r.is_done() {
             return Err(ParamsError::Corrupt {
                 msg: format!("{} trailing bytes after last parameter", r.remaining()),
             });
         }
-        Ok(())
+        match loaded.iter().position(|&done| !done) {
+            Some(i) => Err(ParamsError::MissingParam(self.names[i].clone())),
+            None => Ok(()),
+        }
     }
 }
 
@@ -697,20 +619,14 @@ impl<'a> BinReader<'a> {
     }
 }
 
-fn parse_field(tok: Option<&str>, lineno: usize) -> Result<usize, ParamsError> {
-    tok.and_then(|t| t.parse().ok()).ok_or(ParamsError::Parse {
-        line: lineno + 1,
-        msg: "bad integer field".into(),
-    })
-}
-
 /// Errors from checkpoint loading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ParamsError {
-    /// Missing or wrong header line.
+    /// Text checkpoint: missing or malformed `deepseq-model v1` /
+    /// `deepseq-params v1` header line.
     BadHeader,
-    /// Malformed line.
+    /// Text checkpoint: malformed line.
     Parse {
         /// 1-based line number.
         line: usize,
@@ -728,9 +644,12 @@ pub enum ParamsError {
         /// Checkpoint shape.
         actual: (usize, usize),
     },
-    /// File ended mid-parameter.
+    /// Checkpoint leaves out a parameter of the model it describes.
+    MissingParam(String),
+    /// Text checkpoint ended mid-parameter or without its final newline.
     UnexpectedEof,
-    /// Binary checkpoint does not start with the `DSQP` magic.
+    /// Binary checkpoint does not start with its `DSQM` (model) or `DSQP`
+    /// (parameter store) magic.
     BadMagic,
     /// Binary checkpoint was written by an unknown format version.
     UnsupportedVersion {
@@ -744,8 +663,9 @@ pub enum ParamsError {
         /// Bytes the read needed.
         needed: usize,
     },
-    /// Binary checkpoint is structurally invalid (bad UTF-8 name,
-    /// overflowing shape, trailing bytes).
+    /// Checkpoint is structurally invalid (bad UTF-8 name, overflowing
+    /// shape, a parameter given twice, trailing bytes, a header whose model
+    /// cannot fit in the bytes that follow it).
     Corrupt {
         /// Description.
         msg: String,
@@ -765,7 +685,10 @@ pub enum ParamsError {
 impl fmt::Display for ParamsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParamsError::BadHeader => write!(f, "missing `deepseq-params v1` header"),
+            ParamsError::BadHeader => write!(
+                f,
+                "missing or malformed `deepseq-model v1` / `deepseq-params v1` header"
+            ),
             ParamsError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
             ParamsError::UnknownParam(name) => write!(f, "unknown parameter `{name}`"),
             ParamsError::ShapeMismatch {
@@ -776,8 +699,12 @@ impl fmt::Display for ParamsError {
                 f,
                 "parameter `{name}` has shape {expected:?}, checkpoint has {actual:?}"
             ),
+            ParamsError::MissingParam(name) => write!(f, "checkpoint lacks parameter `{name}`"),
             ParamsError::UnexpectedEof => write!(f, "unexpected end of checkpoint"),
-            ParamsError::BadMagic => write!(f, "missing `DSQP` binary checkpoint magic"),
+            ParamsError::BadMagic => write!(
+                f,
+                "missing binary checkpoint magic (`DSQM` for a model, `DSQP` for a parameter store)"
+            ),
             ParamsError::UnsupportedVersion { found } => {
                 write!(f, "unsupported binary checkpoint version {found}")
             }
@@ -785,7 +712,7 @@ impl fmt::Display for ParamsError {
                 f,
                 "binary checkpoint truncated: needed {needed} bytes at offset {offset}"
             ),
-            ParamsError::Corrupt { msg } => write!(f, "corrupt binary checkpoint: {msg}"),
+            ParamsError::Corrupt { msg } => write!(f, "corrupt checkpoint: {msg}"),
             ParamsError::ChecksumMismatch {
                 offset,
                 stored,
@@ -934,55 +861,6 @@ mod tests {
         }
         // Not all zero.
         assert!(p.get(w).norm() > 0.0);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut p = Params::new();
-        p.register_xavier("layer1.w", 3, 4, &mut rng);
-        p.register_xavier("layer1.b", 1, 4, &mut rng);
-        let saved = p.save_to_string();
-
-        let mut q = Params::new();
-        let mut rng2 = StdRng::seed_from_u64(2);
-        q.register_xavier("layer1.w", 3, 4, &mut rng2);
-        q.register_xavier("layer1.b", 1, 4, &mut rng2);
-        q.load_from_string(&saved).unwrap();
-        for (id, name, value) in p.iter() {
-            let _ = id;
-            let qid = q.find(name).unwrap();
-            for (a, b) in value.data().iter().zip(q.get(qid).data()) {
-                assert!((a - b).abs() < 1e-6, "{name}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn load_rejects_bad_header() {
-        let mut p = Params::new();
-        assert_eq!(p.load_from_string("nope"), Err(ParamsError::BadHeader));
-    }
-
-    #[test]
-    fn load_rejects_unknown_param() {
-        let mut p = Params::new();
-        let text = "deepseq-params v1\nparam ghost 1 1\n0.0\n";
-        assert!(matches!(
-            p.load_from_string(text),
-            Err(ParamsError::UnknownParam(_))
-        ));
-    }
-
-    #[test]
-    fn load_rejects_shape_mismatch() {
-        let mut p = Params::new();
-        p.register("w", Matrix::zeros(2, 2));
-        let text = "deepseq-params v1\nparam w 1 1\n0.0\n";
-        assert!(matches!(
-            p.load_from_string(text),
-            Err(ParamsError::ShapeMismatch { .. })
-        ));
     }
 
     fn sample_params(seed: u64) -> Params {
@@ -1223,17 +1101,31 @@ mod tests {
     }
 
     #[test]
-    fn text_and_binary_checkpoints_agree() {
-        let p = sample_params(3);
-        let mut from_text = sample_params(4);
-        from_text.load_from_string(&p.save_to_string()).unwrap();
-        let mut from_binary = sample_params(5);
-        from_binary.load_binary(&p.save_binary()).unwrap();
-        for (_, name, _) in p.iter() {
-            let a = from_text.get(from_text.find(name).unwrap());
-            let b = from_binary.get(from_binary.find(name).unwrap());
-            assert_eq!(a, b, "{name}: text and binary restores diverge");
-        }
+    fn binary_rejects_missing_and_duplicate_params() {
+        let p = sample_params(1);
+        // A store with one more parameter than the checkpoint names.
+        let mut larger = sample_params(2);
+        larger.register("extra", Matrix::zeros(1, 1));
+        assert_eq!(
+            larger.load_binary(&p.save_binary()),
+            Err(ParamsError::MissingParam("extra".into()))
+        );
+        // A CRC-valid blob that names `layer1.b` twice and `head.w` never.
+        let mut twice = Params::new();
+        let b = p.get(p.find("layer1.b").unwrap());
+        twice.register("layer1.w", p.get(p.find("layer1.w").unwrap()).clone());
+        twice.register("layer1.b", b.clone());
+        let mut bytes = twice.save_binary();
+        bytes.truncate(bytes.len() - 4);
+        let record = &bytes[12 + 12 + "layer1.w".len() + 4 * 12..].to_vec();
+        bytes.extend_from_slice(record);
+        bytes[8] = 3; // record count
+        append_crc_trailer(&mut bytes);
+        let mut q = sample_params(2);
+        assert!(matches!(
+            q.load_binary(&bytes),
+            Err(ParamsError::Corrupt { msg }) if msg.contains("`layer1.b` given twice")
+        ));
     }
 
     #[test]

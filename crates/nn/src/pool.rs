@@ -90,44 +90,12 @@ const MAX_THREADS: usize = 1024;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The per-worker job queues, with a round-robin push cursor.
-struct QueueClass {
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    next: AtomicUsize,
-}
-
-impl QueueClass {
-    fn new(workers: usize) -> QueueClass {
-        QueueClass {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[i].lock().expect("pool queue").push_back(job);
-    }
-
-    /// Dequeues one job, checking `home`'s own queue first and stealing
-    /// from the siblings in ring order otherwise. Returns the job and
-    /// whether it came from a queue other than `home`'s (a steal).
-    fn pop(&self, home: usize) -> Option<(Job, bool)> {
-        let n = self.queues.len();
-        for k in 0..n {
-            let i = (home + k) % n;
-            let job = self.queues[i].lock().expect("pool queue").pop_front();
-            if let Some(job) = job {
-                return Some((job, i != home));
-            }
-        }
-        None
-    }
-}
-
 /// Queue state shared by the workers and every `Arc<Pool>` holder.
 struct Shared {
-    queues: QueueClass,
+    /// One job queue per worker.
+    queues: Vec<Mutex<VecDeque<Job>>>,
+    /// Round-robin push cursor over `queues`.
+    next: AtomicUsize,
     /// Jobs currently queued (incremented after a push, decremented after
     /// a successful pop). Lets idle workers verify emptiness before
     /// parking without re-scanning every queue lock.
@@ -152,20 +120,29 @@ impl Shared {
     /// Enqueues a job and wakes one parked worker (any worker can steal
     /// any job).
     fn push(&self, job: Job) {
-        self.queues.push(job);
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
+        self.queues[i].lock().expect("pool queue").push_back(job);
         self.pending.fetch_add(1, Ordering::Release);
         let _guard = self.idle_lock.lock().expect("pool idle lock");
         self.idle_cv.notify_one();
     }
 
-    /// Dequeues one job, preferring `home`'s queue.
+    /// Dequeues one job, checking `home`'s own queue first and stealing
+    /// from the siblings in ring order otherwise.
     fn pop(&self, home: usize) -> Option<Job> {
-        let (job, stolen) = self.queues.pop(home)?;
-        self.pending.fetch_sub(1, Ordering::Release);
-        if stolen {
-            self.steals.fetch_add(1, Ordering::Relaxed);
+        let n = self.queues.len();
+        for k in 0..n {
+            let i = (home + k) % n;
+            let job = self.queues[i].lock().expect("pool queue").pop_front();
+            if let Some(job) = job {
+                self.pending.fetch_sub(1, Ordering::Release);
+                if i != home {
+                    self.steals.fetch_add(1, Ordering::Relaxed);
+                }
+                return Some(job);
+            }
         }
-        Some(job)
+        None
     }
 }
 
@@ -298,7 +275,8 @@ impl Pool {
             };
         }
         let shared = Arc::new(Shared {
-            queues: QueueClass::new(threads - 1),
+            queues: (1..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            next: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
             open: AtomicBool::new(true),
             idle_lock: Mutex::new(()),

@@ -359,7 +359,7 @@ impl Drop for Span {
             dur_ns: end.saturating_sub(self.start_ns),
             thread: 0, // filled by the ring below
         };
-        observe_stage(self.kind, record.dur_ns);
+        STAGES[self.kind.index()].observe(record.dur_ns);
         push_with_thread(record);
     }
 }
@@ -470,12 +470,15 @@ pub fn dropped_spans() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Stage histograms
+// Histograms
 // ---------------------------------------------------------------------------
 
+/// Finite buckets of every [`Histogram`]; an overflow bucket follows them.
+pub const HISTOGRAM_BUCKETS: usize = 14;
+
 /// Histogram bucket upper bounds for stage durations, in nanoseconds
-/// (1 µs … 5 s; an implicit +Inf bucket follows).
-pub const STAGE_BUCKET_BOUNDS_NS: [u64; 14] = [
+/// (1 µs … 5 s).
+pub const STAGE_BUCKET_BOUNDS_NS: [u64; HISTOGRAM_BUCKETS] = [
     1_000,
     5_000,
     10_000,
@@ -492,52 +495,76 @@ pub const STAGE_BUCKET_BOUNDS_NS: [u64; 14] = [
     5_000_000_000,
 ];
 
-struct StageCell {
-    buckets: [AtomicU64; STAGE_BUCKET_BOUNDS_NS.len()],
+/// An atomic, insert-only duration histogram over one table of bucket
+/// upper bounds in nanoseconds: a count per bucket, the overflow past the
+/// last bound, the total count and the sum. An observation increments one
+/// bucket; readers that want cumulative counts sum them. The stage
+/// histograms here and the serving latency histograms are this type.
+#[derive(Debug)]
+pub struct Histogram {
+    bounds_ns: &'static [u64; HISTOGRAM_BUCKETS],
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     overflow: AtomicU64,
     count: AtomicU64,
     sum_ns: AtomicU64,
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-#[allow(clippy::declare_interior_mutable_const)]
-const STAGE_ZERO: StageCell = StageCell {
-    buckets: [ZERO; STAGE_BUCKET_BOUNDS_NS.len()],
-    overflow: ZERO,
-    count: ZERO,
-    sum_ns: ZERO,
-};
+impl Histogram {
+    /// An empty histogram over `bounds_ns` (ascending).
+    pub const fn new(bounds_ns: &'static [u64; HISTOGRAM_BUCKETS]) -> Histogram {
+        Histogram {
+            bounds_ns,
+            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
+            overflow: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
+        }
+    }
 
-static STAGES: [StageCell; SpanKind::ALL.len()] = [STAGE_ZERO; SpanKind::ALL.len()];
+    /// Records one observation of `dur_ns` nanoseconds.
+    pub fn observe(&self, dur_ns: u64) {
+        let bucket = match self.bounds_ns.iter().position(|&b| dur_ns <= b) {
+            Some(i) => &self.buckets[i],
+            None => &self.overflow,
+        };
+        bucket.fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(dur_ns, Ordering::Relaxed);
+    }
 
-fn observe_stage(kind: SpanKind, dur_ns: u64) {
-    let cell = &STAGES[kind.index()];
-    match STAGE_BUCKET_BOUNDS_NS.iter().position(|&b| dur_ns <= b) {
-        Some(i) => cell.buckets[i].fetch_add(1, Ordering::Relaxed),
-        None => cell.overflow.fetch_add(1, Ordering::Relaxed),
-    };
-    cell.count.fetch_add(1, Ordering::Relaxed);
-    cell.sum_ns.fetch_add(dur_ns, Ordering::Relaxed);
+    /// Total observations.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// The current counts.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            bounds_ns: self.bounds_ns,
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            overflow: self.overflow.load(Ordering::Relaxed),
+            count: self.count(),
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+        }
+    }
 }
 
-/// Aggregated duration histogram for one [`SpanKind`].
+/// The counts of a [`Histogram`] at one instant.
 #[derive(Clone, Debug)]
-pub struct StageStats {
-    /// The stage.
-    pub kind: SpanKind,
-    /// Per-bucket (non-cumulative) counts, aligned with
-    /// [`STAGE_BUCKET_BOUNDS_NS`].
-    pub buckets: [u64; STAGE_BUCKET_BOUNDS_NS.len()],
-    /// Spans above the last finite bound.
+pub struct HistogramSnapshot {
+    /// Bucket upper bounds, nanoseconds.
+    pub bounds_ns: &'static [u64; HISTOGRAM_BUCKETS],
+    /// Per-bucket (non-cumulative) counts, aligned with `bounds_ns`.
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
+    /// Observations above the last bound.
     pub overflow: u64,
-    /// Total spans observed.
+    /// Total observations.
     pub count: u64,
     /// Total duration observed, nanoseconds.
     pub sum_ns: u64,
 }
 
-impl StageStats {
+impl HistogramSnapshot {
     /// Approximate quantile (`q` in `[0, 1]`) in **seconds**, linearly
     /// interpolated within the containing bucket. Zero when empty; the
     /// last finite bound when the quantile lands in the overflow bucket.
@@ -548,8 +575,7 @@ impl StageStats {
         let target = (q * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         let mut lower = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            let upper = STAGE_BUCKET_BOUNDS_NS[i];
+        for (&upper, &n) in self.bounds_ns.iter().zip(&self.buckets) {
             if seen + n >= target {
                 let into = (target - seen) as f64 / n.max(1) as f64;
                 let ns = lower as f64 + into * (upper - lower) as f64;
@@ -558,29 +584,19 @@ impl StageStats {
             seen += n;
             lower = upper;
         }
-        *STAGE_BUCKET_BOUNDS_NS.last().expect("non-empty bounds") as f64 / 1e9
+        self.bounds_ns[HISTOGRAM_BUCKETS - 1] as f64 / 1e9
     }
 }
 
+static STAGES: [Histogram; SpanKind::ALL.len()] =
+    [const { Histogram::new(&STAGE_BUCKET_BOUNDS_NS) }; SpanKind::ALL.len()];
+
 /// Snapshot every stage histogram (one entry per [`SpanKind::ALL`] member,
 /// all zeros for stages never observed — presence is unconditional).
-pub fn stage_stats() -> Vec<StageStats> {
+pub fn stage_stats() -> Vec<(SpanKind, HistogramSnapshot)> {
     SpanKind::ALL
         .iter()
-        .map(|&kind| {
-            let cell = &STAGES[kind.index()];
-            let mut buckets = [0u64; STAGE_BUCKET_BOUNDS_NS.len()];
-            for (out, b) in buckets.iter_mut().zip(cell.buckets.iter()) {
-                *out = b.load(Ordering::Relaxed);
-            }
-            StageStats {
-                kind,
-                buckets,
-                overflow: cell.overflow.load(Ordering::Relaxed),
-                count: cell.count.load(Ordering::Relaxed),
-                sum_ns: cell.sum_ns.load(Ordering::Relaxed),
-            }
-        })
+        .map(|&kind| (kind, STAGES[kind.index()].snapshot()))
         .collect()
 }
 
@@ -703,19 +719,13 @@ mod tests {
     fn stage_stats_cover_all_kinds_and_quantiles_interpolate() {
         let stats = stage_stats();
         assert_eq!(stats.len(), SpanKind::ALL.len());
-        for (stat, kind) in stats.iter().zip(SpanKind::ALL) {
-            assert_eq!(stat.kind, kind);
+        for ((found, stat), kind) in stats.iter().zip(SpanKind::ALL) {
+            assert_eq!(*found, kind);
             let spread: u64 = stat.buckets.iter().sum::<u64>() + stat.overflow;
             assert_eq!(spread, stat.count, "bucket sum != count for {kind:?}");
         }
 
-        let mut synthetic = StageStats {
-            kind: SpanKind::Gemm,
-            buckets: [0; STAGE_BUCKET_BOUNDS_NS.len()],
-            overflow: 0,
-            count: 0,
-            sum_ns: 0,
-        };
+        let mut synthetic = Histogram::new(&STAGE_BUCKET_BOUNDS_NS).snapshot();
         assert_eq!(synthetic.quantile(0.5), 0.0);
         synthetic.buckets[0] = 100; // all ≤ 1 µs
         synthetic.count = 100;
@@ -724,6 +734,19 @@ mod tests {
         synthetic.overflow = 1_000_000;
         synthetic.count += 1_000_000;
         assert_eq!(synthetic.quantile(0.99), 5.0);
+    }
+
+    #[test]
+    fn an_observation_lands_in_one_bucket() {
+        let h = Histogram::new(&STAGE_BUCKET_BOUNDS_NS);
+        h.observe(1_000); // on the first bound
+        h.observe(1_001);
+        h.observe(6_000_000_000); // past the last bound
+        let s = h.snapshot();
+        assert_eq!(s.buckets[..3], [1, 1, 0]);
+        assert_eq!(s.buckets.iter().sum::<u64>(), 2);
+        assert_eq!((s.overflow, s.count, h.count()), (1, 3, 3));
+        assert_eq!(s.sum_ns, 6_000_002_001);
     }
 
     #[test]

@@ -217,20 +217,6 @@ proptest! {
     }
 
     #[test]
-    fn text_and_binary_checkpoints_restore_identical_values(store in arb_params()) {
-        let mut via_text = shapes_of(&store);
-        via_text.load_from_string(&store.save_to_string()).expect("text load");
-        let mut via_binary = shapes_of(&store);
-        via_binary.load_binary(&store.save_binary()).expect("binary load");
-        for (_, name, original) in store.iter() {
-            let t = via_text.get(via_text.find(name).expect("text name"));
-            let b = via_binary.get(via_binary.find(name).expect("binary name"));
-            prop_assert_eq!(t, b, "{}: text and binary restores diverge", name);
-            prop_assert_eq!(original, t, "{}: text restore is lossy", name);
-        }
-    }
-
-    #[test]
     fn kernels_agree_with_naive_to_zero_ulp(seed in any::<u64>()) {
         // Every kernel variant must reproduce the naive kernel's exact
         // bit patterns — accumulation order is part of the kernel

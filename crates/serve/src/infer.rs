@@ -30,7 +30,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use deepseq_core::model::MODEL_MAGIC;
 use deepseq_core::{
     CircuitGraph, DeepSeq, DeepSeqConfig, DirectionLayer, LevelBatch, Predictions, Step,
 };
@@ -40,7 +39,7 @@ use deepseq_nn::ops::{
 };
 use deepseq_nn::pool::chunk_ranges_or_whole;
 use deepseq_nn::trace;
-use deepseq_nn::{Act, CheckpointMap, Kernel, Matrix, Ops, ParamId, Params, ParamsError, Pool};
+use deepseq_nn::{Act, CheckpointMap, Kernel, Matrix, Ops, ParamId, Params, Pool};
 
 use crate::{cone, ServeError};
 
@@ -50,7 +49,7 @@ const MIN_NODES_PER_CHUNK: usize = 16;
 
 /// A frozen, tape-free DeepSeq model for inference.
 ///
-/// Construct it from a trained [`DeepSeq`] (or directly from a text/binary
+/// Construct it from a trained [`DeepSeq`] (or directly from a `DSQM`
 /// checkpoint) and call [`InferenceModel::predict`]; for request loops,
 /// keep one [`Workspace`] per thread and use
 /// [`InferenceModel::run`] to avoid per-request allocation.
@@ -110,15 +109,6 @@ impl InferenceModel {
     /// Freezes a copy of the weights of a trained model.
     pub fn from_model(model: &DeepSeq) -> Self {
         InferenceModel::from(model.clone())
-    }
-
-    /// Loads a text checkpoint (see [`DeepSeq::from_checkpoint`]) and
-    /// freezes it.
-    ///
-    /// # Errors
-    /// Propagates checkpoint parse errors as [`ServeError::Checkpoint`].
-    pub fn from_text_checkpoint(text: &str) -> Result<Self, ServeError> {
-        Ok(DeepSeq::from_checkpoint(text)?.into())
     }
 
     /// Loads a binary checkpoint (see [`DeepSeq::from_binary_checkpoint`])
@@ -287,34 +277,19 @@ impl InferenceModel {
     }
 }
 
-/// Loads a DeepSeq checkpoint file: binary when it starts with the `DSQM`
-/// magic, text otherwise. The file is mapped ([`CheckpointMap`]), not
+/// Loads a `DSQM` checkpoint file ([`DeepSeq::from_binary_checkpoint`],
+/// which verifies its CRC). The file is mapped ([`CheckpointMap`]), not
 /// copied into a heap buffer — decoding reads straight out of the page
-/// cache. Returns the model and the format it was stored in.
+/// cache.
 ///
 /// # Errors
 /// [`ServeError::Io`] if the file cannot be read; [`ServeError::Checkpoint`]
-/// if it does not decode — bytes that are neither a binary checkpoint nor
-/// UTF-8 text give [`ParamsError::BadHeader`].
-pub fn load_checkpoint(path: &Path) -> Result<(DeepSeq, CheckpointFormat), ServeError> {
+/// if it does not decode. A text checkpoint is
+/// [`ParamsError::BadMagic`](deepseq_nn::ParamsError::BadMagic): convert
+/// it with `deepseq-serve convert` first.
+pub fn load_checkpoint(path: &Path) -> Result<DeepSeq, ServeError> {
     let map = CheckpointMap::open(path).map_err(|e| ServeError::Io(e.to_string()))?;
-    let bytes = map.bytes();
-    if bytes.starts_with(&MODEL_MAGIC) {
-        let model = DeepSeq::from_binary_checkpoint(bytes)?;
-        Ok((model, CheckpointFormat::Binary))
-    } else {
-        let text = std::str::from_utf8(bytes).map_err(|_| ParamsError::BadHeader)?;
-        Ok((DeepSeq::from_checkpoint(text)?, CheckpointFormat::Text))
-    }
-}
-
-/// The encoding of a checkpoint file (see [`load_checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointFormat {
-    /// The `DSQM` binary format ([`DeepSeq::save_binary`]).
-    Binary,
-    /// The text format ([`DeepSeq::save_to_string`]).
-    Text,
+    Ok(DeepSeq::from_binary_checkpoint(map.bytes())?)
 }
 
 /// Preallocated scratch for [`InferenceModel::run`], plus the GEMM
@@ -527,7 +502,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn load_checkpoint_sniffs_binary_and_text_and_rejects_garbage() {
+    fn load_checkpoint_reads_dsqm_and_rejects_text_and_garbage() {
         let dir = std::env::temp_dir().join(format!("deepseq-load-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let model = DeepSeq::new(DeepSeqConfig {
@@ -536,7 +511,7 @@ mod tests {
         });
         let files: [(&str, Vec<u8>); 3] = [
             ("model.dsqm", model.save_binary()),
-            ("model.txt", model.save_to_string().into_bytes()),
+            ("model.txt", model.to_text().into_bytes()),
             ("garbage", vec![0xff, 0xfe, 0x00, 0x80, 0xc3]),
         ];
         let mut loaded = Vec::new();
@@ -547,18 +522,13 @@ mod tests {
         let missing = load_checkpoint(&dir.join("missing"));
         std::fs::remove_dir_all(&dir).unwrap();
 
-        let params = model.params().save_binary();
-        for (result, format) in loaded
-            .iter()
-            .zip([CheckpointFormat::Binary, CheckpointFormat::Text])
-        {
-            let (decoded, found) = result.as_ref().expect("checkpoint loads");
-            assert_eq!(*found, format);
-            assert_eq!(decoded.config(), model.config());
-            assert_eq!(decoded.params().save_binary(), params);
+        let decoded = loaded[0].as_ref().expect("DSQM loads");
+        assert_eq!(decoded.config(), model.config());
+        assert_eq!(decoded.params().save_binary(), model.params().save_binary());
+        let bad_magic = ServeError::Checkpoint(deepseq_nn::ParamsError::BadMagic);
+        for rejected in &loaded[1..] {
+            assert_eq!(rejected.as_ref().err(), Some(&bad_magic));
         }
-        let bad_header = ServeError::Checkpoint(ParamsError::BadHeader);
-        assert_eq!(loaded[2].as_ref().err(), Some(&bad_header));
         assert!(matches!(missing, Err(ServeError::Io(_))));
     }
 }

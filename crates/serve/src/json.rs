@@ -244,17 +244,20 @@ pub fn trace_tree_json(trace_id: u64, records: &[deepseq_nn::SpanRecord]) -> Str
 
 /// Renders the per-stage latency summary for `GET /debug/trace` (no
 /// `id`): one entry per span kind with count, p50/p95 and total seconds.
-pub fn stage_summary_json(stages: &[deepseq_nn::trace::StageStats], dropped: u64) -> String {
+pub fn stage_summary_json(
+    stages: &[(deepseq_nn::SpanKind, deepseq_nn::trace::HistogramSnapshot)],
+    dropped: u64,
+) -> String {
     let mut out = String::with_capacity(stages.len() * 96 + 64);
     let _ = write!(out, "{{\"dropped_spans\":{dropped},\"stages\":[");
-    for (i, stage) in stages.iter().enumerate() {
+    for (i, (kind, stage)) in stages.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
             "{{\"stage\":\"{}\",\"count\":{},\"p50_s\":{},\"p95_s\":{},\"total_s\":{}}}",
-            stage.kind.name(),
+            kind.name(),
             stage.count,
             stage.quantile(0.5),
             stage.quantile(0.95),

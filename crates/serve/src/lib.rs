@@ -22,10 +22,10 @@
 //!   the shared worker [`Pool`](deepseq_nn::Pool) (sized by
 //!   `DEEPSEQ_THREADS`), with outputs bitwise-identical at any thread
 //!   count;
-//! * **binary checkpoints** — loads the `DSQM`/`DSQP` little-endian format
-//!   added to `deepseq-nn`/`deepseq-core` alongside the text format
+//! * **`DSQM` checkpoints** — the one format every load path reads, its
+//!   CRC verified before any weight is trusted
 //!   ([`InferenceModel::from_binary_checkpoint`]; [`load_checkpoint`]
-//!   maps a file of either format);
+//!   maps a file). The text format is for `deepseq-serve convert` only;
 //! * [`ConeMemo`] — the one **content-addressed LRU**: the final state
 //!   rows and head rows of each weakly connected component, keyed by
 //!   exactly what the forward pass reads (model generation, the
@@ -41,7 +41,7 @@
 //!   bounded admission (429 on overflow) and per-request deadlines (504
 //!   on expiry). See `docs/SERVING.md` for the wire protocol;
 //! * the `deepseq-serve` **CLI** — AIGER / `.bench` circuits in, JSON
-//!   predictions out, a text↔binary checkpoint converter, and a `serve`
+//!   predictions out, a `DSQM`↔text checkpoint converter, and a `serve`
 //!   mode that runs the HTTP server.
 //!
 //! # Example
@@ -93,7 +93,7 @@ pub use engine::{
     panics_caught, Engine, EngineError, EngineOptions, ServeRequest, ServeResponse, ServedInference,
 };
 pub use http::{HttpLimits, HttpRequest, HttpResponse};
-pub use infer::{load_checkpoint, CheckpointFormat, InferenceModel, InferenceOutput, Workspace};
+pub use infer::{load_checkpoint, InferenceModel, InferenceOutput, Workspace};
 pub use metrics::Metrics;
 pub use server::{DrainReport, HttpServer, ServerOptions};
 

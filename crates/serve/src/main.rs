@@ -11,20 +11,21 @@
 //! lowered to AIGs), runs them through the batched inference engine and
 //! prints one JSON object per circuit to stdout. `serve` puts the same
 //! engine behind an HTTP/1.1 endpoint (`POST /v1/embed`, `/healthz`,
-//! `/metrics`; see `docs/SERVING.md`). `convert` converts a model
-//! checkpoint between the text and binary formats (direction autodetected
-//! from the input's magic).
+//! `/metrics`; see `docs/SERVING.md`). Both read `DSQM` checkpoints only;
+//! `convert` turns a `DSQM` checkpoint into text and text into `DSQM`
+//! (direction picked by the input's magic).
 
 use std::fs;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use deepseq_core::model::MODEL_MAGIC;
 use deepseq_core::{DeepSeq, DeepSeqConfig};
 use deepseq_netlist::{lower_to_aig, parse_aiger, SeqAig};
+use deepseq_nn::ParamsError;
 use deepseq_serve::json::response_to_json;
 use deepseq_serve::{
-    CheckpointFormat, Engine, EngineOptions, HttpServer, InferenceModel, ServeRequest,
-    ServerOptions,
+    Engine, EngineOptions, HttpServer, InferenceModel, ServeError, ServeRequest, ServerOptions,
 };
 use deepseq_sim::Workload;
 
@@ -37,8 +38,9 @@ USAGE:
     deepseq-serve help
 
 predict options:
-    --checkpoint <FILE>  model checkpoint, text or binary (autodetected);
-                         without it a freshly seeded model is used
+    --checkpoint <FILE>  `DSQM` model checkpoint (CRC-verified; convert a
+                         text checkpoint first); without it a freshly
+                         seeded model is used
     --hidden <D>         hidden dim for the fresh model (default 32)
     --iters <T>          propagation iterations for the fresh model (default 4)
     --p1 <P>             uniform workload logic-1 probability (default 0.5)
@@ -82,8 +84,10 @@ serve options:
     `POST /admin/degrade?mode=on|off` toggles degraded mode by hand.
 
 convert:
-    text checkpoints (`deepseq-model v1` header) become binary (`DSQM`),
-    binary checkpoints become text; the weights are preserved exactly.
+    a `DSQM` checkpoint becomes text (`deepseq-model v1` header), anything
+    else is read as text and becomes `DSQM`; the weights are preserved
+    exactly. Text is for reading and editing only: every load path reads
+    `DSQM`.
 
 Circuits: *.aag (ASCII AIGER) are read directly; *.bench netlists are
 lowered to sequential AIGs first. Each PI receives the uniform --p1
@@ -381,9 +385,14 @@ fn serve(args: &[String]) -> Result<(), String> {
 }
 
 fn load_checkpoint(path: &str) -> Result<InferenceModel, String> {
-    let (model, _) = deepseq_serve::load_checkpoint(path.as_ref())
-        .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-    Ok(model.into())
+    match deepseq_serve::load_checkpoint(path.as_ref()) {
+        Ok(model) => Ok(model.into()),
+        Err(e @ ServeError::Checkpoint(ParamsError::BadMagic)) => Err(format!(
+            "loading checkpoint {path}: {e}; a text checkpoint must be converted first: \
+             deepseq-serve convert {path} <OUTPUT>"
+        )),
+        Err(e) => Err(format!("loading checkpoint {path}: {e}")),
+    }
 }
 
 fn load_circuit(path: &str) -> Result<SeqAig, String> {
@@ -458,12 +467,15 @@ fn convert(args: &[String]) -> Result<(), String> {
     let [input, output] = args else {
         return Err(format!("convert needs <INPUT> <OUTPUT>\n\n{USAGE}"));
     };
-    let (model, format) = deepseq_serve::load_checkpoint(input.as_ref())
-        .map_err(|e| format!("loading checkpoint {input}: {e}"))?;
-    let (bytes, direction) = match format {
-        CheckpointFormat::Binary => (model.save_to_string().into_bytes(), "binary → text"),
-        CheckpointFormat::Text => (model.save_binary(), "text → binary"),
+    let input_bytes = fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
+    let converted = if input_bytes.starts_with(&MODEL_MAGIC) {
+        DeepSeq::from_binary_checkpoint(&input_bytes)
+            .map(|model| (model.to_text().into_bytes(), "DSQM → text"))
+    } else {
+        DeepSeq::from_text(&String::from_utf8_lossy(&input_bytes))
+            .map(|model| (model.save_binary(), "text → DSQM"))
     };
+    let (bytes, direction) = converted.map_err(|e| format!("loading checkpoint {input}: {e}"))?;
     // write_atomic (temp file + fsync + rename) so a crash mid-convert
     // never leaves a truncated checkpoint at the output path.
     deepseq_nn::write_atomic(output.as_ref(), &bytes)

@@ -19,64 +19,82 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use deepseq_nn::trace::{StageStats, STAGE_BUCKET_BOUNDS_NS};
+use deepseq_nn::trace::{Histogram, HistogramSnapshot, SpanKind, HISTOGRAM_BUCKETS};
 use deepseq_nn::PoolStats;
 
 use crate::cache::CacheStats;
 
 pub use deepseq_nn::warning_count as config_warning_count;
 
-/// Upper bounds (seconds) of the histogram buckets, `+Inf` implied.
-/// Spans 100 µs (cache hits) to 10 s (huge circuits on a loaded box).
-pub const LATENCY_BUCKETS: [f64; 14] = [
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+/// Upper bounds (nanoseconds) of the latency histogram buckets, `+Inf`
+/// implied. Spans 100 µs (cache hits) to 2.5 s (huge circuits on a loaded
+/// box).
+pub const LATENCY_BUCKETS_NS: [u64; HISTOGRAM_BUCKETS] = [
+    100_000,
+    250_000,
+    500_000,
+    1_000_000,
+    2_500_000,
+    5_000_000,
+    10_000_000,
+    25_000_000,
+    50_000_000,
+    100_000_000,
+    250_000_000,
+    500_000_000,
+    1_000_000_000,
+    2_500_000_000,
 ];
 
-/// A fixed-bucket cumulative latency histogram (atomic, insert-only).
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS.len()],
-    count: AtomicU64,
-    /// Sum in nanoseconds (u64 wraps after ~584 years of accumulated
-    /// latency; acceptable).
-    sum_nanos: AtomicU64,
+/// A latency [`Histogram`] over [`LATENCY_BUCKETS_NS`], observed as
+/// [`Duration`]s and rendered as a Prometheus histogram.
+#[derive(Debug)]
+pub struct LatencyHistogram(Histogram);
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram(Histogram::new(&LATENCY_BUCKETS_NS))
+    }
 }
 
 impl LatencyHistogram {
     /// Records one observation.
     pub fn observe(&self, latency: Duration) {
-        let seconds = latency.as_secs_f64();
-        for (bound, bucket) in LATENCY_BUCKETS.iter().zip(&self.buckets) {
-            if seconds <= *bound {
-                bucket.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos
-            .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
+        self.0.observe(latency.as_nanos() as u64);
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.0.count()
     }
 
     /// Renders the histogram in Prometheus text format under `name`.
     fn render(&self, out: &mut String, name: &str) {
         let _ = writeln!(out, "# TYPE {name} histogram");
-        for (bound, bucket) in LATENCY_BUCKETS.iter().zip(&self.buckets) {
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{le=\"{bound}\"}} {}",
-                bucket.load(Ordering::Relaxed)
-            );
-        }
-        let count = self.count.load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-        let sum = self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        let _ = writeln!(out, "{name}_sum {sum}");
-        let _ = writeln!(out, "{name}_count {count}");
+        render_histogram(out, name, "", &self.0.snapshot());
     }
+}
+
+/// Writes the `_bucket` lines of one histogram (cumulative: the per-bucket
+/// counts are summed here), its `_sum` in seconds and its `_count`. Every
+/// line carries `label` (`key="value"`, or empty for none).
+fn render_histogram(out: &mut String, name: &str, label: &str, h: &HistogramSnapshot) {
+    let (le_prefix, labels) = match label {
+        "" => (String::new(), String::new()),
+        label => (format!("{label},"), format!("{{{label}}}")),
+    };
+    let mut cumulative = 0u64;
+    for (&bound_ns, &n) in h.bounds_ns.iter().zip(&h.buckets) {
+        cumulative += n;
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{le_prefix}le=\"{}\"}} {cumulative}",
+            bound_ns as f64 / 1e9
+        );
+    }
+    let _ = writeln!(out, "{name}_bucket{{{le_prefix}le=\"+Inf\"}} {}", h.count);
+    let _ = writeln!(out, "{name}_sum{labels} {}", h.sum_ns as f64 / 1e9);
+    let _ = writeln!(out, "{name}_count{labels} {}", h.count);
 }
 
 /// The server-wide metrics registry (shared by `Arc`).
@@ -375,42 +393,19 @@ impl Metrics {
 
 /// Renders the per-stage span histograms as one `deepseq_stage_seconds`
 /// family with a `stage` label, plus p50/p95 gauges per stage. Every
-/// [`SpanKind`](deepseq_nn::SpanKind) appears unconditionally (all-zero
-/// while tracing is off), so scrapers and the exposition contract tests
-/// never depend on the `DEEPSEQ_TRACE` switch.
-fn render_stage_seconds(out: &mut String, stages: &[StageStats]) {
+/// [`SpanKind`] appears unconditionally (all-zero while tracing is off),
+/// so scrapers and the exposition contract tests never depend on the
+/// `DEEPSEQ_TRACE` switch.
+fn render_stage_seconds(out: &mut String, stages: &[(SpanKind, HistogramSnapshot)]) {
     let _ = writeln!(
         out,
         "# HELP deepseq_stage_seconds Span duration per pipeline stage \
          (populated while DEEPSEQ_TRACE is on)."
     );
     let _ = writeln!(out, "# TYPE deepseq_stage_seconds histogram");
-    for stage in stages {
-        let name = stage.kind.name();
-        let mut cumulative = 0u64;
-        for (&bound_ns, &n) in STAGE_BUCKET_BOUNDS_NS.iter().zip(&stage.buckets) {
-            cumulative += n;
-            let _ = writeln!(
-                out,
-                "deepseq_stage_seconds_bucket{{stage=\"{name}\",le=\"{}\"}} {cumulative}",
-                bound_ns as f64 / 1e9
-            );
-        }
-        let _ = writeln!(
-            out,
-            "deepseq_stage_seconds_bucket{{stage=\"{name}\",le=\"+Inf\"}} {}",
-            stage.count
-        );
-        let _ = writeln!(
-            out,
-            "deepseq_stage_seconds_sum{{stage=\"{name}\"}} {}",
-            stage.sum_ns as f64 / 1e9
-        );
-        let _ = writeln!(
-            out,
-            "deepseq_stage_seconds_count{{stage=\"{name}\"}} {}",
-            stage.count
-        );
+    for (kind, stage) in stages {
+        let label = format!("stage=\"{}\"", kind.name());
+        render_histogram(out, "deepseq_stage_seconds", &label, stage);
     }
     for (metric, q) in [
         ("deepseq_stage_p50_seconds", 0.5),
@@ -421,11 +416,11 @@ fn render_stage_seconds(out: &mut String, stages: &[StageStats]) {
             "# HELP {metric} Approximate per-stage span duration quantile."
         );
         let _ = writeln!(out, "# TYPE {metric} gauge");
-        for stage in stages {
+        for (kind, stage) in stages {
             let _ = writeln!(
                 out,
                 "{metric}{{stage=\"{}\"}} {}",
-                stage.kind.name(),
+                kind.name(),
                 stage.quantile(q)
             );
         }

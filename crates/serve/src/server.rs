@@ -124,8 +124,8 @@ pub struct ServerOptions {
     /// Hard cap on how long [`HttpServer::shutdown`] waits for open
     /// connections after the admitted requests finished.
     pub drain_grace: Duration,
-    /// Checkpoint the server was started from, if any — `POST /admin/reload`
-    /// re-reads it (and is `409` without one).
+    /// `DSQM` checkpoint the server was started from, if any —
+    /// `POST /admin/reload` re-reads it (and is `409` without one).
     pub checkpoint_path: Option<String>,
     /// Consecutive `429` (queue-full) rejections, with no successful
     /// admission in between, after which the server enters degraded mode on
@@ -833,7 +833,8 @@ fn admin_degrade(shared: &Arc<ServerShared>, request: &HttpRequest) -> HttpRespo
 
 /// `POST /admin/reload`: re-reads the checkpoint the server was started
 /// from and swaps it in. A failed reload — missing file, corrupt bytes,
-/// checksum mismatch — leaves the old model serving but flips the server
+/// checksum mismatch, a text checkpoint, a parameter missing — leaves the
+/// old model serving but flips the server
 /// into degraded mode: the operator asked for weights the server cannot
 /// vouch for, so only cache hits keep flowing until a reload succeeds or
 /// degraded mode is cleared explicitly.
@@ -845,7 +846,7 @@ fn admin_reload(shared: &Arc<ServerShared>) -> HttpResponse {
         );
     };
     match crate::infer::load_checkpoint(path.as_ref()) {
-        Ok((model, _)) => {
+        Ok(model) => {
             shared.engine.swap_model(model.into());
             shared.set_degraded(false);
             HttpResponse::json(200, "{\"status\":\"reloaded\"}")

@@ -34,10 +34,9 @@ fn main() {
     let model = DeepSeq::new(config);
     let checkpoint = model.save_binary();
     println!(
-        "checkpoint: {} parameters, {} bytes binary (text would be {} bytes)",
+        "checkpoint: {} parameters, {} bytes of DSQM",
         model.params().len(),
-        checkpoint.len(),
-        model.save_to_string().len()
+        checkpoint.len()
     );
 
     // 2. Freeze for serving.

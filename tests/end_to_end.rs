@@ -97,8 +97,7 @@ fn checkpoint_roundtrip_through_training() {
             ..TrainOptions::default()
         },
     );
-    let text = model.save_to_string();
-    let restored = DeepSeq::from_checkpoint(&text).expect("roundtrip");
+    let restored = DeepSeq::from_binary_checkpoint(&model.save_binary()).expect("roundtrip");
     let m1 = evaluate(&model, &samples);
     let m2 = evaluate(&restored, &samples);
     assert!((m1.pe_tr - m2.pe_tr).abs() < 1e-9);

@@ -1,7 +1,7 @@
 //! Smoke test of the HTTP serving lifecycle through the facade: a server
 //! booted from a binary checkpoint answers a miss, then a cache hit; in
 //! degraded mode it serves the hit and sheds the miss; a reload restores
-//! it; hostile AIGER bodies are 400s, not a dead server; a renumbered
+//! it, and a reload of a text checkpoint degrades it; hostile AIGER bodies are 400s, not a dead server; a renumbered
 //! circuit gets exactly a fresh engine's answer; and a drain
 //! reports every request it served. Idle keep-alive connections never
 //! delay a new client.
@@ -112,12 +112,12 @@ fn embed_degrade_reload_and_drain() {
     let dir = std::env::temp_dir().join(format!("deepseq-lifecycle-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("model.dsqm");
-    let checkpoint = DeepSeq::new(DeepSeqConfig {
+    let model = DeepSeq::new(DeepSeqConfig {
         hidden_dim: 8,
         iterations: 2,
         ..DeepSeqConfig::default()
-    })
-    .save_binary();
+    });
+    let checkpoint = model.save_binary();
     std::fs::write(&path, &checkpoint).expect("write checkpoint");
     let engine = Engine::with_pool(
         InferenceModel::from_binary_checkpoint(&checkpoint).expect("checkpoint decodes"),
@@ -175,6 +175,17 @@ fn embed_degrade_reload_and_drain() {
     let (status, computed) = embed("id=2&seed=9");
     assert_eq!(status, 200, "{computed}");
     assert!(computed.contains("\"cache_hit\":false"), "{computed}");
+
+    // 3b. The same model as text is no checkpoint to load: the reload
+    // fails and degrades. With `DSQM` written back the server recovers.
+    std::fs::write(&path, model.to_text()).expect("write text checkpoint");
+    let (status, body) = exchange(addr, "POST", "/admin/reload", b"");
+    assert_eq!(status, 500, "{body}");
+    assert_eq!(ready(), 503);
+    std::fs::write(&path, &checkpoint).expect("write checkpoint back");
+    let (status, body) = exchange(addr, "POST", "/admin/reload", b"");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(ready(), 200);
 
     // 4. Hostile bodies are parse errors, not a dead server or a dropped
     // connection: a 32-byte header claiming 2^32 - 1 variables and AND
