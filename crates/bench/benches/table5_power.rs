@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use deepseq_bench::{build_samples, fmt_mw, fmt_pct, pretrained_deepseq, print_table, Scale};
+use deepseq_bench::{fmt_mw, fmt_pct, pretrained_deepseq, print_table, Scale};
 use deepseq_core::train::train;
 use deepseq_data::designs::all_designs;
 use deepseq_netlist::lower_to_aig;
@@ -27,8 +27,7 @@ use rand::SeedableRng;
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[table5] scale: {scale:?}");
-    let (train_set, _) = build_samples(&scale, scale.hidden);
-    let pretrained = pretrained_deepseq(&scale, &train_set);
+    let pretrained = pretrained_deepseq(&scale);
 
     // Pre-train Grannite on the same corpus (paper Section V-A2: "we keep
     // the same training data for Grannite").

@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo bench -p deepseq-bench --bench table6_workloads`
 
-use deepseq_bench::{build_samples, fmt_mw, fmt_pct, pretrained_deepseq, print_table, Scale};
+use deepseq_bench::{fmt_mw, fmt_pct, pretrained_deepseq, print_table, Scale};
 use deepseq_core::train::train;
 use deepseq_data::designs::ac97_ctrl;
 use deepseq_netlist::lower_to_aig;
@@ -21,8 +21,7 @@ use rand::SeedableRng;
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[table6] scale: {scale:?}");
-    let (train_set, _) = build_samples(&scale, scale.hidden);
-    let pretrained = pretrained_deepseq(&scale, &train_set);
+    let pretrained = pretrained_deepseq(&scale);
 
     let netlist = ac97_ctrl();
     let lowered = lower_to_aig(&netlist).expect("valid design");

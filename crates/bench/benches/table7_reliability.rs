@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use deepseq_bench::{build_samples, fmt_pct, pretrained_deepseq, print_table, Scale};
+use deepseq_bench::{fmt_pct, pretrained_deepseq, print_table, Scale};
 use deepseq_core::train::{train, TrainSample};
 use deepseq_data::dataset::Corpus;
 use deepseq_data::designs::all_designs;
@@ -25,8 +25,7 @@ use rand::SeedableRng;
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[table7] scale: {scale:?}");
-    let (train_set, _) = build_samples(&scale, scale.hidden);
-    let pretrained = pretrained_deepseq(&scale, &train_set);
+    let pretrained = pretrained_deepseq(&scale);
 
     // Fine-tune on the Table I corpus with fault-injection labels.
     let corpus = Corpus::generate(scale.circuits, 11);

@@ -43,6 +43,8 @@
 //! The `mt_speedup_*` and `train_speedup_*` ratios stay out: they describe
 //! the host's core count, not the code.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -5,7 +5,9 @@
 //! (`pretrained` starts from the bench crate's cached pre-trained model at
 //! the current scale, training it first when no cache exists).
 
-use deepseq_bench::{build_samples, pretrained_deepseq, Scale};
+#![forbid(unsafe_code)]
+
+use deepseq_bench::{pretrained_deepseq, Scale};
 use deepseq_core::train::{train, TrainOptions};
 use deepseq_core::DeepSeq;
 use deepseq_data::designs::design_by_name;
@@ -42,7 +44,7 @@ fn main() {
 
     let mut model = if args.get(5).map(String::as_str) == Some("pretrained") {
         println!("starting from the pre-trained checkpoint");
-        pretrained_deepseq(&scale, &build_samples(&scale, scale.hidden).0)
+        pretrained_deepseq(&scale)
     } else {
         DeepSeq::new(scale.config(
             deepseq_core::Aggregator::DualAttention,

@@ -22,6 +22,8 @@
 //! 50 epochs, 10 534 circuits, 1 000 fine-tuning workloads) and is intended
 //! for long unattended runs.
 
+#![forbid(unsafe_code)]
+
 use std::env;
 use std::fs;
 use std::path::PathBuf;
@@ -198,25 +200,27 @@ pub fn build_samples(scale: &Scale, hidden_dim: usize) -> (Vec<TrainSample>, Vec
     deepseq_core::train_test_split(samples, 0.15, 17)
 }
 
-/// Cache key for the pre-trained checkpoint at a scale. Anchored at the
-/// workspace `target/` directory regardless of the bench CWD.
+/// The pre-trained checkpoint's cache file at a scale, under
+/// `target/deepseq_cache/` whatever the bench CWD. Its name holds every
+/// field that reaches [`build_samples`] or training (hidden size, `T`,
+/// circuits, epochs, simulation cycles, learning rate), so no scale reads
+/// a model trained on other data; the fine-tuning fields stay out.
 fn cache_path(scale: &Scale) -> PathBuf {
     let dir = match env::var("CARGO_TARGET_DIR") {
         Ok(dir) => PathBuf::from(dir),
         Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"),
-    }
-    .join("deepseq_cache");
-    let _ = fs::create_dir_all(&dir);
-    dir.join(format!(
-        "pretrained_h{}_t{}_c{}_e{}.dsqm",
-        scale.hidden, scale.iterations, scale.circuits, scale.epochs
+    };
+    dir.join("deepseq_cache").join(format!(
+        "pretrained_h{}_t{}_c{}_e{}_s{}_lr{}.dsqm",
+        scale.hidden, scale.iterations, scale.circuits, scale.epochs, scale.sim_cycles, scale.lr
     ))
 }
 
-/// Returns a pre-trained DeepSeq model at this scale, training (and caching
-/// a `DSQM` checkpoint under `target/deepseq_cache/`) on first use. A cache
-/// file that does not decode is retrained and rewritten.
-pub fn pretrained_deepseq(scale: &Scale, samples: &[TrainSample]) -> DeepSeq {
+/// Returns a pre-trained DeepSeq model at this scale, building its samples
+/// and training it (then caching a `DSQM` checkpoint, see `cache_path`)
+/// on first use. A cache file that does not decode is retrained and
+/// rewritten.
+pub fn pretrained_deepseq(scale: &Scale) -> DeepSeq {
     let path = cache_path(scale);
     if let Ok(bytes) = fs::read(&path) {
         if let Ok(model) = DeepSeq::from_binary_checkpoint(&bytes) {
@@ -227,19 +231,23 @@ pub fn pretrained_deepseq(scale: &Scale, samples: &[TrainSample]) -> DeepSeq {
             return model;
         }
     }
+    let (samples, _) = build_samples(scale, scale.hidden);
     let config = scale.config(
         deepseq_core::Aggregator::DualAttention,
         deepseq_core::PropagationScheme::Custom,
     );
     let mut model = DeepSeq::new(config);
     let start = Instant::now();
-    train(&mut model, samples, &scale.train_options());
+    train(&mut model, &samples, &scale.train_options());
     eprintln!(
         "[deepseq-bench] pre-trained DeepSeq on {} circuits × {} epochs in {:.1}s",
         samples.len(),
         scale.epochs,
         start.elapsed().as_secs_f64()
     );
+    if let Some(dir) = path.parent() {
+        let _ = fs::create_dir_all(dir);
+    }
     let _ = deepseq_nn::write_atomic(&path, &model.save_binary());
     model
 }
@@ -309,6 +317,35 @@ mod tests {
         let (train, test) = build_samples(&s, s.hidden);
         assert!(!train.is_empty());
         assert!(!test.is_empty());
+    }
+
+    #[test]
+    fn cache_path_keys_every_pretraining_input() {
+        let base = Scale::smoke();
+        let path = |change: fn(&mut Scale)| {
+            let mut scale = base;
+            change(&mut scale);
+            cache_path(&scale)
+        };
+        let pretraining: [fn(&mut Scale); 6] = [
+            |s| s.hidden += 1,
+            |s| s.iterations += 1,
+            |s| s.circuits += 1,
+            |s| s.epochs += 1,
+            |s| s.sim_cycles += 1,
+            |s| s.lr *= 2.0,
+        ];
+        for (i, change) in pretraining.into_iter().enumerate() {
+            assert_ne!(path(change), cache_path(&base), "field {i} left out");
+        }
+        let fine_tuning: [fn(&mut Scale); 3] = [
+            |s| s.ft_workloads += 1,
+            |s| s.ft_epochs += 1,
+            |s| s.ft_lr *= 2.0,
+        ];
+        for change in fine_tuning {
+            assert_eq!(path(change), cache_path(&base));
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@
 //! # Ok::<(), deepseq_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

@@ -5,6 +5,7 @@
 use deepseq_core::encoding::initial_states;
 use deepseq_core::{Aggregator, CircuitGraph, DeepSeq, DeepSeqConfig, PropagationScheme};
 use deepseq_netlist::{NodeId, SeqAig};
+use deepseq_nn::crc32;
 use deepseq_sim::Workload;
 use proptest::prelude::*;
 
@@ -185,6 +186,96 @@ proptest! {
             prop_assert_eq!(&bits(&model, name), &t, "{}: text restore is lossy", name);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    // One byte edit, truncation or extension of a small checkpoint, with
+    // both trailers recomputed so that the edit reaches the parsers behind
+    // the checksums. The decoder must return, and an input it accepts must
+    // be what the decoded model writes, up to the reserved field that
+    // readers ignore.
+    #[test]
+    fn crc_valid_edits_of_a_checkpoint_decode_or_fail_cleanly(
+        variant in 0usize..9,
+        hidden in 1usize..5,
+        seed in any::<u64>(),
+        edit in 0usize..3,
+        at in any::<u64>(),
+        with in any::<u64>(),
+    ) {
+        let aggregators = [Aggregator::ConvSum, Aggregator::Attention, Aggregator::DualAttention];
+        let schemes = [PropagationScheme::DagConv, PropagationScheme::DagRec, PropagationScheme::Custom];
+        let mut model = DeepSeq::new(DeepSeqConfig {
+            hidden_dim: hidden,
+            iterations: 2,
+            aggregator: aggregators[variant % 3],
+            scheme: schemes[variant / 3],
+            seed,
+        });
+        fill_with_value_mix(&mut model, seed);
+        let mut bytes = model.save_binary();
+        let at = at as usize;
+        match edit {
+            // A third of the byte edits land in the two headers, a third
+            // on any field but a weight, a third anywhere.
+            0 => {
+                let fields = field_offsets(&bytes);
+                let i = match at % 3 {
+                    0 => at / 3 % (DSQM_HEADER + 12),
+                    1 => fields[at / 3 % fields.len()],
+                    _ => at / 3 % bytes.len(),
+                };
+                bytes[i] = with as u8;
+            }
+            1 => bytes.truncate(at % bytes.len()),
+            _ => bytes.extend_from_slice(&with.to_le_bytes()[..1 + at % 8]),
+        }
+        recompute_trailers(&mut bytes);
+        if let Ok(decoded) = DeepSeq::from_binary_checkpoint(&bytes) {
+            let mut canonical = bytes.clone();
+            canonical[DSQP_RESERVED].fill(0);
+            recompute_trailers(&mut canonical);
+            prop_assert_eq!(decoded.save_binary(), canonical);
+        }
+    }
+}
+
+/// Length of the `DSQM` header before the embedded `DSQP` blob
+/// (`docs/CHECKPOINTS.md`).
+const DSQM_HEADER: usize = 24;
+/// Where the `DSQP` reserved `u16`, which readers ignore, sits in a `DSQM`.
+const DSQP_RESERVED: std::ops::Range<usize> = DSQM_HEADER + 6..DSQM_HEADER + 8;
+
+/// Rewrites both CRC trailers of an edited `DSQM`: first the embedded
+/// `DSQP` blob's, which ends 4 bytes before the file, then the file's.
+fn recompute_trailers(bytes: &mut [u8]) {
+    let n = bytes.len();
+    if n >= DSQM_HEADER + 8 {
+        let crc = crc32(&bytes[DSQM_HEADER..n - 8]);
+        bytes[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+    }
+    if n >= 4 {
+        let crc = crc32(&bytes[..n - 4]);
+        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Offsets of every byte of a valid `DSQM` that is not a weight: both
+/// headers, each record's name and shape, and both trailers.
+fn field_offsets(dsqm: &[u8]) -> Vec<usize> {
+    let u32_at = |at: usize| u32::from_le_bytes(dsqm[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = DSQM_HEADER + 12;
+    let mut fields: Vec<usize> = (0..at).collect();
+    for _ in 0..u32_at(DSQM_HEADER + 8) {
+        let name_len = u32_at(at);
+        let values = u32_at(at + 4 + name_len) * u32_at(at + 8 + name_len);
+        fields.extend(at..at + 12 + name_len);
+        at += 12 + name_len + 4 * values;
+    }
+    fields.extend(at..dsqm.len());
+    fields
 }
 
 /// Overwrites every weight of `model` with a seeded mix of exact, tiny,

@@ -28,6 +28,7 @@
 //! assert_eq!(iscas.0, Family::Iscas89);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocks;

@@ -34,6 +34,7 @@
 //! # Ok::<(), deepseq_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aig;

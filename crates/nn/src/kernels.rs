@@ -764,8 +764,12 @@ fn blocked_rows(
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `blocked_rows_avx2` is `blocked_body` compiled for AVX2;
         // its only requirement is a CPU that executes AVX2, which the
-        // runtime check above just confirmed.
-        unsafe { blocked_rows_avx2(a, rs, ps, b, out, rows, k, n) };
+        // runtime check above just confirmed. Edge test:
+        // `avx2_blocked_body_matches_portable_bits`.
+        #[allow(unsafe_code)]
+        unsafe {
+            blocked_rows_avx2(a, rs, ps, b, out, rows, k, n)
+        };
         return;
     }
     blocked_body(a, rs, ps, b, out, rows, k, n);
@@ -1036,7 +1040,12 @@ mod tests {
                         blocked_body(a, rs, ps, b, &mut want, m, k, n);
                         let mut got = dest.data().to_vec();
                         // SAFETY: the CPU executes AVX2, checked above.
-                        unsafe { blocked_rows_avx2(a, rs, ps, b, &mut got, m, k, n) };
+                        // Edge test: `avx2_blocked_body_matches_portable_bits`
+                        // (this one).
+                        #[allow(unsafe_code)]
+                        unsafe {
+                            blocked_rows_avx2(a, rs, ps, b, &mut got, m, k, n)
+                        };
                         assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} rs={rs}");
                     }
                 }

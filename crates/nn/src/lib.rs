@@ -67,6 +67,7 @@
 //! assert!(tape.value(loss).get(0, 0) >= 0.0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -379,7 +379,9 @@ impl Pool {
             // unwinding — so the `'scope` borrows inside `task` are live for
             // as long as any worker can touch them. Erasing the lifetime is
             // what lets a *persistent* pool (whose queues hold `'static`
-            // jobs) execute borrowed work.
+            // jobs) execute borrowed work. Edge test:
+            // `inline_panic_unwinds_only_after_queued_borrows_finish`.
+            #[allow(unsafe_code)]
             let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
             let latch = Arc::clone(&latch);
             let panicked = Arc::clone(&panicked);

@@ -37,6 +37,7 @@
 //! assert!(result.probabilistic.error_pct < 50.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

@@ -31,6 +31,7 @@
 //! assert!(r.output_reliability > 0.99 && r.output_reliability < 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytical;

@@ -28,6 +28,8 @@
 //! pipeline stage); without tracing that endpoint answers 404 and the
 //! summary is silently skipped.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;

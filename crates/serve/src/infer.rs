@@ -39,7 +39,7 @@ use deepseq_nn::ops::{
 };
 use deepseq_nn::pool::chunk_ranges_or_whole;
 use deepseq_nn::trace;
-use deepseq_nn::{Act, CheckpointMap, Kernel, Matrix, Ops, ParamId, Params, Pool};
+use deepseq_nn::{Act, Kernel, Matrix, Ops, ParamId, Params, Pool};
 
 use crate::{cone, ServeError};
 
@@ -129,7 +129,7 @@ impl InferenceModel {
     ///
     /// Two `InferenceModel` values never share a generation unless one is a
     /// [`Clone`] of the other (clones carry identical weights, so sharing
-    /// is sound). Both caches key their entries by this tag, so after a
+    /// is sound). The cone memo keys its entries by this tag, so after a
     /// reload stale entries can never hit.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -277,10 +277,10 @@ impl InferenceModel {
     }
 }
 
-/// Loads a `DSQM` checkpoint file ([`DeepSeq::from_binary_checkpoint`],
-/// which verifies its CRC). The file is mapped ([`CheckpointMap`]), not
-/// copied into a heap buffer — decoding reads straight out of the page
-/// cache.
+/// Loads a `DSQM` checkpoint file: reads it whole, then decodes it
+/// ([`DeepSeq::from_binary_checkpoint`], which verifies its CRC). A file
+/// rewritten in place during the load yields the old model, the new one or
+/// a typed error.
 ///
 /// # Errors
 /// [`ServeError::Io`] if the file cannot be read; [`ServeError::Checkpoint`]
@@ -288,8 +288,8 @@ impl InferenceModel {
 /// [`ParamsError::BadMagic`](deepseq_nn::ParamsError::BadMagic): convert
 /// it with `deepseq-serve convert` first.
 pub fn load_checkpoint(path: &Path) -> Result<DeepSeq, ServeError> {
-    let map = CheckpointMap::open(path).map_err(|e| ServeError::Io(e.to_string()))?;
-    Ok(DeepSeq::from_binary_checkpoint(map.bytes())?)
+    let bytes = std::fs::read(path).map_err(|e| ServeError::Io(e.to_string()))?;
+    Ok(DeepSeq::from_binary_checkpoint(&bytes)?)
 }
 
 /// Preallocated scratch for [`InferenceModel::run`], plus the GEMM
@@ -509,10 +509,11 @@ mod tests {
             hidden_dim: 4,
             ..DeepSeqConfig::default()
         });
-        let files: [(&str, Vec<u8>); 3] = [
+        let files: [(&str, Vec<u8>); 4] = [
             ("model.dsqm", model.save_binary()),
             ("model.txt", model.to_text().into_bytes()),
             ("garbage", vec![0xff, 0xfe, 0x00, 0x80, 0xc3]),
+            ("empty", Vec::new()),
         ];
         let mut loaded = Vec::new();
         for (name, bytes) in &files {
@@ -526,9 +527,17 @@ mod tests {
         assert_eq!(decoded.config(), model.config());
         assert_eq!(decoded.params().save_binary(), model.params().save_binary());
         let bad_magic = ServeError::Checkpoint(deepseq_nn::ParamsError::BadMagic);
-        for rejected in &loaded[1..] {
+        for rejected in &loaded[1..3] {
             assert_eq!(rejected.as_ref().err(), Some(&bad_magic));
         }
+        let empty = deepseq_nn::ParamsError::Truncated {
+            offset: 0,
+            needed: 4,
+        };
+        assert_eq!(
+            loaded[3].as_ref().err(),
+            Some(&ServeError::Checkpoint(empty))
+        );
         assert!(matches!(missing, Err(ServeError::Io(_))));
     }
 }

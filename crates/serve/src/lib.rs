@@ -25,7 +25,7 @@
 //! * **`DSQM` checkpoints** — the one format every load path reads, its
 //!   CRC verified before any weight is trusted
 //!   ([`InferenceModel::from_binary_checkpoint`]; [`load_checkpoint`]
-//!   maps a file). The text format is for `deepseq-serve convert` only;
+//!   reads a file). The text format is for `deepseq-serve convert` only;
 //! * [`ConeMemo`] — the one **content-addressed LRU**: the final state
 //!   rows and head rows of each weakly connected component, keyed by
 //!   exactly what the forward pass reads (model generation, the
@@ -71,6 +71,7 @@
 //! # Ok::<(), deepseq_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -15,6 +15,8 @@
 //! `convert` turns a `DSQM` checkpoint into text and text into `DSQM`
 //! (direction picked by the input's magic).
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::process::ExitCode;
 use std::time::Duration;

@@ -38,6 +38,7 @@
 //! # Ok::<(), deepseq_netlist::NetlistError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

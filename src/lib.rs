@@ -51,6 +51,7 @@
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! the harnesses regenerating every table of the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use deepseq_core as core;
