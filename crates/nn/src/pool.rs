@@ -4,11 +4,10 @@
 //! level, and every GEMM kernel in [`kernels`](crate::kernels) is
 //! row-partitionable without changing a single accumulation order. This
 //! module provides the one shared substrate both exploit: a [`Pool`] of
-//! persistent `std::thread` workers, each with its **own job queue**,
-//! stealing from its siblings when it runs dry (no external dependencies —
-//! the build is offline). A scoped [`Pool::run`] lets callers fan borrowed
-//! work out across the workers; a fire-and-forget [`Pool::spawn`] takes
-//! `'static` jobs.
+//! persistent `std::thread` workers taking jobs from **one shared queue**
+//! (no external dependencies — the build is offline). A scoped
+//! [`Pool::run`] lets callers fan borrowed work out across the workers; a
+//! fire-and-forget [`Pool::spawn`] takes `'static` jobs.
 //!
 //! The pool runs compute only. No job on it blocks on a socket or any
 //! other external event, so every queued job is fair game for every
@@ -16,22 +15,22 @@
 //! does block — the HTTP server's connections — runs on threads of its
 //! own, outside the pool.
 //!
-//! # Per-worker queues and stealing
+//! # One queue
 //!
-//! Jobs are pushed round-robin onto per-worker queues; a worker pops from
-//! its own queue first and *steals* from the others when it is empty, so
-//! enqueues and dequeues in the common case touch different locks, and an
-//! idle worker always finds queued work no matter which queue it landed
-//! on. A thread blocked in `run` helps the same way: while its own tasks
-//! are outstanding it pops and runs queued jobs, which keeps nested
-//! fan-out deadlock-free.
+//! Jobs go into one FIFO behind one mutex, and every thread that takes
+//! jobs pops from its front. A worker that finds the queue empty sleeps on
+//! a condition variable under that same lock, and each push wakes one
+//! sleeper, so no wake-up can be lost and an idle worker sleeps until
+//! there is work, with no timeout. A thread blocked in `run` helps too:
+//! while its own tasks are outstanding it pops and runs queued jobs, which
+//! keeps nested fan-out deadlock-free.
 //!
 //! # Determinism
 //!
 //! The pool never reorders or splits arithmetic on its own: callers hand it
 //! *disjoint* tasks (row ranges of a product, node ranges of a level) whose
 //! per-element computation is identical to the single-threaded code.
-//! Stealing only changes *which thread* runs a task, never what the task
+//! The queue only decides *which thread* runs a task, never what the task
 //! computes or where it writes. Results are therefore **bitwise identical
 //! at any thread count** — property-tested in `crates/nn/tests/properties.rs`
 //! and `crates/serve/tests/properties.rs` across pools of 1, 2, 4 and 7
@@ -71,8 +70,8 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -92,91 +91,59 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Queue state shared by the workers and every `Arc<Pool>` holder.
 struct Shared {
-    /// One job queue per worker.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Round-robin push cursor over `queues`.
-    next: AtomicUsize,
-    /// Jobs currently queued (incremented after a push, decremented after
-    /// a successful pop). Lets idle workers verify emptiness before
-    /// parking without re-scanning every queue lock.
-    pending: AtomicUsize,
-    /// Cleared when the pool is dropped; workers drain and exit.
-    open: AtomicBool,
-    /// Parking lot for idle workers. Pushers notify under the lock *after*
-    /// bumping `pending`, and parkers re-check `pending` under the lock
-    /// before waiting, so wakeups cannot be lost; the wait still carries a
-    /// timeout as a belt-and-braces backstop.
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
-    /// Jobs dequeued from a queue other than the popper's home queue.
-    steals: AtomicU64,
-    /// Times a worker entered the idle wait (parked).
+    queue: Mutex<Queue>,
+    /// Signalled once per push and by `Drop`. Workers wait on it under
+    /// `queue`'s lock, so a push cannot slip between a worker's last look
+    /// at the queue and its sleep.
+    work: Condvar,
+    /// Times a worker found the queue empty and went to sleep.
     parks: AtomicU64,
-    /// Times a parked worker was woken by a notify (not a timeout).
-    wakeups: AtomicU64,
+}
+
+/// The job FIFO and the open flag, under one lock.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Cleared when the pool is dropped; workers drain and exit.
+    open: bool,
 }
 
 impl Shared {
-    /// Enqueues a job and wakes one parked worker (any worker can steal
-    /// any job).
+    /// Enqueues a job and wakes one sleeping worker.
     fn push(&self, job: Job) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[i].lock().expect("pool queue").push_back(job);
-        self.pending.fetch_add(1, Ordering::Release);
-        let _guard = self.idle_lock.lock().expect("pool idle lock");
-        self.idle_cv.notify_one();
+        self.queue.lock().expect("pool queue").jobs.push_back(job);
+        self.work.notify_one();
     }
 
-    /// Dequeues one job, checking `home`'s own queue first and stealing
-    /// from the siblings in ring order otherwise.
-    fn pop(&self, home: usize) -> Option<Job> {
-        let n = self.queues.len();
-        for k in 0..n {
-            let i = (home + k) % n;
-            let job = self.queues[i].lock().expect("pool queue").pop_front();
-            if let Some(job) = job {
-                self.pending.fetch_sub(1, Ordering::Release);
-                if i != home {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(job);
-            }
-        }
-        None
+    fn pop(&self) -> Option<Job> {
+        self.queue.lock().expect("pool queue").jobs.pop_front()
     }
 }
 
-/// Body of one worker thread: pop-or-steal until the pool closes and the
-/// queues are drained.
-fn worker_loop(shared: Arc<Shared>, home: usize) {
+/// Body of one worker thread: take jobs until the pool closes and the
+/// queue is drained, sleeping whenever the queue is empty.
+fn worker_loop(shared: Arc<Shared>) {
     loop {
-        if let Some(job) = shared.pop(home) {
-            // A panicking job must not kill the worker: scoped tasks
-            // re-raise on the caller via their latch guard, spawned jobs
-            // just drop their reply channel.
-            let _ = catch_unwind(AssertUnwindSafe(job));
-            continue;
+        let mut queue = shared.queue.lock().expect("pool queue");
+        if queue.jobs.is_empty() && queue.open {
+            shared.parks.fetch_add(1, Ordering::Relaxed);
+            queue = shared
+                .work
+                .wait_while(queue, |q| q.jobs.is_empty() && q.open)
+                .expect("pool wait");
         }
-        if !shared.open.load(Ordering::Acquire) {
-            return;
-        }
-        let guard = shared.idle_lock.lock().expect("pool idle lock");
-        if shared.pending.load(Ordering::Acquire) > 0 || !shared.open.load(Ordering::Acquire) {
-            continue; // something arrived between the scan and the lock
-        }
-        shared.parks.fetch_add(1, Ordering::Relaxed);
-        let (_guard, timeout) = shared
-            .idle_cv
-            .wait_timeout(guard, Duration::from_millis(100))
-            .expect("pool idle wait");
-        if !timeout.timed_out() {
-            shared.wakeups.fetch_add(1, Ordering::Relaxed);
-        }
+        let Some(job) = queue.jobs.pop_front() else {
+            return; // closed and drained
+        };
+        drop(queue);
+        // A panicking job must not kill the worker: scoped tasks re-raise
+        // on the caller via their latch guard, spawned jobs just drop
+        // their reply channel.
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 
 /// Counts outstanding tasks of one scoped [`Pool::run`] call; the caller
-/// blocks on it (helping drain the queues, see `Pool::wait_on`) so
+/// blocks on it (helping drain the queue, see `Pool::wait_on`) so
 /// borrowed task state cannot outlive the call.
 struct Latch {
     remaining: Mutex<usize>,
@@ -223,29 +190,22 @@ impl Drop for CountDownGuard<'_> {
 
 /// Cumulative scheduler counters of one [`Pool`] (see [`Pool::stats`]).
 ///
-/// All counters are zero for a 1-thread pool (nothing is queued, parked
-/// or stolen when every task runs inline).
+/// `parks` is zero for a 1-thread pool (nothing is queued or parked when
+/// every task runs inline).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolStats {
     /// Total pool parallelism (workers + the calling thread).
     pub threads: usize,
-    /// Jobs dequeued from a queue other than the popper's own — the
-    /// work-stealing rate. High steals with low parks means the
-    /// round-robin placement is fighting the actual load distribution.
-    pub steals: u64,
-    /// Times a worker found every queue empty and parked on the idle
-    /// condvar.
+    /// Times a worker found the queue empty and went to sleep, once per
+    /// switch from busy (or newly started) to idle.
     pub parks: u64,
-    /// Parked workers woken by a push notification (timeouts excluded) —
-    /// roughly "jobs that had to wait for a thread to wake up".
-    pub wakeups: u64,
 }
 
 /// A persistent pool of `threads - 1` worker threads plus the calling
 /// thread (see the [module docs](self)).
 ///
 /// Cheap to share (`Arc`); the process-wide instance is [`Pool::global`].
-/// Dropping a pool closes the queues and joins every worker.
+/// Dropping a pool closes the queue and joins every worker.
 pub struct Pool {
     threads: usize,
     shared: Option<Arc<Shared>>,
@@ -275,22 +235,19 @@ impl Pool {
             };
         }
         let shared = Arc::new(Shared {
-            queues: (1..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            next: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            open: AtomicBool::new(true),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            steals: AtomicU64::new(0),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                open: true,
+            }),
+            work: Condvar::new(),
             parks: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
         });
         let workers = (0..threads - 1)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("deepseq-pool-{}", i + 1))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -313,19 +270,16 @@ impl Pool {
         self.threads
     }
 
-    /// Snapshot of the scheduler counters (steals / parks / wakeups)
-    /// since the pool was created. All zeros on a 1-thread pool.
+    /// Snapshot of the scheduler counters since the pool was created.
+    /// `parks` is zero on a 1-thread pool.
     pub fn stats(&self) -> PoolStats {
-        let mut stats = PoolStats {
+        PoolStats {
             threads: self.threads,
-            ..PoolStats::default()
-        };
-        if let Some(shared) = &self.shared {
-            stats.steals = shared.steals.load(Ordering::Relaxed);
-            stats.parks = shared.parks.load(Ordering::Relaxed);
-            stats.wakeups = shared.wakeups.load(Ordering::Relaxed);
+            parks: self
+                .shared
+                .as_ref()
+                .map_or(0, |shared| shared.parks.load(Ordering::Relaxed)),
         }
-        stats
     }
 
     /// Runs every task to completion, fanning them out across the workers;
@@ -339,7 +293,7 @@ impl Pool {
     ///
     /// `run` may be called from inside a pool task (a request job fanning
     /// its levels out, a level chunk fanning a GEMM out): while waiting for
-    /// its own tasks, the caller **steals queued jobs and runs them**, so
+    /// its own tasks, the caller **takes queued jobs and runs them**, so
     /// nested fan-out always makes progress even with every worker
     /// occupied, and idle workers pick nested tasks up for real
     /// parallelism.
@@ -363,7 +317,7 @@ impl Pool {
         let panicked = Arc::new(AtomicBool::new(false));
         // Forward the caller's trace id into the fanned-out tasks so a
         // request's level/GEMM spans stay attributable to it whichever
-        // worker (or stealing `run` caller) executes them. One atomic
+        // worker (or helping `run` caller) executes them. One atomic
         // load when tracing is off; zero-cost inside the task when the
         // caller has no trace.
         let trace_ctx = if trace::enabled() {
@@ -378,7 +332,7 @@ impl Pool {
             // before `run` returns — the `WaitGuard` below waits even while
             // unwinding — so the `'scope` borrows inside `task` are live for
             // as long as any worker can touch them. Erasing the lifetime is
-            // what lets a *persistent* pool (whose queues hold `'static`
+            // what lets a *persistent* pool (whose queue holds `'static`
             // jobs) execute borrowed work. Edge test:
             // `inline_panic_unwinds_only_after_queued_borrows_finish`.
             #[allow(unsafe_code)]
@@ -418,10 +372,10 @@ impl Pool {
         }
     }
 
-    /// Blocks until `latch` reaches zero, stealing and executing queued
-    /// jobs while waiting. The helping is what makes nested `run` calls
+    /// Blocks until `latch` reaches zero, taking and executing queued jobs
+    /// while waiting. The helping is what makes nested `run` calls
     /// deadlock-free: a task blocked on its sub-tasks drains the very
-    /// queues those sub-tasks sit in, so some thread always makes progress
+    /// queue those sub-tasks sit in, so some thread always makes progress
     /// no matter how many workers are themselves blocked in nested waits.
     fn wait_on(&self, latch: &Latch) {
         let Some(shared) = &self.shared else {
@@ -431,12 +385,13 @@ impl Pool {
             if latch.is_done() {
                 return;
             }
-            if let Some(job) = shared.pop(0) {
+            if let Some(job) = shared.pop() {
                 let _ = catch_unwind(AssertUnwindSafe(job));
                 continue;
             }
-            // Queues looked empty: sleep briefly on the latch. The timeout
-            // re-polls the queues, since new jobs don't signal this condvar.
+            // The queue looked empty: sleep briefly on the latch. The
+            // timeout re-polls the queue, since new jobs don't signal this
+            // condvar.
             let guard = latch.remaining.lock().expect("latch lock");
             if *guard == 0 {
                 return;
@@ -559,12 +514,15 @@ impl Drop for Pool {
         let Some(shared) = self.shared.take() else {
             return;
         };
-        // Closing the pool ends every worker's loop once the queues drain.
-        shared.open.store(false, Ordering::Release);
-        {
-            let _guard = shared.idle_lock.lock().expect("pool idle lock");
-            shared.idle_cv.notify_all();
-        }
+        // Closing the pool ends every worker's loop once the queue drains.
+        // No job runs under the lock, so a poisoned queue is still whole,
+        // and `drop` must not panic.
+        shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .open = false;
+        shared.work.notify_all();
         let me = thread::current().id();
         for handle in self.workers.drain(..) {
             if handle.thread().id() == me {
@@ -653,6 +611,7 @@ fn configured_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
     fn boxed<'a>(f: impl FnOnce() + Send + 'a) -> Box<dyn FnOnce() + Send + 'a> {
@@ -717,8 +676,8 @@ mod tests {
     #[test]
     fn nested_runs_from_saturating_spawned_jobs_make_progress() {
         // More spawned jobs than workers, each fanning out a nested run:
-        // without steal-while-waiting this deadlocks (every worker blocked
-        // on sub-tasks that sit behind other jobs in the queues).
+        // without help-while-waiting this deadlocks (every worker blocked
+        // on sub-tasks that sit behind other jobs in the queue).
         let pool = Arc::new(Pool::new(2)); // one worker
         let (tx, rx) = mpsc::channel();
         for _ in 0..4 {
@@ -762,10 +721,9 @@ mod tests {
     }
 
     #[test]
-    fn jobs_are_stolen_across_worker_queues() {
-        // 2 workers, one of them wedged on a long job: every other job —
-        // including those round-robined onto the wedged worker's queue —
-        // must still complete promptly via stealing.
+    fn a_wedged_worker_does_not_hold_up_queued_jobs() {
+        // 2 workers, one of them wedged on a long job: every other job
+        // must still complete promptly on the free worker.
         let pool = Pool::new(3);
         let (wedge_tx, wedge_rx) = mpsc::channel::<()>();
         pool.spawn(move || {
@@ -782,14 +740,11 @@ mod tests {
         for _ in 0..16 {
             got.push(
                 rx.recv_timeout(std::time::Duration::from_secs(10))
-                    .expect("stolen jobs complete while a worker is wedged"),
+                    .expect("queued jobs complete while a worker is wedged"),
             );
         }
         got.sort_unstable();
         assert_eq!(got, (0..16).collect::<Vec<_>>());
-        // Half the jobs round-robined onto the wedged worker's queue; the
-        // free worker must have stolen them.
-        assert!(pool.stats().steals > 0, "{:?}", pool.stats());
         wedge_tx.send(()).expect("wedged worker still waiting");
     }
 
@@ -798,10 +753,10 @@ mod tests {
         let single = Pool::new(1);
         let stats = single.stats();
         assert_eq!(stats.threads, 1);
-        assert_eq!((stats.steals, stats.parks, stats.wakeups), (0, 0, 0));
+        assert_eq!(stats.parks, 0);
 
         let pool = Pool::new(3);
-        // Give both workers time to find their queues empty and park.
+        // Give both workers time to find the queue empty and park.
         std::thread::sleep(std::time::Duration::from_millis(30));
         let (tx, rx) = mpsc::channel();
         for i in 0..8 {
@@ -813,9 +768,38 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.threads, 3);
         assert!(stats.parks > 0, "{stats:?}");
-        // Wakeups only happen out of a park; the inverse isn't guaranteed
-        // (a park may end on its timeout), hence ≤, not ==.
-        assert!(stats.wakeups <= stats.parks, "{stats:?}");
+    }
+
+    #[test]
+    fn idle_workers_sleep_until_there_is_work() {
+        // An idle worker parks once and stays asleep: nothing wakes it to
+        // look at an empty queue again.
+        let pool = Pool::new(3);
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(pool.stats().parks, 2, "{:?}", pool.stats());
+    }
+
+    #[test]
+    fn every_spawned_job_runs_without_a_park_timeout() {
+        // Each push must wake a sleeping worker by itself: a job pushed
+        // while every worker sleeps would otherwise wait forever, since
+        // the waits have no timeout. A worker counts its park under the
+        // queue lock and releases that lock only by waiting, so once
+        // `parks` reads 2 + i both workers are asleep and push `i` can
+        // only be taken by a worker it woke.
+        let pool = Pool::new(3);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..2000 {
+            while pool.stats().parks < 2 + i {
+                std::thread::yield_now();
+            }
+            let tx = tx.clone();
+            pool.spawn(move || tx.send(i).expect("receiver lives"));
+            let got = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a push woke a sleeping worker");
+            assert_eq!(got, i);
+        }
     }
 
     #[test]

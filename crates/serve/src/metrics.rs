@@ -340,21 +340,9 @@ impl Metrics {
         );
         counter(
             &mut out,
-            "deepseq_pool_steals_total",
-            "Pool jobs dequeued from another worker's queue.",
-            pool.steals,
-        );
-        counter(
-            &mut out,
             "deepseq_pool_parks_total",
-            "Times a pool worker parked on the idle condvar.",
+            "Times a pool worker found the queue empty and went to sleep.",
             pool.parks,
-        );
-        counter(
-            &mut out,
-            "deepseq_pool_wakeups_total",
-            "Parked pool workers woken by a job notification.",
-            pool.wakeups,
         );
 
         counter(
@@ -471,9 +459,7 @@ mod tests {
         };
         let pool = PoolStats {
             threads: 4,
-            steals: 11,
             parks: 5,
-            wakeups: 3,
         };
         let text = m.render(&cache, &cones, &pool, true, false);
         for needle in [
@@ -501,9 +487,7 @@ mod tests {
             "deepseq_faults_injected_total{point=\"engine_reply_drop\"}",
             "deepseq_http_request_duration_seconds_bucket{le=\"+Inf\"} 1",
             "deepseq_pool_threads 4",
-            "deepseq_pool_steals_total 11",
             "deepseq_pool_parks_total 5",
-            "deepseq_pool_wakeups_total 3",
             "deepseq_stage_seconds_bucket{stage=\"gemm\",le=\"+Inf\"}",
             "deepseq_stage_seconds_count{stage=\"queue_wait\"}",
             "deepseq_stage_p50_seconds{stage=\"forward\"}",
@@ -519,6 +503,18 @@ mod tests {
         ] {
             assert!(!text.contains(gone), "unexpected {gone:?} in:\n{text}");
         }
+        // One job queue: no job changes queues and every park ends in a
+        // wake-up, so width and parks are the only pool families.
+        let pool_families: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.split_once(' ').map(|(name, _)| name))
+            .filter(|name| name.starts_with("deepseq_pool_"))
+            .collect();
+        assert_eq!(
+            pool_families,
+            ["deepseq_pool_threads", "deepseq_pool_parks_total"],
+            "{text}"
+        );
         // The hit-ratio line parses as a float — the contract the CI load
         // client enforces over the wire.
         let ratio_line = text

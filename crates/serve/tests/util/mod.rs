@@ -168,9 +168,7 @@ pub fn assert_prometheus_contract(text: &str) {
     }
     for required in [
         "deepseq_pool_threads ",
-        "deepseq_pool_steals_total ",
         "deepseq_pool_parks_total ",
-        "deepseq_pool_wakeups_total ",
         "deepseq_stage_seconds_bucket{",
         "deepseq_stage_p50_seconds{",
         "deepseq_stage_p95_seconds{",
