@@ -7,6 +7,7 @@
 //! `BENCH_serve.json` perf-trajectory artifact collected in CI.
 //! `serve_parse_aiger_*` and `serve_json_full_*` time the text work
 //! around a request: decoding its AIGER body and rendering its reply.
+//! `serve_checkpoint_*` time a checkpoint load and its CRC-32 pass.
 //!
 //! The tape-free and engine benches are pinned to 1-thread pools so the
 //! committed trajectory isolates the serial path and stays comparable
@@ -18,13 +19,13 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deepseq_core::encoding::initial_states;
 use deepseq_core::{CircuitGraph, DeepSeq, DeepSeqConfig};
 use deepseq_data::designs::ptc;
 use deepseq_data::random::{random_circuit, CircuitSpec};
 use deepseq_netlist::{lower_to_aig, parse_aiger, write_aiger, SeqAig};
-use deepseq_nn::{Kernel, Matrix, Pool, Tape};
+use deepseq_nn::{crc32, Kernel, Matrix, Pool, Tape};
 use deepseq_serve::json::response_to_json;
 use deepseq_serve::{Engine, EngineOptions, InferenceModel, ServeRequest, Workspace};
 use deepseq_sim::Workload;
@@ -276,10 +277,65 @@ fn bench_text_edge(c: &mut Criterion) {
     });
 }
 
+/// Loading the served model's checkpoint (d = 32, T = 4, seed
+/// `0x5EED_D5E0`, the model `deepseq-serve` starts with in the end-to-end
+/// benchmark): the whole decode (`serve_checkpoint_load_d32_t4`), one
+/// CRC-32 pass over the file (`serve_checkpoint_crc32_d32_t4`; a decode
+/// makes two), and the same pass byte at a time
+/// (`serve_checkpoint_crc32_bytewise_d32_t4`). `collect_bench` derives
+/// `checksum_speedup_d32_t4` from the last two.
+fn bench_checkpoint_load(c: &mut Criterion) {
+    let bytes = DeepSeq::new(DeepSeqConfig {
+        hidden_dim: 32,
+        iterations: 4,
+        seed: 0x5EED_D5E0,
+        ..DeepSeqConfig::default()
+    })
+    .save_binary();
+    c.bench_function("serve_checkpoint_load_d32_t4", |b| {
+        b.iter(|| DeepSeq::from_binary_checkpoint(black_box(&bytes)).expect("decodes"))
+    });
+    c.bench_function("serve_checkpoint_crc32_d32_t4", |b| {
+        b.iter(|| crc32(black_box(&bytes)))
+    });
+    let table = bytewise_crc_table();
+    assert_eq!(bytewise_crc32(&table, &bytes), crc32(&bytes));
+    c.bench_function("serve_checkpoint_crc32_bytewise_d32_t4", |b| {
+        b.iter(|| bytewise_crc32(&table, black_box(&bytes)))
+    });
+}
+
+/// The 256-entry table of the byte-at-a-time CRC-32.
+fn bytewise_crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    for (i, entry) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *entry = c;
+    }
+    table
+}
+
+/// IEEE CRC-32 one byte and one table lookup at a time: the baseline of
+/// `checksum_speedup_d32_t4`.
+fn bytewise_crc32(table: &[u32; 256], bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_tape_forward, bench_tape_backward, bench_tapefree_per_kernel, bench_cache_hit,
-        bench_cone_reuse, bench_text_edge
+        bench_cone_reuse, bench_text_edge, bench_checkpoint_load
 }
 criterion_main!(benches);

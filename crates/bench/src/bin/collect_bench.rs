@@ -23,7 +23,8 @@
 //! per design, naive → blocked kernel speedup per GEMM shape, for the
 //! fused GRU gate and for the tape-free forward pass, full-recompute →
 //! cone-memo speedup on near-duplicate circuits
-//! (`cone_speedup_*`), and the 1-thread → N-thread speedups of the
+//! (`cone_speedup_*`), bytewise → sliced CRC-32 over a checkpoint
+//! (`checksum_speedup_*`), and the 1-thread → N-thread speedups of the
 //! `perf_threads` and `perf_train` entries
 //! (`serve_mt_<what>_t<N>_<rest>` → `mt_speedup_<what>_t<N>_<rest>`,
 //! `serve_train_<what>_t<N>_<rest>` → `train_speedup_<what>_t<N>_<rest>`).
@@ -34,8 +35,8 @@
 //!
 //! `--compare BASE.json` is the regression gate of CI's bench smoke. It
 //! prints every compared ratio next to its BASE value, and exits nonzero,
-//! naming each offender, when a `kernel_speedup_*`,
-//! `tapefree_speedup_*` or `cone_speedup_*` ratio present in both the
+//! naming each offender, when a `kernel_speedup_*`, `tapefree_speedup_*`,
+//! `cone_speedup_*` or `checksum_speedup_*` ratio present in both the
 //! snapshot and BASE is below [`GATE_FRACTION`] of its BASE value, or when
 //! the two share no gated ratio at all. Each of
 //! those ratios divides two rows measured seconds apart in one process, so
@@ -55,7 +56,12 @@ const TABLE_BEGIN: &str = "<!-- bench-table:begin -->";
 const TABLE_END: &str = "<!-- bench-table:end -->";
 
 /// Derived-ratio families `--compare` gates.
-const GATED_RATIOS: [&str; 3] = ["kernel_speedup_", "tapefree_speedup_", "cone_speedup_"];
+const GATED_RATIOS: [&str; 4] = [
+    "kernel_speedup_",
+    "tapefree_speedup_",
+    "cone_speedup_",
+    "checksum_speedup_",
+];
 
 /// `--compare` fails a gated ratio below this fraction of its base value.
 const GATE_FRACTION: f64 = 0.5;
@@ -215,6 +221,12 @@ fn derive_speedups(means: &[(String, f64)]) -> Vec<(String, f64)> {
         if let Some(rest) = name.strip_prefix("serve_cone_hit_") {
             if let Some(full) = mean_of(&format!("serve_cone_full_{rest}")) {
                 out.push((format!("cone_speedup_{rest}"), full / mean));
+            }
+        }
+        // Bytewise → sliced CRC-32, per checkpoint.
+        if let Some(rest) = name.strip_prefix("serve_checkpoint_crc32_") {
+            if let Some(bytewise) = mean_of(&format!("serve_checkpoint_crc32_bytewise_{rest}")) {
+                out.push((format!("checksum_speedup_{rest}"), bytewise / mean));
             }
         }
         // 1-thread → N-thread, per perf_threads / perf_train entry.
@@ -468,12 +480,14 @@ fn usage(msg: &str) -> ExitCode {
 mod tests {
     use super::*;
 
+    fn ratios(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+    }
+
     #[test]
     fn gate_pairs_only_gated_ratios_present_in_both() {
-        let ratios = |pairs: &[(&str, f64)]| -> Vec<(String, f64)> {
-            pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect()
-        };
         let base = ratios(&[
+            ("checksum_speedup_d32_t4", 5.2),
             ("cone_speedup_blocks16", 9.0),
             ("kernel_speedup_blocked_8x68x32", 3.8),
             ("mt_speedup_gemm_t2_256x256x64", 1.8),
@@ -481,6 +495,7 @@ mod tests {
             ("tapefree_speedup_ptc_d32_t4", 1.2),
         ]);
         let current = ratios(&[
+            ("checksum_speedup_d32_t4", 1.0),
             ("cone_speedup_blocks16", 1.1),
             ("kernel_speedup_blocked_8x68x32", 1.9),
             ("kernel_speedup_blocked_1x68x32", 0.1),
@@ -495,17 +510,29 @@ mod tests {
         assert_eq!(
             names,
             [
+                "checksum_speedup_d32_t4",
                 "cone_speedup_blocks16",
                 "kernel_speedup_blocked_8x68x32",
                 "tapefree_speedup_ptc_d32_t4"
             ]
         );
-        // 1.1 < 4.5 fails; 1.9 and 0.7 are at least half their base.
+        // 1.0 < 2.6 and 1.1 < 4.5 fail (a bytewise checksum and a
+        // recomputing memo); 1.9 and 0.7 are at least half their base.
         let below: Vec<&str> = pairs
             .iter()
             .filter(|&&(_, now, was)| now < GATE_FRACTION * was)
             .map(|p| p.0)
             .collect();
-        assert_eq!(below, ["cone_speedup_blocks16"]);
+        assert_eq!(below, ["checksum_speedup_d32_t4", "cone_speedup_blocks16"]);
+    }
+
+    #[test]
+    fn checksum_speedup_divides_the_bytewise_row_by_the_sliced_one() {
+        let derived = derive_speedups(&ratios(&[
+            ("serve_checkpoint_crc32_bytewise_d32_t4", 300_000.0),
+            ("serve_checkpoint_crc32_d32_t4", 60_000.0),
+            ("serve_checkpoint_load_d32_t4", 150_000.0),
+        ]));
+        assert_eq!(derived, ratios(&[("checksum_speedup_d32_t4", 5.0)]));
     }
 }

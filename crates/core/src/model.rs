@@ -20,7 +20,7 @@ use deepseq_nn::{
     ParamsError, Tape, TapeOps, VarId,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::aggregate::AggregatorLayer;
 use crate::config::{Aggregator, DeepSeqConfig, PropagationScheme};
@@ -69,12 +69,12 @@ pub enum Step<'m> {
 }
 
 impl DirectionLayer {
-    fn new(
+    fn new<R: Rng + ?Sized>(
         params: &mut Params,
         name: &str,
         aggregator: Aggregator,
         hidden_dim: usize,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Self {
         let agg = AggregatorLayer::new(params, &format!("{name}.agg"), aggregator, hidden_dim, rng);
         let input_dim = agg.output_dim(hidden_dim) + NUM_NODE_TYPES;
@@ -154,14 +154,26 @@ impl DeepSeq {
     /// Builds a model with freshly initialized weights (seeded by
     /// `config.seed`).
     pub fn new(config: DeepSeqConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        DeepSeq::build(config, &mut StdRng::seed_from_u64(config.seed))
+    }
+
+    /// The parameter skeleton of `config` for a checkpoint to fill: the
+    /// names, shapes and registration order of [`DeepSeq::new`], with no
+    /// seeded draws (each Xavier weight is its range's lower end).
+    fn skeleton(config: DeepSeqConfig) -> Self {
+        DeepSeq::build(config, &mut NoDraws)
+    }
+
+    /// Registers every parameter of `config`, drawing the Xavier weights
+    /// from `rng` in registration order.
+    fn build<R: Rng + ?Sized>(config: DeepSeqConfig, rng: &mut R) -> Self {
         let mut params = Params::new();
         let d = config.hidden_dim;
-        let forward_layer = DirectionLayer::new(&mut params, "fwd", config.aggregator, d, &mut rng);
-        let reverse_layer = DirectionLayer::new(&mut params, "rev", config.aggregator, d, &mut rng);
+        let forward_layer = DirectionLayer::new(&mut params, "fwd", config.aggregator, d, rng);
+        let reverse_layer = DirectionLayer::new(&mut params, "rev", config.aggregator, d, rng);
         // "2 independent sets of 3-MLPs" (Section IV-A3), one per task.
-        let tr_head = Mlp::new(&mut params, "tr_head", &[d, d, d, 2], &mut rng);
-        let lg_head = Mlp::new(&mut params, "lg_head", &[d, d, d, 1], &mut rng);
+        let tr_head = Mlp::new(&mut params, "tr_head", &[d, d, d, 2], rng);
+        let lg_head = Mlp::new(&mut params, "lg_head", &[d, d, d, 1], rng);
         DeepSeq {
             config,
             params,
@@ -400,6 +412,10 @@ impl DeepSeq {
     /// Restores a model saved by [`DeepSeq::save_binary`]. The loading
     /// rule: the header must describe a model that fits in the bytes after
     /// it, and the parameters must name each of its weights exactly once.
+    /// Both CRC trailers are verified before the bytes they cover are
+    /// parsed. The weights go into the configuration's parameter skeleton
+    /// (the names and shapes of [`DeepSeq::new`], with no seeded draws), so
+    /// no value of the model comes from its `seed`.
     ///
     /// # Errors
     /// Returns [`ParamsError::BadMagic`] for non-checkpoint bytes (text
@@ -454,9 +470,19 @@ impl DeepSeq {
             scheme,
             seed,
         };
-        let mut model = DeepSeq::new(config);
+        let mut model = DeepSeq::skeleton(config);
         model.params.load_binary(r.rest())?;
         Ok(model)
+    }
+}
+
+/// A random source whose every draw is 0, so the skeleton's Xavier
+/// initializers cost no generator work.
+struct NoDraws;
+
+impl RngCore for NoDraws {
+    fn next_u64(&mut self) -> u64 {
+        0
     }
 }
 
@@ -490,10 +516,10 @@ pub const MODEL_VERSION: u16 = 2;
 
 const MODEL_HEADER_LEN: usize = 4 + 2 + 4 + 4 + 1 + 1 + 8;
 
-/// Largest hidden dimension a checkpoint header may claim — `DeepSeq::new`
-/// allocates `d×d` weight matrices eagerly, so an untrusted header must be
-/// bounded *before* model construction (the paper uses `d = 64`; 16384
-/// leaves two orders of magnitude of headroom).
+/// Largest hidden dimension a checkpoint header may claim — the model
+/// skeleton allocates `d×d` weight matrices eagerly, so an untrusted header
+/// must be bounded *before* model construction (the paper uses `d = 64`;
+/// 16384 leaves two orders of magnitude of headroom).
 pub const MAX_CHECKPOINT_HIDDEN_DIM: usize = 1 << 14;
 
 /// Largest iteration count a checkpoint header may claim.
@@ -503,7 +529,7 @@ pub const MAX_CHECKPOINT_ITERATIONS: usize = 1 << 20;
 /// three gates of both GRUs and the two hidden layers of both heads.
 const SQUARE_MATRICES: u64 = 10;
 
-/// Checks a `DSQM` header before `DeepSeq::new` allocates its model: the
+/// Checks a `DSQM` header before the load allocates its model skeleton: the
 /// configuration must be within bounds, and its `d×d` matrices alone, at
 /// four bytes per weight, must fit in the `available` bytes of parameters
 /// that follow the header.
@@ -841,6 +867,42 @@ mod tests {
     }
 
     #[test]
+    fn load_skeleton_registers_what_new_registers() {
+        // A parameter added to `DeepSeq::new` but not to the load path's
+        // skeleton would fail every load with `MissingParam`; this fails
+        // first, for every configuration.
+        let listing = |model: &DeepSeq| -> Vec<(String, (usize, usize))> {
+            model
+                .params()
+                .iter()
+                .map(|(_, name, value)| (name.to_string(), value.shape()))
+                .collect()
+        };
+        for aggregator in [
+            Aggregator::ConvSum,
+            Aggregator::Attention,
+            Aggregator::DualAttention,
+        ] {
+            for scheme in [
+                PropagationScheme::DagConv,
+                PropagationScheme::DagRec,
+                PropagationScheme::Custom,
+            ] {
+                for hidden_dim in [1, 3, 32] {
+                    let config = DeepSeqConfig {
+                        hidden_dim,
+                        ..small_config(aggregator, scheme)
+                    };
+                    let seeded = DeepSeq::new(config);
+                    let skeleton = DeepSeq::skeleton(config);
+                    assert_eq!(skeleton.config(), seeded.config());
+                    assert_eq!(listing(&skeleton), listing(&seeded), "{config:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn binary_checkpoint_roundtrip_preserves_predictions() {
         let aig = sample_aig();
         let c = small_config(Aggregator::DualAttention, PropagationScheme::Custom);
@@ -860,7 +922,7 @@ mod tests {
     #[test]
     fn checkpoints_reject_hostile_config_headers_without_allocating() {
         // A header claiming an enormous hidden dim must yield a typed error
-        // before `DeepSeq::new` tries to allocate d×d weight matrices.
+        // before the model skeleton tries to allocate d×d weight matrices.
         let text = "deepseq-model v1 hidden=4294967295\ndeepseq-params v1\n";
         assert!(DeepSeq::from_text(text).is_err());
         let mut bytes = Vec::new();

@@ -242,6 +242,46 @@ proptest! {
     }
 }
 
+#[test]
+fn crc32_of_a_whole_d32_t4_checkpoint_matches_the_bitwise_definition() {
+    // The benchmark's served model: d = 32, T = 4, 96,812 bytes.
+    let model = DeepSeq::new(DeepSeqConfig {
+        hidden_dim: 32,
+        iterations: 4,
+        seed: 0x5EED_D5E0,
+        ..DeepSeqConfig::default()
+    });
+    let bytes = model.save_binary();
+    let n = bytes.len();
+    let dsqp = &bytes[DSQM_HEADER..n - 4];
+    // What each trailer covers: the file up to its trailer, and the
+    // embedded `DSQP` blob up to its own.
+    for body in [&bytes[..n - 4], &dsqp[..dsqp.len() - 4]] {
+        assert_eq!(crc32(body), bitwise_crc32(body));
+    }
+    // A blob followed by its own CRC ends at the CRC-32 residue.
+    assert_eq!(crc32(&bytes), 0x2144_DF1C);
+    assert_eq!(crc32(dsqp), 0x2144_DF1C);
+}
+
+/// IEEE CRC-32 one bit at a time, straight from its definition (no
+/// tables): the reflected polynomial `0xEDB88320`, initial value and final
+/// XOR all ones.
+fn bitwise_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
 /// Length of the `DSQM` header before the embedded `DSQP` blob
 /// (`docs/CHECKPOINTS.md`).
 const DSQM_HEADER: usize = 24;

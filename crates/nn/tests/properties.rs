@@ -2,9 +2,10 @@
 //! checked against central finite differences on random inputs, algebraic
 //! invariants of the matrix type are verified, and every GEMM kernel variant
 //! is held to the naive kernel's bit patterns across randomized shapes
-//! (including the degenerate `1×N` / `N×1` / empty cases).
+//! (including the degenerate `1×N` / `N×1` / empty cases). The sliced
+//! checkpoint checksum is held to the bytewise CRC-32 loop.
 
-use deepseq_nn::{Act, Kernel, Matrix, Params, ParamsError, Pool, Tape};
+use deepseq_nn::{crc32, Act, Kernel, Matrix, Params, ParamsError, Pool, Tape};
 use proptest::prelude::*;
 
 mod util;
@@ -339,6 +340,75 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition(buf in arb_bytes(15 + 300)) {
+        // Every length from 0 to 300 (each residue mod 16, and both sides
+        // of each 16-byte block) at every start offset from 0 to 15.
+        for offset in 0..16 {
+            for len in 0..=300 {
+                let bytes = &buf[offset..offset + len];
+                prop_assert_eq!(
+                    crc32(bytes),
+                    bytewise_crc32(bytes),
+                    "offset {} length {}",
+                    offset,
+                    len
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_of_a_whole_checkpoint_is_the_crc_residue(store in arb_params()) {
+        // A CRC-32 run over a message followed by its own little-endian
+        // CRC always ends at the same residue, whatever the message.
+        let bytes = store.save_binary();
+        let body = &bytes[..bytes.len() - 4];
+        prop_assert_eq!(crc32(body), bytewise_crc32(body));
+        prop_assert_eq!(crc32(&bytes), CRC32_RESIDUE);
+        prop_assert_eq!(bytewise_crc32(&bytes), CRC32_RESIDUE);
+    }
+}
+
+/// What [`crc32`] returns for any complete v2 `DSQP`/`DSQM` blob, its
+/// trailer included.
+const CRC32_RESIDUE: u32 = 0x2144_DF1C;
+
+/// The byte-at-a-time IEEE CRC-32 loop, kept as the oracle of the sliced
+/// [`crc32`].
+fn bytewise_crc32(bytes: &[u8]) -> u32 {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *entry = c;
+        }
+        table
+    });
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
+}
+
+/// Strategy: `len` random bytes.
+fn arb_bytes(len: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u64>(), len.div_ceil(8)).prop_map(move |words| {
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.truncate(len);
+        bytes
+    })
 }
 
 /// Strategy: a parameter store with 1–4 randomly-shaped, randomly-valued
