@@ -10,13 +10,12 @@
 //!
 //! The training shapes time one level of the GRU gate at `d = 32` on the
 //! bitwise kernels: the forward `x·W` of a 1- and an 8-row level, and the
-//! two backward products of an 8-row level, `dW = xᵀ·g`
-//! (`serve_kernel_<kernel>_tmatmul_8x68x32`) and `dx = g·Wᵀ`
-//! (`serve_kernel_<kernel>_matmult_8x32x68`). The backward pass adds each
-//! such term into a gradient in place: `serve_kernel_<kernel>_tmatmul_add_8x68x32`
-//! adds `xᵀ·g` into a 68×32 weight gradient, and
-//! `serve_kernel_<kernel>_matmul_add_8x32x68` adds `g × (Wᵀ)` (the tape's
-//! form, over a transpose made once per pass) into an 8×68 input gradient.
+//! two backward products of an 8-row level in the form the tape runs them,
+//! each added into a gradient in place: `serve_kernel_<kernel>_tmatmul_add_8x68x32`
+//! adds `dW = xᵀ·g` into a 68×32 weight gradient, and
+//! `serve_kernel_<kernel>_matmul_add_8x32x68` adds `dx = g × (Wᵀ)` (over a
+//! transpose made once per pass) into an 8×68 input gradient. No pass forms
+//! either product fresh, so there are no rows for that.
 //!
 //! All products are pinned to a 1-thread pool: these benches isolate
 //! kernel arithmetic, so their trajectory must not depend on the
@@ -79,20 +78,10 @@ fn bench_model_shapes(c: &mut Criterion) {
             );
         }
     }
-    // The backward pair of the 8-row gate: `x` is 8×68, `g` 8×32, `W` 68×32.
+    // The backward pair of the 8-row gate (`x` is 8×68, `g` 8×32, `W`
+    // 68×32), added into their gradients. The sums grow by one term per
+    // iteration and stay far from overflow.
     let (x, g, w) = (filled(8, 68, 0.6), filled(8, 32, -0.4), filled(68, 32, 0.3));
-    for kernel in Kernel::ALL {
-        c.bench_function(
-            &format!("serve_kernel_{}_tmatmul_8x68x32", kernel.name()),
-            |bch| bch.iter(|| kernel.t_matmul_on(&serial, &x, &g)),
-        );
-        c.bench_function(
-            &format!("serve_kernel_{}_matmult_8x32x68", kernel.name()),
-            |bch| bch.iter(|| kernel.matmul_t_on(&serial, &g, &w)),
-        );
-    }
-    // The same two terms added into their gradients. The sums grow by one
-    // term per iteration and stay far from overflow.
     let wt = w.transpose();
     for kernel in Kernel::ALL {
         let mut dw = filled(68, 32, 0.2);

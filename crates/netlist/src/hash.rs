@@ -32,6 +32,7 @@
 //! with node/type counts and the named outputs.
 
 use crate::aig::{AigNode, SeqAig};
+use crate::level::Levels;
 
 /// Mixes one 64-bit word (splitmix64 finalizer) — fast, high-avalanche.
 /// Public so downstream content addressing (the `deepseq-serve` cache keys)
@@ -127,66 +128,13 @@ pub fn structural_hash(aig: &SeqAig) -> u64 {
     digest
 }
 
-/// Per-node canonical **fanin-cone hashes**.
-///
-/// `cone_hashes(aig)[i]` digests the structure feeding node `i`: its own
-/// kind (PI name, FF power-on state, gate type) refined over the same
-/// Weisfeiler–Lehman rounds as [`structural_hash`], so it covers the whole
-/// combinational cone behind the node plus `num_ffs + 1` (clamped to
-/// `[2, 16]`) sequential boundaries. Two nodes whose fanin cones are
-/// isomorphic — within one circuit or across circuits — get equal hashes,
-/// and the hash of a node is invariant under renumbering of its circuit.
-///
-/// The serving layer uses these as the content address of its
-/// cone-granularity memo: a circuit that shares sub-structure with a cached
-/// one reuses the cached cones and only recomputes the changed ones.
-///
-/// # Example
-/// ```
-/// use deepseq_netlist::{cone_hashes, SeqAig};
-///
-/// // Two identical NOT cones over same-named PIs, one extra AND.
-/// let mut g = SeqAig::new("g");
-/// let a = g.add_pi("x");
-/// let b = g.add_pi("x");
-/// let na = g.add_not(a);
-/// let nb = g.add_not(b);
-/// let y = g.add_and(na, nb);
-/// let h = cone_hashes(&g);
-/// assert_eq!(h[na.index()], h[nb.index()]); // isomorphic cones
-/// assert_ne!(h[na.index()], h[y.index()]);
-/// ```
-pub fn cone_hashes(aig: &SeqAig) -> Vec<u64> {
-    wl_final_labels(aig).into_iter().map(mix).collect()
-}
-
 /// Runs the Weisfeiler–Lehman refinement of the [module docs](self) and
-/// returns the final per-node labels. [`structural_hash`] aggregates them
-/// order-invariantly; [`cone_hashes`] exposes them per node.
+/// returns the final per-node labels, which [`structural_hash`] aggregates
+/// order-invariantly.
 fn wl_final_labels(aig: &SeqAig) -> Vec<u64> {
-    let n = aig.len();
-    if n == 0 {
-        return Vec::new();
-    }
-
-    // Combinational depth per node — renumbering-invariant because it is a
-    // property of the DAG, computable in one id-order scan (ordered
-    // construction guarantees comb fanins have smaller ids).
-    let mut depth = vec![0u32; n];
-    let mut max_depth = 0u32;
-    for (id, node) in aig.iter() {
-        let d = match *node {
-            AigNode::Pi | AigNode::Ff { .. } => 0,
-            AigNode::And(a, b) => 1 + depth[a.index()].max(depth[b.index()]),
-            AigNode::Not(a) => 1 + depth[a.index()],
-        };
-        depth[id.index()] = d;
-        max_depth = max_depth.max(d);
-    }
-    let mut by_depth: Vec<Vec<u32>> = vec![Vec::new(); max_depth as usize + 1];
-    for (id, _) in aig.iter() {
-        by_depth[depth[id.index()] as usize].push(id.0);
-    }
+    // Each round walks the logic levels (combinational depth, a property of
+    // the DAG and so renumbering-invariant), each in id order.
+    let levels = Levels::build(aig);
 
     // Round-0 labels: local content only.
     let mut label: Vec<u64> = aig
@@ -204,17 +152,17 @@ fn wl_final_labels(aig: &SeqAig) -> Vec<u64> {
 
     let rounds = (aig.num_ffs() + 1).clamp(2, 16);
     let mut next = label.clone();
-    for round in 0..rounds {
+    for _ in 0..rounds {
         // Sources first: FFs refine from the previous round's D-input label
         // (the sequential edge), PIs stay fixed.
-        for bucket in &by_depth {
-            for &v in bucket {
-                let id = crate::aig::NodeId(v);
+        for level in levels.iter() {
+            for &id in level {
+                let v = id.index();
                 let h = match *aig.node(id) {
-                    AigNode::Pi => label[v as usize],
+                    AigNode::Pi => label[v],
                     AigNode::Ff { init, .. } => {
                         let d = aig.ff_fanin(id).map_or(0, |d| label[d.index()]);
-                        combine(combine(combine(TAG_FF, init as u64), label[v as usize]), d)
+                        combine(combine(combine(TAG_FF, init as u64), label[v]), d)
                     }
                     AigNode::And(a, b) => {
                         // Commutative: order-normalize the fanin labels.
@@ -227,10 +175,9 @@ fn wl_final_labels(aig: &SeqAig) -> Vec<u64> {
                     }
                     AigNode::Not(a) => combine(TAG_NOT, next[a.index()]),
                 };
-                next[v as usize] = h;
+                next[v] = h;
             }
         }
-        let _ = round;
         std::mem::swap(&mut label, &mut next);
     }
     label
@@ -310,63 +257,29 @@ mod tests {
     }
 
     #[test]
+    fn hash_values_are_pinned() {
+        // `deepseq-serve`'s request keys are built on these values, so a
+        // refactor of the hash must keep them: toggle, PI–AND–FF loop
+        // (q' = AND(a, q)) and the empty circuit.
+        let mut pi_and_ff = SeqAig::new("loop");
+        let a = pi_and_ff.add_pi("a");
+        let q = pi_and_ff.add_ff("q", false);
+        let g = pi_and_ff.add_and(a, q);
+        pi_and_ff.connect_ff(q, g).unwrap();
+        pi_and_ff.set_output(g, "y");
+        for (what, aig, want) in [
+            ("toggle", toggle("t"), 0x91d1_82d8_06ad_af89),
+            ("pi-and-ff loop", pi_and_ff, 0x3433_637b_d72b_b38d),
+            ("empty", SeqAig::new("empty"), 0xe220_a839_7b1d_cdaf),
+        ] {
+            let got = structural_hash(&aig);
+            assert_eq!(got, want, "{what}: {got:#018x}");
+        }
+    }
+
+    #[test]
     fn empty_graph_hashes() {
         let g = SeqAig::new("empty");
         assert_eq!(structural_hash(&g), structural_hash(&g));
-        assert!(cone_hashes(&g).is_empty());
-    }
-
-    #[test]
-    fn cone_hashes_invariant_under_renumbering() {
-        // y = AND(NOT(a), b) built in two node orders: corresponding nodes
-        // must carry identical cone hashes.
-        let mut g1 = SeqAig::new("g1");
-        let a1 = g1.add_pi("a");
-        let b1 = g1.add_pi("b");
-        let n1 = g1.add_not(a1);
-        let y1 = g1.add_and(n1, b1);
-
-        let mut g2 = SeqAig::new("g2");
-        let b2 = g2.add_pi("b");
-        let a2 = g2.add_pi("a");
-        let n2 = g2.add_not(a2);
-        let y2 = g2.add_and(b2, n2);
-
-        let h1 = cone_hashes(&g1);
-        let h2 = cone_hashes(&g2);
-        assert_eq!(h1[a1.index()], h2[a2.index()]);
-        assert_eq!(h1[b1.index()], h2[b2.index()]);
-        assert_eq!(h1[n1.index()], h2[n2.index()]);
-        assert_eq!(h1[y1.index()], h2[y2.index()]);
-    }
-
-    #[test]
-    fn cone_hashes_distinguish_cone_structure() {
-        // Same node kind, different fanin cones.
-        let mut g = SeqAig::new("g");
-        let a = g.add_pi("a");
-        let b = g.add_pi("b");
-        let na = g.add_not(a);
-        let nb = g.add_not(b); // NOT over a differently-named PI
-        let nna = g.add_not(na); // NOT over a deeper cone
-        let h = cone_hashes(&g);
-        assert_ne!(h[na.index()], h[nb.index()]);
-        assert_ne!(h[na.index()], h[nna.index()]);
-    }
-
-    #[test]
-    fn cone_hashes_cross_sequential_boundaries() {
-        // Toggle FFs with different init values: the NOT gates behind them
-        // see the difference through the FF edge.
-        let mk = |init| {
-            let mut g = SeqAig::new("t");
-            let q = g.add_ff("q", init);
-            let n = g.add_not(q);
-            g.connect_ff(q, n).unwrap();
-            g
-        };
-        let h0 = cone_hashes(&mk(false));
-        let h1 = cone_hashes(&mk(true));
-        assert_ne!(h0[1], h1[1]);
     }
 }

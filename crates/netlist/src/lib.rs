@@ -50,7 +50,7 @@ pub mod stats;
 pub use aig::{AigNode, NodeId, SeqAig, NUM_NODE_TYPES};
 pub use aiger::{parse_aiger, write_aiger};
 pub use error::NetlistError;
-pub use hash::{cone_hashes, structural_hash};
+pub use hash::structural_hash;
 pub use level::Levels;
 pub use lower::{lower_to_aig, LoweredNetlist};
 pub use netlist::{GateId, GateKind, GateRef, Netlist};

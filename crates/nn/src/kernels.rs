@@ -12,14 +12,14 @@
 //! * [`Kernel::Blocked`] — the same arithmetic, restructured into register
 //!   tiles: one output row, 32 columns wide (a whole row at d = 32),
 //!   accumulates in registers over the whole contraction, so 32
-//!   independent add chains run at once. `a × bᵀ` packs `bᵀ` first and
-//!   runs the same tiles; outputs narrower than 8 columns tile over rows
-//!   instead. On x86-64 CPUs with AVX2 the same body runs compiled for
-//!   AVX2 (no fused multiply-add), with the same bits (see
-//!   [`simd_accelerated`]). A finished tile is added to its destination:
-//!   a product writes into a zeroed output, where `+0.0 + chain` is the
-//!   chain, and the add mode below adds into an existing matrix. Default
-//!   for training and serving.
+//!   independent add chains run at once. `aᵀ × b` runs the same tiles,
+//!   reading `a`'s columns in place as the tile rows; outputs narrower
+//!   than 8 columns tile over rows instead. On x86-64 CPUs with AVX2 the
+//!   same body runs compiled for AVX2 (no fused multiply-add), with the
+//!   same bits (see [`simd_accelerated`]). A finished tile is added to its
+//!   destination: a product writes into a zeroed output, where
+//!   `+0.0 + chain` is the chain, and the add mode below adds into an
+//!   existing matrix. Default for training and serving.
 //!
 //! # The numerics contract
 //!
@@ -38,8 +38,10 @@
 //! `dest.add_assign(&fresh_product)`: under `blocked`, each chain still
 //! starts from zero in a register and the finished chain is added to its
 //! destination element, so there is no temporary and no second pass over
-//! it; under `naive` they are exactly that composition. The tape's
-//! backward pass adds every product term of its gradients this way.
+//! it; under `naive` they are exactly that composition, and `aᵀ × b` is a
+//! plain product of an explicit [`Matrix::transpose`]. The tape's backward
+//! pass adds every product term of its gradients this way, `g·Wᵀ` as
+//! `g × (Wᵀ)` over one transpose per weight and pass.
 //!
 //! The fused entry point [`Kernel::matmul_bias_act`] covers the GRU gate
 //! pattern `act(x·W + h·U + b)` in one call, adding `h·U` into the output
@@ -49,16 +51,19 @@
 //!
 //! # Threading
 //!
-//! Large products are row-partitioned across the worker [`Pool`]: each
-//! output row is still accumulated in ascending-`k` order by exactly one
-//! worker, so multi-threaded results are **bitwise equal to single-threaded
-//! at any thread count** — the chunk boundary only decides *who* computes a
-//! row, never *how*. The plain entry points ([`Kernel::matmul`],
-//! [`Kernel::matmul_into`], …) use the process-wide [`Pool::global`]
-//! (sized by `DEEPSEQ_THREADS`); the `*_on` twins
-//! ([`Kernel::matmul_into_on`], …) take an explicit pool for engines,
-//! benchmarks and tests that manage their own. Products below
-//! [`PAR_MIN_FLOPS`] multiply-adds stay on the calling thread.
+//! Large products are row-partitioned across the worker [`Pool`], `a × b`
+//! and `aᵀ × b` by one fan-out (the output rows of `aᵀ × b` are `a`'s
+//! columns): each output row is still accumulated in ascending-`k` order
+//! by exactly one worker, so multi-threaded results are **bitwise equal to
+//! single-threaded at any thread count** — the chunk boundary only decides
+//! *who* computes a row, never *how*. The plain entry points
+//! ([`Kernel::matmul`], [`Kernel::matmul_add_into`], …) use the
+//! process-wide [`Pool::global`] (sized by `DEEPSEQ_THREADS`); the `*_on`
+//! twins ([`Kernel::matmul_on`], …) take an explicit pool for engines,
+//! benchmarks and tests that manage their own, and
+//! [`Kernel::matmul_into_on`], which reuses its output's allocation, has
+//! only that form. Products below [`PAR_MIN_FLOPS`] multiply-adds stay on
+//! the calling thread.
 //!
 //! # Selection
 //!
@@ -88,7 +93,6 @@
 //! assert_eq!(a.matmul(&b), reference);
 //! ```
 
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -114,27 +118,6 @@ pub fn simd_accelerated() -> bool {
 /// value warns once to stderr and keeps the default, and an empty value
 /// behaves like an unset variable.
 pub const KERNEL_ENV: &str = "DEEPSEQ_KERNEL";
-
-thread_local! {
-    /// Reused packing scratch of blocked `a × bᵀ`, which transposes its
-    /// right-hand operand first; grows to the largest operand seen on this
-    /// thread and is then reused, mirroring the serve path's `Workspace`
-    /// buffer discipline. Parallel products pack once on the calling
-    /// thread and share the packed operand read-only with the workers.
-    static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with the thread-local pack buffer *moved out* of its `RefCell`
-/// for the duration. The buffer must not stay borrowed across a pool
-/// fan-out: while parked in `Pool::run` this thread may help-execute
-/// another task that itself packs an operand, and a live borrow would
-/// panic (`BorrowMutError`). Taking the `Vec` out keeps the re-entrant
-/// product on its own (freshly grown) buffer; ours is restored afterwards.
-fn with_pack_scratch(f: impl FnOnce(&mut Vec<f32>)) {
-    let mut pack = PACK_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    f(&mut pack);
-    PACK_SCRATCH.with(|s| *s.borrow_mut() = pack);
-}
 
 /// Minimum multiply-adds (`m·k·n`) before a product fans out across the
 /// pool — below this, partitioning overhead outweighs the work.
@@ -191,12 +174,12 @@ impl Act {
 ///
 /// # Example
 /// ```
-/// use deepseq_nn::{Kernel, Matrix};
+/// use deepseq_nn::{Kernel, Matrix, Pool};
 ///
 /// let x = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
 /// let w = Matrix::eye(5);
 /// let mut out = Matrix::default();
-/// Kernel::Blocked.matmul_into(&x, &w, &mut out);
+/// Kernel::Blocked.matmul_into_on(Pool::global(), &x, &w, &mut out);
 /// assert_eq!(out, x);
 /// assert_eq!(Kernel::parse("blocked"), Some(Kernel::Blocked));
 /// ```
@@ -299,24 +282,16 @@ impl Kernel {
     }
 
     /// Writes `a × b` into `out` (reshaped via [`Matrix::reset`]), reusing
-    /// `out`'s allocation.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn matmul_into(self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        self.matmul_into_on(Pool::global(), a, b, out);
-    }
-
-    /// [`Kernel::matmul_into`] on an explicit worker pool: rows of `out`
-    /// are partitioned across the pool when the product is large enough
-    /// (results are bitwise-identical at any thread count).
+    /// `out`'s allocation. Rows of `out` are partitioned across the pool
+    /// when the product is large enough (results are bitwise-identical at
+    /// any thread count).
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn matmul_into_on(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         assert_matmul_dims(a, b);
         out.reset(a.rows(), b.cols());
-        self.gemm(pool, a, b, out.data_mut());
+        self.gemm(pool, a.data(), a.cols(), 1, a.rows(), b, out.data_mut());
     }
 
     /// Adds `a × b` to `out` in place, with the bits of
@@ -346,36 +321,16 @@ impl Kernel {
         match self {
             // The reference: a fresh product, then one add per element.
             Kernel::Naive => out.add_assign(&self.matmul_on(pool, a, b)),
-            Kernel::Blocked => self.gemm(pool, a, b, out.data_mut()),
+            Kernel::Blocked => self.gemm(pool, a.data(), a.cols(), 1, a.rows(), b, out.data_mut()),
         }
     }
 
-    /// `aᵀ × b` without materializing the transpose (tape backward pass).
-    ///
-    /// # Panics
-    /// Panics if row counts differ.
-    pub fn t_matmul(self, a: &Matrix, b: &Matrix) -> Matrix {
-        self.t_matmul_on(Pool::global(), a, b)
-    }
-
-    /// [`Kernel::t_matmul`] on an explicit worker pool. Output rows
-    /// (columns of `a`) are partitioned across the pool for large products;
-    /// per output element the contraction stays in ascending row order, so
-    /// results are bitwise-identical at any thread count.
-    ///
-    /// # Panics
-    /// Panics if row counts differ.
-    pub fn t_matmul_on(self, pool: &Pool, a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.rows(), b.rows(), "t_matmul row mismatch");
-        let mut out = Matrix::zeros(a.cols(), b.cols());
-        self.t_gemm(pool, a, b, out.data_mut());
-        out
-    }
-
     /// Adds `aᵀ × b` to `out` in place, with the bits of
-    /// `out.add_assign(&self.t_matmul(a, b))` (see
-    /// [`Kernel::matmul_add_into`]). The tape's weight gradients `xᵀ·g`
-    /// take this path.
+    /// `out.add_assign(&self.matmul(&a.transpose(), b))` (see
+    /// [`Kernel::matmul_add_into`]). [`Kernel::Blocked`] reads `a`'s
+    /// columns in place as the rows of `aᵀ`; under [`Kernel::Naive`], the
+    /// reference, it is that composition. The tape's weight gradients
+    /// `xᵀ·g` take this path.
     ///
     /// # Panics
     /// Panics if row counts differ, or if `out` is not `a.cols()×b.cols()`.
@@ -383,61 +338,29 @@ impl Kernel {
         self.t_matmul_add_into_on(Pool::global(), a, b, out);
     }
 
-    /// [`Kernel::t_matmul_add_into`] on an explicit worker pool (output
-    /// rows partitioned as in [`Kernel::t_matmul_on`]).
+    /// [`Kernel::t_matmul_add_into`] on an explicit worker pool. Output
+    /// rows (columns of `a`) are partitioned as in
+    /// [`Kernel::matmul_into_on`]; per output element the contraction
+    /// stays in ascending row order, so results are bitwise-identical at
+    /// any thread count.
     ///
     /// # Panics
     /// Panics if row counts differ, or if `out` is not `a.cols()×b.cols()`.
     pub fn t_matmul_add_into_on(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        assert_eq!(a.rows(), b.rows(), "t_matmul row mismatch");
+        assert_eq!(a.rows(), b.rows(), "t_matmul_add_into row mismatch");
         assert_eq!(
             out.shape(),
             (a.cols(), b.cols()),
             "t_matmul_add_into destination"
         );
         match self {
-            // The reference: a fresh product, then one add per element.
-            Kernel::Naive => out.add_assign(&self.t_matmul_on(pool, a, b)),
-            Kernel::Blocked => self.t_gemm(pool, a, b, out.data_mut()),
+            // The reference: an explicit transpose, a fresh product, then
+            // one add per element.
+            Kernel::Naive => out.add_assign(&self.matmul_on(pool, &a.transpose(), b)),
+            // Row `i` of `aᵀ` is column `i` of `a`: stride 1 between rows,
+            // `a.cols()` along each.
+            Kernel::Blocked => self.gemm(pool, a.data(), 1, a.cols(), a.cols(), b, out.data_mut()),
         }
-    }
-
-    /// `a × bᵀ` without materializing the transpose (tape backward pass).
-    ///
-    /// # Panics
-    /// Panics if column counts differ.
-    pub fn matmul_t(self, a: &Matrix, b: &Matrix) -> Matrix {
-        self.matmul_t_on(Pool::global(), a, b)
-    }
-
-    /// [`Kernel::matmul_t`] on an explicit worker pool. Rows of `a` are
-    /// partitioned across the pool for large products; every output element
-    /// is one ascending-`k` dot product regardless of partitioning, so
-    /// results are bitwise-identical at any thread count.
-    ///
-    /// # Panics
-    /// Panics if column counts differ.
-    pub fn matmul_t_on(self, pool: &Pool, a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols(), b.cols(), "matmul_t col mismatch");
-        let (m, k, nb) = (a.rows(), a.cols(), b.rows());
-        let mut out = Matrix::zeros(m, nb);
-        if m == 0 || nb == 0 {
-            return out;
-        }
-        let _span = crate::trace::span_with(
-            crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(m, k, nb, self.trace_tag()),
-        );
-        let (a, b, o) = (a.data(), b.data(), out.data_mut());
-        match self {
-            Kernel::Naive => run_row_tasks(pool, a, b, o, m, k, nb, gemm_bt_naive_rows),
-            // Packed bᵀ turns `a × bᵀ` into the plain blocked product.
-            Kernel::Blocked => with_pack_scratch(|pack| {
-                pack_transpose(b, nb, k, pack);
-                run_row_tasks(pool, a, pack, o, m, k, nb, gemm_blocked);
-            }),
-        }
-        out
     }
 
     /// Fused `out = act(x·w [+ h·u] [+ bias])` — the GRU gate pattern of the
@@ -449,7 +372,7 @@ impl Kernel {
     /// ([`Kernel::matmul_add_into`]), so the call needs no scratch. The
     /// floating-point sequence is exactly the unfused one — product, add of
     /// the fully formed second product, broadcast bias, activation — so
-    /// results are bitwise-identical to composing [`Kernel::matmul_into`],
+    /// results are bitwise-identical to composing [`Kernel::matmul_into_on`],
     /// [`Matrix::add_assign`], [`Matrix::add_row_assign`] and
     /// [`Act::apply`] by hand.
     ///
@@ -493,43 +416,70 @@ impl Kernel {
         act.apply(out.data_mut());
     }
 
-    /// Accumulates `a × b` into `out` (`a.rows()×b.cols()`), row-partitioned
-    /// across the pool when large enough. `Blocked` adds each finished
-    /// chain to its `out` element; `Naive` runs its chains from the `out`
-    /// values, which matches that only on a zeroed `out`, so its add mode
-    /// is the composition in [`Kernel::matmul_add_into_on`].
-    fn gemm(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut [f32]) {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        if m == 0 || n == 0 {
+    /// Accumulates `A × b` into `out` (`rows × b.cols()`), where element
+    /// `(i, p)` of `A` is `a[i·rs + p·ps]` for `p` over `b`'s rows: `a`'s
+    /// rows (`rs = a.cols(), ps = 1`) for `a × b`, its columns
+    /// (`rs = 1, ps = a.cols()`) for `aᵀ × b`. Output rows are partitioned
+    /// across the pool when [`par_ranges`] fans the product out; chunk `r`
+    /// reads `A` from `a[r.start·rs..]`. `Blocked` adds each finished chain
+    /// to its `out` element. `Naive` reads `a`'s rows only
+    /// (`rs = a.cols(), ps = 1`) and runs its chains from the `out` values,
+    /// which matches that only on a zeroed `out`, so its add modes are the
+    /// compositions in [`Kernel::matmul_add_into_on`] and
+    /// [`Kernel::t_matmul_add_into_on`].
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        self,
+        pool: &Pool,
+        a: &[f32],
+        rs: usize,
+        ps: usize,
+        rows: usize,
+        b: &Matrix,
+        out: &mut [f32],
+    ) {
+        let (k, n) = b.shape();
+        if rows == 0 || n == 0 {
             return;
         }
         let _span = crate::trace::span_with(
             crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(m, k, n, self.trace_tag()),
+            crate::trace::pack_gemm(rows, k, n, self.trace_tag()),
         );
-        let (a, b) = (a.data(), b.data());
-        match self {
-            Kernel::Naive => run_row_tasks(pool, a, b, out, m, k, n, gemm_naive),
-            Kernel::Blocked => run_row_tasks(pool, a, b, out, m, k, n, gemm_blocked),
+        let b = b.data();
+        let Some(ranges) = par_ranges(pool, rows, k, n) else {
+            self.gemm_rows(a, rs, ps, b, out, rows, k, n);
+            return;
+        };
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
+        let mut rest = out;
+        for r in ranges {
+            let (chunk, tail) = rest.split_at_mut(r.len() * n);
+            rest = tail;
+            let a = &a[r.start * rs..];
+            tasks.push(Box::new(move || {
+                self.gemm_rows(a, rs, ps, b, chunk, r.len(), k, n)
+            }));
         }
+        pool.run(tasks);
     }
 
-    /// Accumulates `aᵀ × b` into `out` (`a.cols()×b.cols()`), output rows
-    /// partitioned across the pool when large enough; `out` as in
-    /// [`Kernel::gemm`].
-    fn t_gemm(self, pool: &Pool, a: &Matrix, b: &Matrix, out: &mut [f32]) {
-        let (m, ka, n) = (a.rows(), a.cols(), b.cols());
-        if ka == 0 || n == 0 {
-            return;
-        }
-        let _span = crate::trace::span_with(
-            crate::trace::SpanKind::Gemm,
-            crate::trace::pack_gemm(ka, m, n, self.trace_tag()),
-        );
-        let (a, b) = (a.data(), b.data());
+    /// One chunk of [`Kernel::gemm`], on the calling thread.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_rows(
+        self,
+        a: &[f32],
+        rs: usize,
+        ps: usize,
+        b: &[f32],
+        out: &mut [f32],
+        rows: usize,
+        k: usize,
+        n: usize,
+    ) {
         match self {
-            Kernel::Naive => run_trow_tasks(pool, a, b, out, m, ka, n, t_gemm_naive_rows),
-            Kernel::Blocked => run_trow_tasks(pool, a, b, out, m, ka, n, t_gemm_blocked_rows),
+            Kernel::Naive => gemm_naive(a, b, out, rows, k, n),
+            Kernel::Blocked => blocked_rows(a, rs, ps, b, out, rows, k, n),
         }
     }
 }
@@ -561,72 +511,6 @@ fn par_ranges(pool: &Pool, rows: usize, k: usize, n: usize) -> Option<Vec<Range<
     (ranges.len() > 1).then_some(ranges)
 }
 
-/// Runs a row kernel over the `rows` rows of `a` and `out`, sharing `b`
-/// read-only: straight on the caller, or split by rows across the pool
-/// when [`par_ranges`] fans the product out. The kernel signature is
-/// `(a_rows, b, out_rows, rows, k, n)` where `a_rows`/`out_rows` hold
-/// exactly `rows` rows.
-#[allow(clippy::too_many_arguments)]
-fn run_row_tasks<F>(
-    pool: &Pool,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    f: F,
-) where
-    F: Fn(&[f32], &[f32], &mut [f32], usize, usize, usize) + Copy + Send + Sync,
-{
-    let Some(ranges) = par_ranges(pool, rows, k, n) else {
-        f(a, b, out, rows, k, n);
-        return;
-    };
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
-    let mut rest = out;
-    for r in ranges {
-        let rows = r.len();
-        let (chunk, tail) = rest.split_at_mut(rows * n);
-        rest = tail;
-        let a_rows = &a[r.start * k..r.end * k];
-        tasks.push(Box::new(move || f(a_rows, b, chunk, rows, k, n)));
-    }
-    pool.run(tasks);
-}
-
-/// Runs a transpose row kernel over the `ka` output rows (columns of `a`),
-/// straight on the caller or split across the pool as in
-/// [`run_row_tasks`]; `a` and `b` are shared read-only, `out` split by
-/// rows. The kernel signature is `(a, b, out_rows, m, ka, n, i0, i1)` —
-/// computes output rows `i0..i1` (columns of `a`) into `out_rows`.
-#[allow(clippy::too_many_arguments)]
-fn run_trow_tasks<F>(
-    pool: &Pool,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    f: F,
-) where
-    F: Fn(&[f32], &[f32], &mut [f32], usize, usize, usize, usize, usize) + Copy + Send + Sync,
-{
-    let Some(ranges) = par_ranges(pool, ka, m, n) else {
-        f(a, b, out, m, ka, n, 0, ka);
-        return;
-    };
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
-    let mut rest = out;
-    for r in ranges {
-        let (chunk, tail) = rest.split_at_mut(r.len() * n);
-        rest = tail;
-        tasks.push(Box::new(move || f(a, b, chunk, m, ka, n, r.start, r.end)));
-    }
-    pool.run(tasks);
-}
-
 /// Reference `i-k-j` loop; skips zero left-hand entries. This is the
 /// arithmetic contract every other kernel reproduces bit-for-bit.
 fn gemm_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -641,88 +525,6 @@ fn gemm_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += av * bv;
             }
-        }
-    }
-}
-
-/// Blocked `a × b` added into a row chunk: the register-tiled
-/// [`blocked_rows`] body with `a`'s rows as the tile rows.
-fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    blocked_rows(a, k, 1, b, out, m, k, n);
-}
-
-/// Reference `aᵀ × b` over output rows `i0..i1`: accumulates row `r` of `a`
-/// against row `r` of `b`, `r` ascending per output element — identical
-/// order at any partitioning.
-#[allow(clippy::too_many_arguments)]
-fn t_gemm_naive_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-) {
-    for r in 0..m {
-        let arow = &a[r * ka..(r + 1) * ka];
-        let brow = &b[r * n..(r + 1) * n];
-        for i in i0..i1 {
-            let av = arow[i];
-            if av == 0.0 {
-                continue;
-            }
-            let orow = &mut out[(i - i0) * n..(i - i0 + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Blocked `aᵀ × b` added into output rows `i0..i1`: the register-tiled
-/// [`blocked_rows`] body with `a`'s columns `i0..i1` as the tile rows and
-/// the `m` rows of `a` and `b` as the contraction.
-#[allow(clippy::too_many_arguments)]
-fn t_gemm_blocked_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-) {
-    blocked_rows(&a[i0..], 1, ka, b, out, i1 - i0, m, n);
-}
-
-/// Reference `a × bᵀ` over a row chunk of `a`: one dot product per output
-/// element, `k` ascending.
-fn gemm_bt_naive_rows(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, nb: usize) {
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..nb {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = out[i * nb + j];
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            out[i * nb + j] = acc;
-        }
-    }
-}
-
-/// Writes `bᵀ` of a row-major `nb × k` matrix `b` into `pack` as a
-/// row-major `k × nb` matrix, so the blocked kernel runs `a × bᵀ` as the
-/// plain product `a × pack`.
-fn pack_transpose(b: &[f32], nb: usize, k: usize, pack: &mut Vec<f32>) {
-    pack.clear();
-    pack.resize(k * nb, 0.0);
-    for (p, prow) in pack.chunks_exact_mut(nb).enumerate() {
-        for (j, o) in prow.iter_mut().enumerate() {
-            *o = b[j * k + p];
         }
     }
 }
@@ -934,7 +736,8 @@ mod tests {
             let a = filled(m, k, 0.7);
             let b = filled(k, n, -0.4);
             let t_a = filled(k, m, 0.3);
-            let bt_b = filled(n, k, -0.9);
+            // `aᵀ × b` by an explicit transpose and the plain naive loop.
+            let t_product = Kernel::Naive.matmul(&t_a.transpose(), &b);
             // Destinations of the add mode, with values of both signs.
             let dest = filled(m, n, 1.3);
             for kernel in Kernel::ALL {
@@ -942,11 +745,6 @@ mod tests {
                 let naive = Kernel::Naive;
                 let product = kernel.matmul(&a, &b);
                 assert_eq!(bits(&product), bits(&naive.matmul(&a, &b)), "{shape}");
-                let t_product = kernel.t_matmul(&t_a, &b);
-                let want = naive.t_matmul(&t_a, &b);
-                assert_eq!(bits(&t_product), bits(&want), "t_matmul {shape}");
-                let (got, want) = (kernel.matmul_t(&a, &bt_b), naive.matmul_t(&a, &bt_b));
-                assert_eq!(bits(&got), bits(&want), "matmul_t {shape}");
 
                 // The add mode gives the bits of the fresh product added
                 // with `add_assign`, and `Blocked` those of `Naive`.
@@ -956,25 +754,32 @@ mod tests {
                 let mut want = dest.clone();
                 naive.matmul_add_into(&a, &b, &mut want);
                 assert_eq!(bits(&got), bits(&want), "add vs naive {shape}");
+                let mut got = Matrix::zeros(m, n);
+                kernel.t_matmul_add_into(&t_a, &b, &mut got);
+                assert_eq!(bits(&got), bits(&t_product), "aᵀb into zeros {shape}");
                 let mut got = dest.clone();
                 kernel.t_matmul_add_into(&t_a, &b, &mut got);
                 let t_want = added(&dest, &t_product);
-                assert_eq!(bits(&got), bits(&t_want), "t_matmul add {shape}");
-                let mut want = dest.clone();
-                naive.t_matmul_add_into(&t_a, &b, &mut want);
-                assert_eq!(bits(&got), bits(&want), "t_matmul add vs naive {shape}");
+                assert_eq!(bits(&got), bits(&t_want), "aᵀb add {shape}");
             }
         }
     }
 
     #[test]
     fn parallel_matches_serial_bitwise() {
-        // Big enough to clear PAR_MIN_FLOPS so the pools genuinely fan out.
+        // Big enough to clear PAR_MIN_FLOPS so the pools genuinely fan out:
+        // `a × b` over 96 rows, `aᵀ × t_b` over 40 (`a`'s columns).
         let a = filled(96, 40, 0.7);
         let b = filled(40, 48, -0.4);
         let t_b = filled(96, 33, 0.2);
-        let bt_b = filled(56, 40, -0.8);
+        let (dest, t_dest) = (filled(96, 48, 1.3), filled(40, 33, -1.1));
         let serial = Pool::new(1);
+        let add_on = |kernel: Kernel, pool: &Pool| {
+            let (mut out, mut t_out) = (dest.clone(), t_dest.clone());
+            kernel.matmul_add_into_on(pool, &a, &b, &mut out);
+            kernel.t_matmul_add_into_on(pool, &a, &t_b, &mut t_out);
+            (out, t_out)
+        };
         for threads in [2, 4, 7] {
             let pool = Pool::new(threads);
             for kernel in Kernel::ALL {
@@ -984,38 +789,31 @@ mod tests {
                     "matmul {} t{threads}",
                     kernel.name()
                 );
-                assert_eq!(
-                    kernel.t_matmul_on(&pool, &a, &t_b),
-                    kernel.t_matmul_on(&serial, &a, &t_b),
-                    "t_matmul {} t{threads}",
-                    kernel.name()
-                );
-                assert_eq!(
-                    kernel.matmul_t_on(&pool, &a, &bt_b),
-                    kernel.matmul_t_on(&serial, &a, &bt_b),
-                    "matmul_t {} t{threads}",
-                    kernel.name()
-                );
+                let ((got, t_got), (want, t_want)) =
+                    (add_on(kernel, &pool), add_on(kernel, &serial));
+                let name = kernel.name();
+                assert_eq!(bits(&got), bits(&want), "add {name} t{threads}");
+                assert_eq!(bits(&t_got), bits(&t_want), "aᵀb add {name} t{threads}");
             }
         }
     }
 
     #[test]
     fn transpose_variants_agree_bitwise() {
+        // The two transposed products the tape runs: `aᵀ × b` added in
+        // place, and `a × bᵀ` as a plain product of an explicit transpose.
         let a = filled(13, 6, 0.3);
         let b = filled(13, 11, -0.9);
-        let reference = Kernel::Naive.t_matmul(&a, &b);
+        let reference = Kernel::Naive.matmul(&a.transpose(), &b);
         let bt_a = filled(9, 14, 0.5);
-        let bt_b = filled(7, 14, 0.2);
-        let bt_reference = Kernel::Naive.matmul_t(&bt_a, &bt_b);
+        let bt = filled(7, 14, 0.2).transpose();
+        let bt_reference = Kernel::Naive.matmul(&bt_a, &bt);
         for kernel in Kernel::ALL {
-            assert_eq!(kernel.t_matmul(&a, &b), reference, "{}", kernel.name());
-            assert_eq!(
-                kernel.matmul_t(&bt_a, &bt_b),
-                bt_reference,
-                "{}",
-                kernel.name()
-            );
+            let mut got = Matrix::zeros(6, 11);
+            kernel.t_matmul_add_into(&a, &b, &mut got);
+            assert_eq!(bits(&got), bits(&reference), "{}", kernel.name());
+            let got = kernel.matmul(&bt_a, &bt);
+            assert_eq!(bits(&got), bits(&bt_reference), "{}", kernel.name());
         }
     }
 
@@ -1062,14 +860,14 @@ mod tests {
             let a = Matrix::zeros(3, 0);
             let b = Matrix::zeros(0, 2);
             assert_eq!(kernel.matmul(&a, &b), Matrix::zeros(3, 2));
-            assert_eq!(
-                kernel.t_matmul(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2)),
-                Matrix::zeros(4, 2)
-            );
-            assert_eq!(
-                kernel.matmul_t(&Matrix::zeros(2, 0), &Matrix::zeros(3, 0)),
-                Matrix::zeros(2, 3)
-            );
+            // An empty contraction adds nothing; an empty output is a no-op.
+            let dest = filled(4, 2, 1.3);
+            let mut got = dest.clone();
+            kernel.t_matmul_add_into(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), &mut got);
+            assert_eq!(got, dest);
+            let mut got = Matrix::zeros(0, 2);
+            kernel.t_matmul_add_into(&Matrix::zeros(3, 0), &Matrix::zeros(3, 2), &mut got);
+            assert_eq!(got.shape(), (0, 2));
         }
     }
 
@@ -1109,31 +907,6 @@ mod tests {
             assert!(t > 0 && t <= 0xF);
             assert!(!tags[..i].contains(&t), "duplicate tag {t}");
         }
-    }
-
-    #[test]
-    fn concurrent_packed_products_survive_help_stealing() {
-        // While a blocked `a × bᵀ` is parked in `Pool::run`, the same
-        // thread may help-execute another task that also packs its `bᵀ`.
-        // The pack scratch must not stay borrowed across the fan-out
-        // (regression: `BorrowMutError` at the second borrow).
-        let serial = Pool::new(1);
-        let a = filled(64, 128, 0.4);
-        let b = filled(256, 128, -0.2);
-        let flops = a.rows() * a.cols() * b.rows();
-        assert!(flops >= PAR_MIN_FLOPS, "the product must fan out");
-        let reference = Kernel::Blocked.matmul_t_on(&serial, &a, &b);
-        let pool = std::sync::Arc::new(Pool::new(2));
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|_| {
-                let pool = std::sync::Arc::clone(&pool);
-                let (a, b, reference) = (&a, &b, &reference);
-                Box::new(move || {
-                    assert_eq!(&Kernel::Blocked.matmul_t_on(&pool, a, b), reference);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(tasks);
     }
 
     #[test]

@@ -162,7 +162,10 @@ impl Matrix {
     /// Matrix product `self × other`, dispatched through the process-wide
     /// default [`Kernel::global`](crate::Kernel::global) (`blocked` unless
     /// `DEEPSEQ_KERNEL` names `naive`, which computes the same bits — see
-    /// [`crate::kernels`]).
+    /// [`crate::kernels`]). It is the one product on `Matrix`: writing into
+    /// a reused output, adding into an existing matrix and `aᵀ × b` are
+    /// [`Kernel`](crate::Kernel) methods, and `a × bᵀ` is
+    /// `a.matmul(&b.transpose())`.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -179,35 +182,6 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Writes `self × other` into `out` (reshaped via [`Matrix::reset`]),
-    /// reusing `out`'s allocation. Bit-identical to [`Matrix::matmul`];
-    /// dispatched through the same process-wide default
-    /// [`Kernel`](crate::Kernel).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or if `out` aliases an operand.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        crate::kernels::Kernel::global().matmul_into(self, other, out);
-    }
-
-    /// `selfᵀ × other` without materializing the transpose (dispatched, see
-    /// [`Matrix::matmul`]).
-    ///
-    /// # Panics
-    /// Panics if row counts differ.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        crate::kernels::Kernel::global().t_matmul(self, other)
-    }
-
-    /// `self × otherᵀ` without materializing the transpose (dispatched, see
-    /// [`Matrix::matmul`]).
-    ///
-    /// # Panics
-    /// Panics if column counts differ.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        crate::kernels::Kernel::global().matmul_t(self, other)
     }
 
     /// The transpose.
@@ -320,20 +294,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn t_matmul_matches_explicit_transpose() {
-        let a = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
-        let b = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.5);
-        assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
-    }
-
-    #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let a = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
-        let b = Matrix::from_fn(4, 2, |r, c| (r + c) as f32 * 0.5);
-        assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
     }
 
     #[test]

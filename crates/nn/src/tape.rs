@@ -678,12 +678,11 @@ impl Tape {
         store
     }
 
-    /// Adds `g · value(v)ᵀ` to `dest` on `kernel`, with the bits of adding
-    /// [`Matrix::matmul_t`], through a transpose of `v` made on its first
-    /// use in this backward pass and kept in `transposes`: a weight leaf
-    /// that every level reads (one leaf per weight under
-    /// [`TapeOps`](crate::TapeOps)) is transposed once per pass instead of
-    /// once per use.
+    /// Adds `g · value(v)ᵀ` to `dest` on `kernel` as `g × (value(v)ᵀ)`,
+    /// through a transpose of `v` made on its first use in this backward
+    /// pass and kept in `transposes`: a weight leaf that every level reads
+    /// (one leaf per weight under [`TapeOps`](crate::TapeOps)) is
+    /// transposed once per pass instead of once per use.
     fn add_times_transpose(
         &self,
         kernel: Kernel,
@@ -1123,10 +1122,10 @@ mod tests {
     }
 
     #[test]
-    fn reused_transpose_keeps_matmul_t_bits() {
+    fn reused_transpose_matches_a_fresh_transpose_bitwise() {
         // One weight read by a plain product and a fused gate: its one
         // transpose serves both backward rules, which must still give the
-        // bits of `matmul_t` on the weight itself.
+        // bits of a product with a transpose made for each use.
         let mut params = Params::new();
         let fill = |rows, cols, seed: f32| {
             Matrix::from_fn(rows, cols, |r, c| {
@@ -1150,7 +1149,7 @@ mod tests {
         let grads = tape.backward(loss);
         // Every prediction is below its target: dL/dsum = -1/20 throughout.
         let g = Matrix::full(5, 4, -1.0 / 20.0);
-        let gwt = Kernel::Naive.matmul_t(&g, params.get(w));
+        let gwt = Kernel::Naive.matmul(&g, &params.get(w).transpose());
         let mut dx = gwt.clone();
         dx.add_assign(&gwt);
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -5,11 +5,15 @@
 //! (including the degenerate `1×N` / `N×1` / empty cases). The sliced
 //! checkpoint checksum is held to the bytewise CRC-32 loop.
 
+use deepseq_nn::kernels::PAR_MIN_FLOPS;
 use deepseq_nn::{crc32, Act, Kernel, Matrix, Params, ParamsError, Pool, Tape};
 use proptest::prelude::*;
 
 mod util;
-use util::{close_rel, gate_operands, gemm_operands, transpose_operands};
+use util::{
+    close_rel, gate_operands, gemm_operands, parallel_transpose_operands, transpose_operands,
+    SeedRng,
+};
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-1.0f32..1.0, rows * cols)
@@ -56,10 +60,16 @@ proptest! {
 
     #[test]
     fn matmul_transpose_identities(a in arb_matrix(3, 4), b in arb_matrix(3, 5)) {
-        // aᵀ·b computed directly matches the explicit transpose.
-        let direct = a.t_matmul(&b);
+        // aᵀ·b added into zeros on the process default, which reads `a`'s
+        // columns in place under `blocked`, matches the explicit transpose.
+        let mut direct = Matrix::zeros(4, 5);
+        Kernel::global().t_matmul_add_into(&a, &b, &mut direct);
         let explicit = a.transpose().matmul(&b);
         let res = close_rel(direct.data(), explicit.data(), 1e-5);
+        prop_assert!(res.is_ok(), "{:?}", res);
+        // (aᵀ·b)ᵀ = bᵀ·a.
+        let flipped = b.transpose().matmul(&a);
+        let res = close_rel(explicit.transpose().data(), flipped.data(), 1e-5);
         prop_assert!(res.is_ok(), "{:?}", res);
     }
 
@@ -241,21 +251,33 @@ proptest! {
 
     #[test]
     fn transpose_kernels_agree_with_naive_to_zero_ulp(seed in any::<u64>()) {
-        // t_matmul contracts over rows (`aᵀ·b` with matching row counts);
-        // matmul_t over columns (`a·bᵀ` with matching column counts).
+        // The backward products of the tape: `aᵀ·b` (matching row counts)
+        // added in place, and `a·bᵀ` (matching column counts) as `a × (bᵀ)`.
+        // The oracle transposes explicitly and runs the plain naive loop,
+        // independent of the strided path.
         let (a, t_b, bt_b) = transpose_operands(seed);
-        let t_ref = Kernel::Naive.t_matmul(&a, &t_b);
-        let bt_ref = Kernel::Naive.matmul_t(&a, &bt_b);
+        let t_ref = Kernel::Naive.matmul(&a.transpose(), &t_b);
+        let bt = bt_b.transpose();
+        let bt_ref = Kernel::Naive.matmul(&a, &bt);
+        // A destination of both signs, as after earlier gradient terms.
+        let dest = SeedRng(seed | 1).matrix(a.cols(), t_b.cols());
+        let mut t_add_ref = dest.clone();
+        t_add_ref.add_assign(&t_ref);
         for kernel in Kernel::ALL {
-            let got = kernel.t_matmul(&a, &t_b);
-            prop_assert_eq!(got.shape(), t_ref.shape());
+            let mut got = Matrix::zeros(a.cols(), t_b.cols());
+            kernel.t_matmul_add_into(&a, &t_b, &mut got);
             for (x, y) in got.data().iter().zip(t_ref.data()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "t_matmul {}", kernel.name());
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "aᵀb {}", kernel.name());
             }
-            let got = kernel.matmul_t(&a, &bt_b);
+            let mut got = dest.clone();
+            kernel.t_matmul_add_into(&a, &t_b, &mut got);
+            for (x, y) in got.data().iter().zip(t_add_ref.data()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "aᵀb add {}", kernel.name());
+            }
+            let got = kernel.matmul(&a, &bt);
             prop_assert_eq!(got.shape(), bt_ref.shape());
             for (x, y) in got.data().iter().zip(bt_ref.data()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "matmul_t {}", kernel.name());
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "a×(bᵀ) {}", kernel.name());
             }
         }
     }
@@ -264,22 +286,32 @@ proptest! {
     fn kernels_bitwise_identical_across_thread_counts(seed in any::<u64>()) {
         // The tentpole determinism contract: row-partitioned parallel GEMM
         // must reproduce the single-threaded bit patterns at every thread
-        // count, for every kernel and every product family, across shapes
+        // count, for every kernel and both product families (`a·b`, and
+        // `aᵀ·b` added into a destination of both signs), across shapes
         // including the degenerate (empty, 1×N, N×1) and parallel-scale
-        // cases of the shape generators.
+        // cases of the shape generators; the second `aᵀ·b` always splits
+        // into at least two chunks.
         let (a, b) = gemm_operands(seed);
-        let (ta, t_b, bt_b) = transpose_operands(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        let t_seed = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let (ta, t_b, _) = transpose_operands(t_seed);
+        let (pa, p_b, _) = parallel_transpose_operands(t_seed);
+        prop_assert!(pa.cols() >= 16 && pa.cols() * pa.rows() * p_b.cols() >= PAR_MIN_FLOPS);
+        let t_add_on = |kernel: Kernel, pool: &Pool, a: &Matrix, b: &Matrix| {
+            let mut out = SeedRng(t_seed).matrix(a.cols(), b.cols());
+            kernel.t_matmul_add_into_on(pool, a, b, &mut out);
+            out
+        };
         let serial = Pool::new(1);
         for kernel in Kernel::ALL {
             let m_ref = kernel.matmul_on(&serial, &a, &b);
-            let t_ref = kernel.t_matmul_on(&serial, &ta, &t_b);
-            let bt_ref = kernel.matmul_t_on(&serial, &ta, &bt_b);
+            let t_ref = t_add_on(kernel, &serial, &ta, &t_b);
+            let p_ref = t_add_on(kernel, &serial, &pa, &p_b);
             for threads in [2usize, 4, 7] {
                 let pool = Pool::new(threads);
                 for (tag, got, want) in [
                     ("matmul", kernel.matmul_on(&pool, &a, &b), &m_ref),
-                    ("t_matmul", kernel.t_matmul_on(&pool, &ta, &t_b), &t_ref),
-                    ("matmul_t", kernel.matmul_t_on(&pool, &ta, &bt_b), &bt_ref),
+                    ("aᵀb add", t_add_on(kernel, &pool, &ta, &t_b), &t_ref),
+                    ("split aᵀb add", t_add_on(kernel, &pool, &pa, &p_b), &p_ref),
                 ] {
                     prop_assert_eq!(got.shape(), want.shape());
                     for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {

@@ -113,20 +113,14 @@ pub fn gemm_operands(seed: u64) -> (Matrix, Matrix) {
 
 /// Random operands for the transpose products: `a (m×k)`, `t_b (m×n)` for
 /// `aᵀ·b`, and `bt_b (j×k)` for `a·bᵀ` — shapes include empty and 1-wide,
-/// and model shapes (the backward products of a level of `m` rows).
+/// parallel-scale (see [`parallel_transpose_operands`]), and model shapes
+/// (the backward products of a level of `m` rows).
 pub fn transpose_operands(seed: u64) -> (Matrix, Matrix, Matrix) {
     let mut rng = SeedRng(seed | 1);
     let (m, k, n, j) = match rng.next(6) {
         0 => (rng.next(3), rng.next(8), rng.next(8), rng.next(8)),
         1 => (1, 1 + rng.next(16), 1 + rng.next(16), 1),
-        2 => (
-            // Parallel-scale: output rows ≥ 2·PAR_MIN_ROWS, flops over the
-            // fan-out threshold for both transpose products.
-            32 + rng.next(64),
-            48 + rng.next(64),
-            48 + rng.next(64),
-            48 + rng.next(64),
-        ),
+        2 => parallel_transpose_dims(&mut rng),
         3 => (
             rng.level_rows(),
             rng.model_dim(),
@@ -140,6 +134,33 @@ pub fn transpose_operands(seed: u64) -> (Matrix, Matrix, Matrix) {
             1 + rng.next(24),
         ),
     };
+    transpose_matrices(&mut rng, (m, k, n, j))
+}
+
+/// [`transpose_operands`] at parallel scale only: `aᵀ·b` has at least 48
+/// output rows (`a`'s columns, ≥ 2·`PAR_MIN_ROWS`) and at least
+/// 32·48·48 ≥ `PAR_MIN_FLOPS` multiply-adds, so every pool of 2 or more
+/// threads splits it into at least two chunks.
+pub fn parallel_transpose_operands(seed: u64) -> (Matrix, Matrix, Matrix) {
+    let mut rng = SeedRng(seed | 1);
+    let dims = parallel_transpose_dims(&mut rng);
+    transpose_matrices(&mut rng, dims)
+}
+
+/// `(m, k, n, j)` large enough that both transpose products fan out.
+fn parallel_transpose_dims(rng: &mut SeedRng) -> (usize, usize, usize, usize) {
+    (
+        32 + rng.next(64),
+        48 + rng.next(64),
+        48 + rng.next(64),
+        48 + rng.next(64),
+    )
+}
+
+fn transpose_matrices(
+    rng: &mut SeedRng,
+    (m, k, n, j): (usize, usize, usize, usize),
+) -> (Matrix, Matrix, Matrix) {
     let a = Matrix::from_fn(m, k, |_, _| rng.value());
     let t_b = Matrix::from_fn(m, n, |_, _| rng.value());
     let bt_b = Matrix::from_fn(j, k, |_, _| rng.value());

@@ -39,18 +39,22 @@ fn retired_simd_name_falls_back_to_blocked() {
     assert!(kernel_warnings[0].contains("\"simd\""), "{warnings:?}");
     assert_eq!(config_warning_count(), warnings.len() as u64);
 
-    // The `Matrix` products the tape is built on, at shapes that fan out
-    // and fill whole register tiles.
+    // The products the tape is built on, on the default kernel, at shapes
+    // that fan out and fill whole register tiles: `a × b`, `g × (Wᵀ)` and
+    // `aᵀ × g` added into a gradient in place. The oracle transposes
+    // explicitly and runs the reference loop.
     let a = Matrix::from_fn(48, 96, |r, c| ((r * 96 + c) as f32).sin());
     let b = Matrix::from_fn(96, 40, |r, c| ((r * 40 + c) as f32 * 0.37).cos());
     let product = Kernel::Naive.matmul(&a, &b);
     assert_matrices_match(&a.matmul(&b), &product, "matmul");
-    assert_matrices_match(
-        &a.t_matmul(&product),
-        &Kernel::Naive.t_matmul(&a, &product),
-        "t_matmul",
-    );
-    assert_matrices_match(&a.matmul_t(&a), &Kernel::Naive.matmul_t(&a, &a), "matmul_t");
+    let at = a.transpose();
+    assert_matrices_match(&a.matmul(&at), &Kernel::Naive.matmul(&a, &at), "a×(aᵀ)");
+    let dest = Matrix::from_fn(96, 40, |r, c| ((r * 40 + c) as f32 * 0.11).sin());
+    let mut got = dest.clone();
+    Kernel::global().t_matmul_add_into(&a, &product, &mut got);
+    let mut want = dest;
+    want.add_assign(&Kernel::Naive.matmul(&at, &product));
+    assert_matrices_match(&got, &want, "aᵀ×g added in place");
 
     // One forward pass on the default serving workspace.
     let model = DeepSeq::new(DeepSeqConfig {

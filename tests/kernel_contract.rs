@@ -1,8 +1,9 @@
 //! Smoke test of the GEMM kernel contract through the facade: the default
 //! kernel `blocked` reproduces the reference `naive` kernel bit for bit on
 //! the product shapes one `eco` edit runs and on the backward products
-//! training runs (d = 32), fresh and added into a gradient in place, on 1-
-//! and 2-thread pools; a tape-free forward
+//! training runs (d = 32) in the forms the tape runs them (`g × (Wᵀ)` over
+//! an explicit transpose, and every term added into a gradient in place),
+//! on 1- and 2-thread pools; a tape-free forward
 //! pass on it is bit-equal to the tape's `DeepSeq::predict` for every
 //! configuration on 1-, 2- and 4-thread pools, including levels wide
 //! enough to be split into chunks; and serving defaults to it.
@@ -135,39 +136,43 @@ fn blocked_matches_naive_bitwise_on_training_backward_shapes() {
                 let gs = filled(rows, 1, 1.0);
                 // Gradients the backward pass adds into: values of both
                 // signs, as after earlier terms.
-                let (dx, dw, du) = (
+                let (dx, dw, dh, du) = (
                     filled(rows, input_dim, 1.1),
                     filled(input_dim, d, 1.2),
+                    filled(rows, d, 1.4),
                     filled(d, d, 1.3),
                 );
-                let wt = w.transpose();
+                let (dq, dw1) = (filled(rows, d, 1.5), filled(d, 1, 1.6));
+                let (dk, dw2) = (filled(rows, d, 1.7), filled(d, 1, 1.8));
                 // The tape runs `g·Wᵀ` as `g × (Wᵀ)` over one transpose
-                // per weight and pass, added into the gradient in place;
-                // every form must match naive.
+                // per weight and pass, and adds every product term into
+                // its gradient in place; every form must match naive.
+                let (wt, ut) = (w.transpose(), u.transpose());
+                let (w1t, w2t) = (w1.transpose(), w2.transpose());
                 [
-                    ("gate dx = g·Wᵀ", kernel.matmul_t_on(&pool, &g, &w)),
-                    (
-                        "gate dx = g×(Wᵀ)",
-                        kernel.matmul_on(&pool, &g, &w.transpose()),
-                    ),
-                    ("gate dW = xᵀ·g", kernel.t_matmul_on(&pool, &x, &g)),
-                    ("gate dh = g·Uᵀ", kernel.matmul_t_on(&pool, &g, &u)),
-                    (
-                        "gate dh = g×(Uᵀ)",
-                        kernel.matmul_on(&pool, &g, &u.transpose()),
-                    ),
-                    ("gate dU = hᵀ·g", kernel.t_matmul_on(&pool, &h, &g)),
-                    ("score dq = g·w1ᵀ", kernel.matmul_t_on(&pool, &gs, &w1)),
-                    (
-                        "score dq = g×(w1ᵀ)",
-                        kernel.matmul_on(&pool, &gs, &w1.transpose()),
-                    ),
-                    ("score dw1 = qᵀ·g", kernel.t_matmul_on(&pool, &q, &gs)),
-                    ("score dk = g·w2ᵀ", kernel.matmul_t_on(&pool, &gs, &w2)),
-                    ("score dw2 = kᵀ·g", kernel.t_matmul_on(&pool, &key, &gs)),
+                    ("gate dx = g×(Wᵀ)", kernel.matmul_on(&pool, &g, &wt)),
+                    ("gate dh = g×(Uᵀ)", kernel.matmul_on(&pool, &g, &ut)),
+                    ("score dq = g×(w1ᵀ)", kernel.matmul_on(&pool, &gs, &w1t)),
                     ("gate dx += g×(Wᵀ)", add_into(kernel, &pool, &g, &wt, &dx)),
                     ("gate dW += xᵀ·g", t_add_into(kernel, &pool, &x, &g, &dw)),
+                    ("gate dh += g×(Uᵀ)", add_into(kernel, &pool, &g, &ut, &dh)),
                     ("gate dU += hᵀ·g", t_add_into(kernel, &pool, &h, &g, &du)),
+                    (
+                        "score dq += g×(w1ᵀ)",
+                        add_into(kernel, &pool, &gs, &w1t, &dq),
+                    ),
+                    (
+                        "score dw1 += qᵀ·g",
+                        t_add_into(kernel, &pool, &q, &gs, &dw1),
+                    ),
+                    (
+                        "score dk += g×(w2ᵀ)",
+                        add_into(kernel, &pool, &gs, &w2t, &dk),
+                    ),
+                    (
+                        "score dw2 += kᵀ·g",
+                        t_add_into(kernel, &pool, &key, &gs, &dw2),
+                    ),
                 ]
             };
             let reference = run(Kernel::Naive);
