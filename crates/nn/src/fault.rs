@@ -1,11 +1,11 @@
 //! Deterministic fault injection for exercising recovery paths.
 //!
 //! Production serving has failure modes that unit tests never reach:
-//! a request task panics mid-forward, a reply channel is dropped, a
-//! checkpoint arrives bit-flipped, a socket write fails halfway, the
-//! cache evicts an entry between probe and use. This module lets tests
-//! and CI *inject* those failures on purpose, at named points, with a
-//! seeded PRNG so a failing run is reproducible bit-for-bit.
+//! a request task panics mid-forward, a checkpoint arrives bit-flipped, a
+//! socket write fails halfway, the cache evicts an entry between probe
+//! and use. This module lets tests and CI *inject* those failures on
+//! purpose, at named points, with a seeded PRNG so a failing run is
+//! reproducible bit-for-bit.
 //!
 //! Arming is environment-driven:
 //!
@@ -49,19 +49,16 @@ pub enum FaultPoint {
     CacheEvict = 3,
     /// Fail the socket write of a response.
     SocketWrite = 4,
-    /// Drop the engine's reply sender without sending.
-    EngineReplyDrop = 5,
 }
 
 impl FaultPoint {
     /// Every point, in discriminant order.
-    pub const ALL: [FaultPoint; 6] = [
+    pub const ALL: [FaultPoint; 5] = [
         FaultPoint::CheckpointRead,
         FaultPoint::TaskPanic,
         FaultPoint::SlowStage,
         FaultPoint::CacheEvict,
         FaultPoint::SocketWrite,
-        FaultPoint::EngineReplyDrop,
     ];
 
     /// Stable name used in `DEEPSEQ_FAULT` specs and metric labels.
@@ -72,7 +69,6 @@ impl FaultPoint {
             FaultPoint::SlowStage => "slow_stage",
             FaultPoint::CacheEvict => "cache_evict",
             FaultPoint::SocketWrite => "socket_write",
-            FaultPoint::EngineReplyDrop => "engine_reply_drop",
         }
     }
 

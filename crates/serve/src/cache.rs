@@ -431,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn cone_key_separates_model_generations() {
+    fn cone_key_separates_models() {
         let mut memo = ConeMemo::new(8);
         let k1 = ConeKey {
             model: 1,

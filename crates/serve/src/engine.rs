@@ -5,12 +5,13 @@
 //! process-wide [`Pool::global`], so *one* pool serves every engine,
 //! request batch **and** the level-parallel forward passes inside each
 //! request, instead of each subsystem spawning its own threads.
-//! [`Engine::serve_batch`] fans independent requests out across the pool
-//! (responses return in request order); a lone request in turn fans its
-//! level batches out, so the pool stays busy whether traffic is many small
-//! circuits or one big one. Workspaces are checked out of a shared pile,
-//! one per concurrently processing task, so steady traffic runs without
-//! per-request allocation.
+//! [`Engine::serve`] answers one request on the calling thread, and its
+//! level batches fan out across the pool. [`Engine::serve_batch`] runs
+//! `serve` for independent requests on up to `workers` pool tasks
+//! (responses return in request order), so the pool stays busy whether
+//! traffic is many small circuits or one big one. Workspaces are checked
+//! out of a shared pile, one per request in progress, so steady traffic
+//! runs without per-request allocation.
 //!
 //! Each request is partitioned into its weakly connected components and
 //! looked up in the memo component by component. When every component
@@ -19,12 +20,10 @@
 //! out (the whole circuit, when nothing hit). Answers never depend on what
 //! was served before.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use deepseq_core::encoding::initial_states;
 use deepseq_core::{CircuitGraph, Predictions};
@@ -46,15 +45,12 @@ use crate::ServeError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// The request's compute task panicked; the panic was caught at the
-    /// engine boundary and the worker survived.
+    /// The request's compute panicked; the panic was caught at the
+    /// engine boundary and the thread survived.
     Panicked {
         /// The panic payload, when it was a string.
         detail: String,
     },
-    /// The reply channel was dropped before a response was sent — the
-    /// task died (or an injected fault dropped the sender).
-    ReplyDropped,
 }
 
 impl fmt::Display for EngineError {
@@ -62,9 +58,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Panicked { detail } => {
                 write!(f, "request task panicked: {detail}")
-            }
-            EngineError::ReplyDropped => {
-                write!(f, "reply channel dropped before a response was sent")
             }
         }
     }
@@ -83,9 +76,10 @@ pub fn panics_caught() -> u64 {
 }
 
 /// Locks a mutex, recovering from poisoning: every engine-internal lock
-/// guards a pile/queue whose operations never panic mid-update, and the
-/// per-request compute that *can* panic runs outside any of them (and is
-/// caught in [`process`] anyway), so the poisoned state is consistent.
+/// guards the model handle, the workspace pile or the memo, whose
+/// operations never panic mid-update, and the per-request compute that
+/// *can* panic runs outside any of them (and is caught in
+/// [`Engine::serve`] anyway), so the poisoned state is consistent.
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
@@ -188,31 +182,23 @@ impl Default for EngineOptions {
 /// // Warm the memo, then identical requests hit it (warming must finish
 /// // first — two identical requests *in one batch* may race to distinct
 /// // pool tasks and both miss).
-/// let cold = engine.serve_batch(vec![make(0)]);
-/// assert!(!cold[0].result.as_ref().unwrap().cache_hit);
+/// let cold = engine.serve(&make(0));
+/// assert!(!cold.result.as_ref().unwrap().cache_hit);
 /// let warm = engine.serve_batch(vec![make(1), make(2)]);
 /// assert!(warm.iter().all(|r| r.result.as_ref().unwrap().cache_hit));
 /// assert_eq!(engine.cache_stats().hits, 2);
 /// # Ok::<(), deepseq_netlist::NetlistError>(())
 /// ```
 pub struct Engine {
-    /// Swappable on checkpoint reload; tasks snapshot the `Arc` at start,
-    /// so in-flight requests finish on the model they began with.
+    /// Swappable on checkpoint reload; each request snapshots the `Arc` at
+    /// start, so in-flight requests finish on the model they began with.
     model: Mutex<Arc<InferenceModel>>,
     cones: Mutex<ConeMemo>,
     pool: Arc<Pool>,
     workspaces: Mutex<Vec<Workspace>>,
     served: AtomicU64,
-    hook: Mutex<Option<ServedHook>>,
     max_concurrent: usize,
 }
-
-/// Observer invoked after every request [`Engine::serve_batch`] processes,
-/// with the response and the engine-side processing time — validation,
-/// memo lookup, and forward pass; queueing ahead of processing is
-/// excluded. The HTTP serving edge installs one to feed its `/metrics`
-/// latency histograms.
-pub type ServedHook = Arc<dyn Fn(&ServeResponse, Duration) + Send + Sync>;
 
 impl Engine {
     /// An engine around a frozen model, on the process-wide
@@ -230,80 +216,82 @@ impl Engine {
             pool,
             workspaces: Mutex::new(Vec::new()),
             served: AtomicU64::new(0),
-            hook: Mutex::new(None),
             max_concurrent: options.workers.max(1),
         }
     }
 
-    /// Installs (or replaces) the served-request observer.
-    pub fn set_served_hook(&self, hook: ServedHook) {
-        *lock_recover(&self.hook) = Some(hook);
+    /// Answers one request on the calling thread; its level and GEMM
+    /// fan-out runs on the engine's pool. Every request gets a response:
+    /// an invalid one answers its [`ServeError`], and a panic in its
+    /// compute (a bug in the forward pass, or an injected `task_panic`
+    /// fault) is caught here and answers [`EngineError::Panicked`], not a
+    /// dead thread.
+    pub fn serve(&self, request: &ServeRequest) -> ServeResponse {
+        let model = lock_recover(&self.model).clone();
+        let mut ws = self.checkout();
+        let result = match catch_unwind(AssertUnwindSafe(|| {
+            serve_one(&model, &self.cones, request, &mut ws)
+        })) {
+            Ok(result) => {
+                lock_recover(&self.workspaces).push(ws);
+                result
+            }
+            // The workspace is dropped, not returned to the pile: the
+            // panic may have left it mid-update.
+            Err(payload) => {
+                PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
+                let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+                    (*s).to_string()
+                } else if let Some(s) = payload.downcast_ref::<String>() {
+                    s.clone()
+                } else {
+                    "non-string panic payload".to_string()
+                };
+                Err(ServeError::Engine(EngineError::Panicked { detail }))
+            }
+        };
+        self.served.fetch_add(1, Ordering::Relaxed);
+        ServeResponse {
+            id: request.id,
+            design: request.aig.name().to_string(),
+            result,
+        }
     }
 
     /// Serves a batch of independent requests across the worker pool and
     /// returns the responses in request order. At most `workers` tasks run
-    /// concurrently, each checking out one workspace and pulling requests
-    /// off a shared queue — uneven batches (one huge circuit among many
-    /// small ones) stay load-balanced instead of being pinned to a
-    /// contiguous split. A batch of one runs inline on the caller's thread.
+    /// concurrently, each claiming the next unserved request until none is
+    /// left — uneven batches (one huge circuit among many small ones) stay
+    /// load-balanced instead of being pinned to a contiguous split. A
+    /// batch of one runs inline on the caller's thread.
     pub fn serve_batch(&self, requests: Vec<ServeRequest>) -> Vec<ServeResponse> {
-        let total = requests.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        // (id, design) per slot, so a request whose reply never arrives
-        // (task died, injected reply drop) still gets a typed response.
-        let meta: Vec<(u64, String)> = requests
-            .iter()
-            .map(|r| (r.id, r.aig.name().to_string()))
-            .collect();
-        let task_count = self.max_concurrent.min(self.pool.threads()).min(total);
-        let queue: Mutex<VecDeque<(usize, ServeRequest)>> =
-            Mutex::new(requests.into_iter().enumerate().collect());
-        let (reply, responses) = mpsc::channel::<(usize, ServeResponse)>();
-        let hook = lock_recover(&self.hook).clone();
-        let model = lock_recover(&self.model).clone();
+        let slots: Vec<OnceLock<ServeResponse>> =
+            requests.iter().map(|_| OnceLock::new()).collect();
+        // The counter only hands out indices; each answer reaches the
+        // caller through its slot and `Pool::run`'s join.
+        let next = AtomicUsize::new(0);
+        let task_count = self
+            .max_concurrent
+            .min(self.pool.threads())
+            .min(requests.len());
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..task_count)
             .map(|_| {
-                let queue = &queue;
-                let reply = reply.clone();
-                let model = &model;
-                let hook = &hook;
-                Box::new(move || {
-                    let mut ws = self.checkout();
-                    loop {
-                        let next = lock_recover(queue).pop_front();
-                        let Some((index, request)) = next else { break };
-                        let response = process(model, &self.cones, request, &mut ws, hook);
-                        self.served.fetch_add(1, Ordering::Relaxed);
-                        if fault::should_inject(FaultPoint::EngineReplyDrop) {
-                            continue; // the slot fills with ReplyDropped
-                        }
-                        // The receiver outlives `pool.run`; a send can only
-                        // fail if the collector below already gave up, and
-                        // the missing slot is filled with a typed error.
-                        let _ = reply.send((index, response));
-                    }
-                    lock_recover(&self.workspaces).push(ws);
+                let (requests, slots, next) = (&requests, &slots, &next);
+                Box::new(move || loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(request) = requests.get(index) else {
+                        return;
+                    };
+                    let _ = slots[index].set(self.serve(request));
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
         self.pool.run(tasks);
-        drop(reply);
-        let mut slots: Vec<Option<ServeResponse>> = Vec::with_capacity(total);
-        slots.resize_with(total, || None);
-        for (index, response) in responses {
-            slots[index] = Some(response);
-        }
         slots
             .into_iter()
-            .zip(meta)
-            .map(|(slot, (id, design))| {
-                slot.unwrap_or(ServeResponse {
-                    id,
-                    design,
-                    result: Err(ServeError::Engine(EngineError::ReplyDropped)),
-                })
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("every request index is claimed once")
             })
             .collect()
     }
@@ -346,12 +334,6 @@ impl Engine {
         lock_recover(&self.cones).stats()
     }
 
-    /// Generation tag of the currently served model (see
-    /// [`InferenceModel::generation`]).
-    pub fn model_generation(&self) -> u64 {
-        lock_recover(&self.model).generation()
-    }
-
     /// Total requests processed since construction.
     pub fn requests_served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
@@ -369,40 +351,6 @@ impl Engine {
             Workspace::with_pool(deepseq_nn::Kernel::global(), Arc::clone(&self.pool))
         })
     }
-}
-
-fn process(
-    model: &InferenceModel,
-    cones: &Mutex<ConeMemo>,
-    request: ServeRequest,
-    ws: &mut Workspace,
-    hook: &Option<ServedHook>,
-) -> ServeResponse {
-    let design = request.aig.name().to_string();
-    let id = request.id;
-    let start = Instant::now();
-    // The panic boundary: a panicking request (a bug in the forward pass,
-    // or an injected `task_panic` fault) becomes a typed 500 for *its*
-    // client, not a hung connection or a dead worker. The workspace is
-    // rebuilt rather than reused — a panic may have left it mid-update.
-    let result = catch_unwind(AssertUnwindSafe(|| serve_one(model, cones, request, ws)))
-        .unwrap_or_else(|payload| {
-            PANICS_CAUGHT.fetch_add(1, Ordering::Relaxed);
-            *ws = Workspace::with_pool(ws.kernel(), Arc::clone(ws.pool()));
-            let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(ServeError::Engine(EngineError::Panicked { detail }))
-        });
-    let response = ServeResponse { id, design, result };
-    if let Some(hook) = hook {
-        hook(&response, start.elapsed());
-    }
-    response
 }
 
 /// Checks that the request's circuit is valid and its workload covers
@@ -431,14 +379,14 @@ fn initial_h0(model: &InferenceModel, request: &ServeRequest) -> Matrix {
 fn serve_one(
     model: &InferenceModel,
     cones: &Mutex<ConeMemo>,
-    request: ServeRequest,
+    request: &ServeRequest,
     ws: &mut Workspace,
 ) -> Result<ServedInference, ServeError> {
     if fault::should_inject(FaultPoint::TaskPanic) {
         panic!("injected task_panic fault");
     }
-    validate(&request)?;
-    let h0 = initial_h0(model, &request);
+    validate(request)?;
+    let h0 = initial_h0(model, request);
     let found = lookup(model, cones, &request.aig, &h0);
     if let Some(hit) = found.whole_hit() {
         return Ok(hit);
@@ -657,22 +605,54 @@ mod tests {
         engine_on(workers, Arc::new(Pool::new(workers)))
     }
 
-    #[test]
-    fn batch_preserves_request_order() {
-        let engine = engine(3);
-        let requests: Vec<ServeRequest> = (0..12)
+    /// `count` requests alternating a toggle and a toggle pair, over three
+    /// init seeds, so a batch mixes memo misses, partial hits and hits.
+    fn mixed_requests(count: u64) -> Vec<ServeRequest> {
+        (0..count)
             .map(|id| ServeRequest {
                 id,
-                aig: toggle(&format!("t{}", id % 3)),
+                aig: if id % 2 == 0 {
+                    toggle("t")
+                } else {
+                    two_toggles(id % 4 == 1)
+                },
                 workload: Workload::uniform(0, 0.5),
-                init_seed: id % 2,
+                init_seed: id % 3,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_preserves_request_order() {
+        let requests = mixed_requests(13);
+        // What `serve` answers for each request on an engine that served
+        // nothing before it.
+        let reference_pool = Arc::new(Pool::new(1));
+        let expected: Vec<Arc<CachedInference>> = requests
+            .iter()
+            .map(|request| {
+                let fresh = engine_on(1, Arc::clone(&reference_pool));
+                fresh.serve(request).result.expect("valid request").data
             })
             .collect();
-        let responses = engine.serve_batch(requests);
-        let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
-        assert_eq!(ids, (0..12).collect::<Vec<_>>());
-        assert!(responses.iter().all(|r| r.result.is_ok()));
-        assert_eq!(engine.requests_served(), 12);
+        for threads in [1, 2, 4] {
+            let pool = Arc::new(Pool::new(threads));
+            for workers in [1, 3, 8] {
+                let engine = engine_on(workers, Arc::clone(&pool));
+                for size in [0, 1, 13] {
+                    let setup = format!("{threads} threads, {workers} workers, {size} requests");
+                    let before = engine.requests_served();
+                    let responses = engine.serve_batch(requests[..size].to_vec());
+                    assert_eq!(engine.requests_served() - before, size as u64, "{setup}");
+                    let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+                    assert_eq!(ids, (0..size as u64).collect::<Vec<_>>(), "{setup}");
+                    for (response, want) in responses.iter().zip(&expected) {
+                        let got = &response.result.as_ref().expect("valid request").data;
+                        assert_eq!(got, want, "request {}, {setup}", response.id);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -735,26 +715,6 @@ mod tests {
             responses[0].result,
             Err(ServeError::WorkloadTooShort { pis: 1, stimuli: 0 })
         ));
-    }
-
-    #[test]
-    fn served_hook_observes_every_batch_request() {
-        let engine = engine(2);
-        let seen = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&seen);
-        engine.set_served_hook(Arc::new(move |response, latency| {
-            assert!(response.result.is_ok());
-            assert!(latency <= Duration::from_secs(60));
-            counter.fetch_add(1, Ordering::Relaxed);
-        }));
-        let make = |id| ServeRequest {
-            id,
-            aig: toggle("t"),
-            workload: Workload::uniform(0, 0.5),
-            init_seed: 0,
-        };
-        engine.serve_batch((0..5).map(make).collect());
-        assert_eq!(seen.load(Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! `std::net` primitives:
 //!
 //! * request line + headers, terminated by an empty line (CRLF or bare LF);
-//! * bodies sized by `Content-Length` only (`Transfer-Encoding` is
-//!   rejected — chunked uploads are out of scope for a JSON inference API);
-//! * keep-alive by default, honoring `Connection: close`;
+//! * bodies sized by one `Content-Length` of ASCII digits only
+//!   (`Transfer-Encoding` is rejected — chunked uploads are out of scope
+//!   for a JSON inference API);
+//! * keep-alive by default for HTTP/1.1 and on request for HTTP/1.0, and
+//!   a `close` token in `Connection` ends the connection;
 //! * `Expect: 100-continue` answered before the body is read;
 //! * hard caps on head and body size, so a misbehaving client cannot make
 //!   the server buffer unbounded memory.
@@ -57,6 +59,8 @@ pub struct HttpRequest {
     pub headers: Vec<(String, String)>,
     /// The body, exactly `Content-Length` bytes (empty without one).
     pub body: Vec<u8>,
+    /// True for an `HTTP/1.0` request line, false for `HTTP/1.1`.
+    pub(crate) http10: bool,
 }
 
 impl HttpRequest {
@@ -76,11 +80,18 @@ impl HttpRequest {
             .map(|(_, v)| v.as_str())
     }
 
-    /// True when the client asked for the connection to close after this
-    /// request (`Connection: close`).
+    /// True when the connection closes after this request: a `close`
+    /// token in any `Connection` header, or an HTTP/1.0 request that does
+    /// not list `keep-alive` (RFC 9112 §9.3).
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        let lists = |token: &str| {
+            self.headers
+                .iter()
+                .filter(|(name, _)| name == "connection")
+                .flat_map(|(_, value)| value.split(','))
+                .any(|listed| listed.trim().eq_ignore_ascii_case(token))
+        };
+        lists("close") || (self.http10 && !lists("keep-alive"))
     }
 }
 
@@ -188,6 +199,7 @@ pub fn read_request_with(
         query,
         headers,
         body: Vec::new(),
+        http10: version == "HTTP/1.0",
     };
 
     if request.header("transfer-encoding").is_some() {
@@ -195,11 +207,26 @@ pub fn read_request_with(
             "Transfer-Encoding is not supported; send a Content-Length body".into(),
         ));
     }
-    let content_length = match request.header("content-length") {
-        None => 0usize,
-        Some(v) => v
-            .parse()
-            .map_err(|_| HttpError::BadRequest(format!("malformed Content-Length {v:?}")))?,
+    // One length of plain digits (RFC 9112 §6.3): a second length, or a
+    // sign the integer parser would accept, leaves the body's end in doubt
+    // and with it where the next request on the connection starts.
+    let mut lengths = request
+        .headers
+        .iter()
+        .filter(|(name, _)| name == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0usize,
+        (Some(_), Some(_)) => {
+            return Err(HttpError::BadRequest("repeated Content-Length".into()));
+        }
+        (Some((_, v)), None) => match v.parse() {
+            Ok(length) if v.bytes().all(|b| b.is_ascii_digit()) => length,
+            _ => {
+                return Err(HttpError::BadRequest(format!(
+                    "malformed Content-Length {v:?}"
+                )))
+            }
+        },
     };
     if content_length > limits.max_body_bytes {
         return Err(HttpError::BadRequest(format!(
@@ -507,6 +534,52 @@ mod tests {
             parse(b"POST / HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"),
             Err(HttpError::BadRequest(_))
         ));
+        // A signed length, and a second length in either order: where the
+        // body ends is in doubt, even with every byte present.
+        let body = "x".repeat(20);
+        for lengths in [
+            "Content-Length: +20\r\n",
+            "Content-Length: 3\r\nContent-Length: 20\r\n",
+            "Content-Length: 20\r\ncontent-length: 20\r\n",
+            "Content-Length: 20, 20\r\n",
+        ] {
+            let raw = format!("POST / HTTP/1.1\r\n{lengths}\r\n{body}");
+            assert!(
+                matches!(parse(raw.as_bytes()), Err(HttpError::BadRequest(_))),
+                "{lengths:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn connection_close_follows_version_and_token_list() {
+        for (raw, close) in [
+            (&b"GET / HTTP/1.1\r\n\r\n"[..], false),
+            (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", true),
+            (
+                b"GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n",
+                true,
+            ),
+            (b"GET / HTTP/1.1\r\nConnection: Keep-Alive\r\n\r\n", false),
+            (b"GET / HTTP/1.0\r\n\r\n", true),
+            (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", false),
+            (
+                b"GET / HTTP/1.0\r\nConnection: upgrade, Keep-Alive\r\n\r\n",
+                false,
+            ),
+            (
+                b"GET / HTTP/1.0\r\nConnection: keep-alive\r\nConnection: close\r\n\r\n",
+                true,
+            ),
+        ] {
+            let request = parse(raw).unwrap();
+            assert_eq!(
+                request.wants_close(),
+                close,
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
     }
 
     #[test]

@@ -33,9 +33,11 @@
 //!   A request whose components all hit is answered without running the
 //!   model, a near-duplicate recomputes only its changed components, and
 //!   every answer is bitwise what an uncached engine returns;
-//! * [`Engine`] — batches independent requests across the **same shared
-//!   pool** the level parallelism runs on (one pool for the whole process,
-//!   not one thread set per engine), one workspace per concurrent task;
+//! * [`Engine`] — [`Engine::serve`] answers one request on the calling
+//!   thread, and [`Engine::serve_batch`] runs it for independent requests
+//!   across the **same shared pool** the level parallelism runs on (one
+//!   pool for the whole process, not one thread set per engine), one
+//!   workspace per request in progress;
 //! * [`HttpServer`] — a **std-only HTTP/1.1 front door** for the engine
 //!   (`POST /v1/embed`, `/healthz`, `/metrics`, graceful drain), with
 //!   bounded admission (429 on overflow) and per-request deadlines (504
@@ -115,9 +117,9 @@ pub enum ServeError {
         /// Stimuli in the workload.
         stimuli: usize,
     },
-    /// The engine's machinery failed while processing the request (caught
-    /// panic, dropped reply channel) — a server-side 500, unlike every
-    /// other variant, which is the client's fault.
+    /// The engine's machinery failed while processing the request (a
+    /// caught panic) — a server-side 500, unlike every other variant,
+    /// which is the client's fault.
     Engine(engine::EngineError),
 }
 

@@ -132,8 +132,8 @@ pub struct Metrics {
     pub in_flight: AtomicU64,
     /// End-to-end time per embed request: admission wait + parse + engine.
     pub request_latency: LatencyHistogram,
-    /// Engine processing time per served request (from the engine's
-    /// served-hook, so it covers cache hits and misses alike).
+    /// Engine processing time per admitted embed, timed by the edge around
+    /// its `Engine::serve` call (cache hits and misses alike).
     pub engine_latency: LatencyHistogram,
 }
 
@@ -484,7 +484,7 @@ mod tests {
             "deepseq_config_warnings_total",
             "deepseq_panics_caught_total",
             "deepseq_faults_injected_total{point=\"checkpoint_read\"}",
-            "deepseq_faults_injected_total{point=\"engine_reply_drop\"}",
+            "deepseq_faults_injected_total{point=\"socket_write\"}",
             "deepseq_http_request_duration_seconds_bucket{le=\"+Inf\"} 1",
             "deepseq_pool_threads 4",
             "deepseq_pool_parks_total 5",

@@ -71,13 +71,12 @@ use deepseq_nn::fault::{self, FaultPoint};
 use deepseq_nn::trace;
 use deepseq_sim::Workload;
 
-use crate::engine::{Engine, EngineError, ServeRequest, ServeResponse};
+use crate::engine::{Engine, ServeRequest};
 use crate::http::{
     read_request_with, write_response, HttpError, HttpLimits, HttpRequest, HttpResponse,
 };
 use crate::json::response_to_json;
 use crate::metrics::Metrics;
-use crate::ServeError;
 
 /// Connections open at once, each on its own thread. The accept thread
 /// answers `503` and closes any connection past this count. The cap
@@ -122,7 +121,7 @@ pub struct ServerOptions {
     /// bounds how long a drain waits on idle connections.
     pub idle_keepalive: Duration,
     /// Hard cap on how long [`HttpServer::shutdown`] waits for open
-    /// connections after the admitted requests finished.
+    /// connections, and the admitted requests on them, to finish.
     pub drain_grace: Duration,
     /// `DSQM` checkpoint the server was started from, if any —
     /// `POST /admin/reload` re-reads it (and is `409` without one).
@@ -256,12 +255,6 @@ impl Admission {
             .store(state.in_flight as u64, Ordering::Relaxed);
         self.freed.notify_one();
     }
-
-    /// True when no request holds or waits for a slot.
-    fn is_empty(&self) -> bool {
-        let state = lock_recover(&self.state);
-        state.in_flight == 0 && state.queued == 0
-    }
 }
 
 /// State shared between the accept thread, every connection handler, and
@@ -344,8 +337,8 @@ impl ServerShared {
 
     /// Wakes anything blocked on `drain_cv` (`shutdown`'s drain wait and
     /// `wait_for_drain_request`). Called on every state change the drain
-    /// condition reads — drain requested, a connection closed, the
-    /// admission gate emptied — so the waiters never have to poll.
+    /// condition reads — drain requested, a connection closed — so the
+    /// waiters never have to poll.
     fn notify_drain_waiters(&self) {
         let _guard = lock_recover(&self.drain_lock);
         self.drain_cv.notify_all();
@@ -388,15 +381,6 @@ impl HttpServer {
             options.max_inflight
         };
         let metrics = Arc::new(Metrics::default());
-        {
-            // Feed the engine-side latency histogram from the engine's own
-            // instrumentation hook, so it covers every path into the
-            // engine, cache hits included.
-            let histogram = Arc::clone(&metrics);
-            engine.set_served_hook(Arc::new(move |_response, latency| {
-                histogram.engine_latency.observe(latency);
-            }));
-        }
         let shared = Arc::new(ServerShared {
             engine,
             degraded: AtomicBool::new(false),
@@ -490,20 +474,17 @@ impl HttpServer {
         let deadline = Instant::now() + grace;
         {
             let mut guard = lock_recover(&self.shared.drain_lock);
-            loop {
-                let drained = self.shared.admission.is_empty()
-                    && self.shared.metrics.connections_open.load(Ordering::Relaxed) == 0;
-                if drained {
-                    break;
-                }
+            // Zero open connections means an empty admission gate too: a
+            // request holds or waits for a slot only inside its
+            // connection's handler, whose guard drops after it returns.
+            while self.shared.metrics.connections_open.load(Ordering::Relaxed) != 0 {
                 let now = Instant::now();
                 if now >= deadline {
                     break;
                 }
-                // Every input of the drained condition notifies `drain_cv`
-                // on change (connection close, admission release/expiry),
-                // so the full remaining grace can be slept in one wait —
-                // no polling cap adding up to 100 ms of shutdown latency.
+                // Every connection close notifies `drain_cv`, so the full
+                // remaining grace can be slept in one wait — no polling
+                // cap adding up to 100 ms of shutdown latency.
                 let (next, _) = self
                     .shared
                     .drain_cv
@@ -910,37 +891,24 @@ fn embed(shared: &Arc<ServerShared>, request: &HttpRequest, start: Instant) -> H
         }
         Admit::DeadlineExpired => {
             metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            // The expired request left the admission queue: a draining
-            // shutdown may be waiting for exactly that.
-            shared.notify_drain_waiters();
             HttpResponse::error(504, "deadline expired while queued")
         }
         Admit::Go => {
             shared.note_admitted();
-            let request_id = serve_request.id;
-            let design = serve_request.aig.name().to_string();
-            // serve_batch with one request runs it inline on this
-            // connection's thread; level fan-out inside the engine still
-            // spreads across the pool.
-            let mut responses = shared.engine.serve_batch(vec![serve_request]);
+            // The engine answers on this connection's thread; the level
+            // and GEMM fan-out inside it still spreads across the pool.
+            let engine_start = Instant::now();
+            let response = shared.engine.serve(&serve_request);
+            metrics.engine_latency.observe(engine_start.elapsed());
             shared.admission.release(metrics);
-            shared.notify_drain_waiters();
-            // serve_batch answers every request (typed errors included);
-            // should that invariant ever break, answer a typed 500, never
-            // panic a connection handler.
-            let response = responses.pop().unwrap_or(ServeResponse {
-                id: request_id,
-                design,
-                result: Err(ServeError::Engine(EngineError::ReplyDropped)),
-            });
             if Instant::now() > deadline {
                 metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
                 return HttpResponse::error(504, "deadline expired during processing");
             }
             let status = match &response.result {
                 Ok(_) => 200,
-                // Server-side machinery failures (caught panic, dropped
-                // reply) are 500s; everything else is the request's fault.
+                // A server-side machinery failure (a caught panic) is a
+                // 500; everything else is the request's fault.
                 Err(e) if e.is_internal() => 500,
                 Err(_) => 400,
             };
@@ -1030,6 +998,7 @@ mod tests {
             query: Vec::new(),
             headers: Vec::new(),
             body: Vec::new(),
+            http10: false,
         }
     }
 
@@ -1043,6 +1012,7 @@ mod tests {
                 .collect(),
             headers: Vec::new(),
             body: body.to_vec(),
+            http10: false,
         }
     }
 
@@ -1227,6 +1197,7 @@ mod tests {
                 query: vec![("ready".into(), "1".into())],
                 headers: Vec::new(),
                 body: Vec::new(),
+                http10: false,
             },
         );
         assert_eq!(ready.status, 503);
@@ -1352,7 +1323,7 @@ mod tests {
         ));
         admission.release(&metrics);
         admission.release(&metrics);
-        assert!(admission.is_empty());
         assert_eq!(metrics.in_flight.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
     }
 }

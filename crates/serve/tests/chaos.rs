@@ -191,36 +191,60 @@ fn task_panic_under_load_answers_typed_500s_and_recovers() {
     assert_eq!(report.connections_abandoned, 0, "clean drain after chaos");
 }
 
+/// A batch with `task_panic` armed at rate 0.5: every request still gets
+/// its own answer in its own slot — `Ok` or a typed `Panicked` — the
+/// caught-panic counter moves by exactly the panics answered, and once
+/// disarmed the same batch answers the bits of a never-faulted engine.
 #[test]
-fn engine_reply_drop_answers_typed_500s_and_recovers() {
-    let armed = Armed::new(&format!("engine_reply_drop:1.0:{}", chaos_seed()));
-    let server = boot();
-    let injected_before = fault::injected_count(FaultPoint::EngineReplyDrop);
+fn task_panic_in_a_batch_answers_every_slot_in_order() {
+    use deepseq_serve::{EngineError, ServeError, ServeRequest};
+    use deepseq_sim::Workload;
 
-    let (ok, internal, other) = fire_load(&server, 16, 48);
-    assert_eq!((ok, internal, other), (0, 48, 0));
-    assert_eq!(
-        fault::injected_count(FaultPoint::EngineReplyDrop) - injected_before,
-        48
-    );
-    let response = exchange(
-        server.local_addr(),
-        "POST",
-        "/v1/embed?summary=1",
-        counter_aiger(1).as_bytes(),
-    );
-    assert_eq!(response.status, 500);
+    let armed = Armed::new(&format!("task_panic:0.5:{}", chaos_seed()));
+    let batch: Vec<ServeRequest> = (0..24)
+        .map(|id| {
+            let aig = util::counter_aig(id % 4);
+            let workload = Workload::uniform(aig.num_pis(), 0.5);
+            ServeRequest {
+                id: id as u64,
+                aig,
+                workload,
+                init_seed: 0,
+            }
+        })
+        .collect();
+    let engine = test_engine(4);
+    let panics_before = panics_caught();
+    let faulted = engine.serve_batch(batch.clone());
+    let mut panicked = 0;
+    for (index, response) in faulted.iter().enumerate() {
+        assert_eq!(response.id, index as u64, "responses out of request order");
+        match &response.result {
+            Ok(_) => {}
+            Err(ServeError::Engine(EngineError::Panicked { .. })) => panicked += 1,
+            Err(other) => panic!("request {index}: unexpected error {other}"),
+        }
+    }
+    assert_eq!(panics_caught() - panics_before, panicked);
     assert!(
-        response.body.contains("reply"),
-        "typed ReplyDropped error expected: {}",
-        response.body
+        0 < panicked && panicked < 24,
+        "rate 0.5 panicked {panicked} of 24 requests"
     );
 
     armed.rearm(None);
-    let (ok, internal, other) = fire_load(&server, 16, 32);
-    assert_eq!((ok, internal, other), (32, 0, 0));
-    let report = server.shutdown();
-    assert_eq!(report.connections_abandoned, 0);
+    let reference = test_engine(4).serve_batch(batch.clone());
+    let healed = engine.serve_batch(batch);
+    for (index, (got, want)) in healed.iter().zip(&reference).enumerate() {
+        let got = got.result.as_ref().expect("disarmed request serves");
+        let want = want.result.as_ref().expect("reference serves");
+        for (what, got, want) in [
+            ("lg", &got.data.predictions.lg, &want.data.predictions.lg),
+            ("tr", &got.data.predictions.tr, &want.data.predictions.tr),
+            ("embedding", &got.data.embedding, &want.data.embedding),
+        ] {
+            assert_matrices_match(got, want, &format!("request {index} {what}"));
+        }
+    }
 }
 
 #[test]

@@ -159,6 +159,19 @@ fn malformed_requests_get_json_errors_not_dropped_connections() {
             b"POST /v1/embed HTTP/1.1\r\nContent-Length: ten\r\n\r\n".to_vec(),
             400,
         ),
+        // A signed length and a repeated one, each with a valid 20-byte
+        // circuit: the body's end is in doubt, so neither is served.
+        (
+            b"POST /v1/embed HTTP/1.1\r\nContent-Length: +20\r\n\r\naag 1 0 1 1 0\n2 3\n2\n"
+                .to_vec(),
+            400,
+        ),
+        (
+            b"POST /v1/embed HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 20\r\n\r\n\
+              aag 1 0 1 1 0\n2 3\n2\n"
+                .to_vec(),
+            400,
+        ),
         (giant_body.into_bytes(), 400),
         (giant_head.into_bytes(), 400),
         (
@@ -180,6 +193,10 @@ fn malformed_requests_get_json_errors_not_dropped_connections() {
             "payload {:?}",
             String::from_utf8_lossy(&payload)
         );
+        // Framing may be lost, so the answer closes the connection: the
+        // bytes after the head are never read as another request.
+        let text = String::from_utf8_lossy(&raw);
+        assert!(text.contains("\r\nconnection: close\r\n"), "{text}");
         assert!(
             response.body.starts_with("{\"error\":"),
             "no JSON error body: {}",
@@ -354,6 +371,32 @@ fn keep_alive_serves_sequential_requests() {
             assert!(n > 0, "server closed a keep-alive connection early");
             collected.extend_from_slice(&buffer[..n]);
         }
+    }
+    server.shutdown();
+}
+
+/// An HTTP/1.0 request that does not ask for keep-alive, and an HTTP/1.1
+/// request whose `Connection` list holds `close` after another token,
+/// each end their connection with the response instead of holding it for
+/// the idle keep-alive window.
+#[test]
+fn http10_and_close_token_lists_end_the_connection() {
+    let (server, addr) = boot(ServerOptions::default());
+    for payload in [
+        &b"GET /healthz HTTP/1.0\r\n\r\n"[..],
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: keep-alive, close\r\n\r\n",
+    ] {
+        let started = Instant::now();
+        let raw = raw_exchange(addr, payload.to_vec());
+        let waited = started.elapsed();
+        let text = String::from_utf8_lossy(&raw);
+        assert_eq!(util::parse_response(&raw).status, 200, "{text}");
+        assert!(text.contains("connection: close\r\n"), "{text}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "{:?} held its connection for {waited:?}",
+            String::from_utf8_lossy(payload)
+        );
     }
     server.shutdown();
 }

@@ -117,66 +117,6 @@ pub fn simulate(aig: &SeqAig, workload: &Workload, opts: &SimOptions) -> SimResu
     }
 }
 
-/// Visitor variant of [`simulate`]: calls `visit(cycle, values)` with the
-/// settled node words each cycle (including warm-up cycles). Used by the
-/// fault injector and the SAIF toggle counter.
-pub fn simulate_with<F>(
-    aig: &SeqAig,
-    workload: &Workload,
-    opts: &SimOptions,
-    mut visit: F,
-) -> SimResult
-where
-    F: FnMut(usize, &[u64]),
-{
-    debug_assert_eq!(workload.len(), aig.num_pis());
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let n = aig.len();
-    let pis = aig.pis();
-    let ffs = aig.ffs();
-    let mut values = vec![0u64; n];
-    let mut prev = vec![0u64; n];
-    let mut ff_state: Vec<u64> = ffs
-        .iter()
-        .map(|&ff| match aig.node(ff) {
-            AigNode::Ff { init: true, .. } => u64::MAX,
-            _ => 0,
-        })
-        .collect();
-    let mut gen = PatternGenerator::new(workload);
-    let mut acc = ProbabilityAccumulator::new(n);
-
-    for cycle in 0..opts.cycles {
-        let pi_words = gen.step(workload, &mut rng);
-        for (i, &pi) in pis.iter().enumerate() {
-            values[pi.index()] = pi_words[i];
-        }
-        for (i, &ff) in ffs.iter().enumerate() {
-            values[ff.index()] = ff_state[i];
-        }
-        for (id, node) in aig.iter() {
-            match *node {
-                AigNode::And(a, b) => values[id.index()] = values[a.index()] & values[b.index()],
-                AigNode::Not(a) => values[id.index()] = !values[a.index()],
-                AigNode::Pi | AigNode::Ff { .. } => {}
-            }
-        }
-        visit(cycle, &values);
-        if cycle >= opts.warmup {
-            let with_prev = cycle > opts.warmup;
-            acc.record(&values, with_prev.then_some(prev.as_slice()));
-        }
-        prev.copy_from_slice(&values);
-        for (i, &ff) in ffs.iter().enumerate() {
-            let d = aig.ff_fanin(ff).expect("validated AIG has connected FFs");
-            ff_state[i] = values[d.index()];
-        }
-    }
-    SimResult {
-        probs: acc.finish(),
-    }
-}
-
 /// Simulates a generic [`Netlist`] with the same lane semantics. The
 /// `workload` covers the netlist's inputs in input id order.
 ///
@@ -410,21 +350,5 @@ mod tests {
         let r1 = simulate(&aig, &w, &opts());
         let r2 = simulate(&aig, &w, &o2);
         assert_ne!(r1, r2);
-    }
-
-    #[test]
-    fn visitor_sees_every_cycle() {
-        let mut aig = SeqAig::new("v");
-        let a = aig.add_pi("a");
-        let _ = aig.add_not(a);
-        let w = Workload::uniform(1, 0.5);
-        let mut seen = 0usize;
-        let o = SimOptions {
-            cycles: 10,
-            warmup: 2,
-            seed: 1,
-        };
-        simulate_with(&aig, &w, &o, |_, _| seen += 1);
-        assert_eq!(seen, 10);
     }
 }
